@@ -18,6 +18,7 @@ from .intmat import (
     IntMatrix,
     RatMatrix,
     SnfResult,
+    adjugate,
     determinant,
     invert_rational,
     is_negative_definite,

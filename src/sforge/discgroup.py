@@ -19,8 +19,7 @@ from .errors import NotQhsTreeError
 from .graph import ResolutionGraph, intersection_matrix
 from .intmat import (
     RatMatrix,
-    determinant,
-    invert_rational,
+    adjugate,
     is_negative_definite,
     smith_normal_form,
 )
@@ -119,7 +118,8 @@ def discriminant_group(g: ResolutionGraph) -> DiscriminantData:
     of coker(E -> E*) for a negative-definite QHS tree."""
     m = _require_qhs_tree(g)
     n = m.rows
-    order = abs(determinant(m))
+    det, adj = adjugate(m)
+    order = abs(det)
     snf = smith_normal_form(m)
     factors = snf.invariant_factors
     prod = 1
@@ -127,18 +127,18 @@ def discriminant_group(g: ResolutionGraph) -> DiscriminantData:
         prod *= x
     if prod != order:
         raise AssertionError("invariant factor product != |det|")
-    minv = invert_rational(m)
+    minv = adj / det
     # coker(M) = Z^n / D Z^n after the row transform U; the class of the
     # i-th standard generator pulls back to U^{-1} e_i in dual-basis
-    # coordinates, i.e. to column i of M^{-1} U^{-1} in the E-basis.
-    uinv = invert_rational(snf.u).to_int()
-    gen_coords = minv @ uinv
+    # coordinates, i.e. to column i of M^{-1} U^{-1} = adj(M) U^{-1} / det
+    # in the E-basis.
     generators = []
     generator_orders = []
     for i in range(n):
         d = snf.d[i, i]
         if d > 1:
-            generators.append(gen_coords.column(i))
+            coords = adj.mul_vector(snf.u_inv.column(i))
+            generators.append(tuple(Fraction(x, det) for x in coords))
             generator_orders.append(d)
     pairing = tuple(
         tuple(minv[i, j] % 1 for j in range(n)) for i in range(n)
@@ -186,12 +186,9 @@ def leaf_characters(g: ResolutionGraph) -> CharacterAssignment:
 
 def dual_class_order(g: ResolutionGraph, vertex_id: str) -> int:
     """Order n_i of the class of the dual basis element e_i: the least
-    n >= 1 with n * e_i integral in the E-basis."""
+    n >= 1 with n * e_i integral in the E-basis. Column i of M^{-1} is
+    column i of adj(M) over det(M), so n_i = |det| / gcd(det, that
+    column)."""
     m = _require_qhs_tree(g)
-    minv = invert_rational(m)
-    i = g.index_of(vertex_id)
-    n = 1
-    for x in minv.column(i):
-        d = x.denominator
-        n = n * d // gcd(n, d)
-    return n
+    det, adj = adjugate(m)
+    return abs(det) // gcd(det, *adj.column(g.index_of(vertex_id)))

@@ -284,6 +284,11 @@ def parse_polynomial(text, variables):
                 i += 1
                 if i >= len(tokens) or not tokens[i].group("num"):
                     raise ParseError("expected exponent after '^'")
+                if "/" in tokens[i].group("num"):
+                    raise ParseError(
+                        "exponent %r is not a nonnegative integer"
+                        % tokens[i].group("num")
+                    )
                 exp = int(tokens[i].group("num"))
                 i += 1
             factor = Polynomial.variable(variables, name) ** exp

@@ -4,7 +4,10 @@ Each oracle recomputes a quantity by a different method than the
 implementation under test: cofactor expansion for determinants, minor
 gcds for invariant factors, the characteristic polynomial for
 definiteness, exhaustive box search for fundamental cycles, and a
-coin-problem DP for semigroup membership.
+coin-problem DP for semigroup membership. The dense Fraction
+Gauss-Jordan inverse and solve, and the n-determinant leading-minor
+definiteness test, are the library's former implementations, kept
+verbatim to cross-check the fraction-free kernel that replaced them.
 """
 
 from fractions import Fraction
@@ -13,6 +16,12 @@ from itertools import combinations
 
 import numpy as np
 
+from sforge import (
+    IntMatrix,
+    RatMatrix,
+    SingularMatrixError,
+    determinant,
+)
 from sforge.graph import intersection_matrix
 
 
@@ -140,3 +149,66 @@ def coin_membership_dp(target, coins):
             if reachable[s - c]:
                 reachable[s] = True
     return reachable[target]
+
+
+def invert_rational_fraction_gauss(m: IntMatrix) -> RatMatrix:
+    """Exact inverse of a nonsingular integer matrix."""
+    if not m.is_square:
+        raise ValueError("inverse requires a square matrix")
+    n = m.rows
+    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+         for i, row in enumerate(m.entries)]
+    for k in range(n):
+        pivot = next((i for i in range(k, n) if a[i][k] != 0), None)
+        if pivot is None:
+            raise SingularMatrixError("matrix is singular")
+        a[k], a[pivot] = a[pivot], a[k]
+        p = a[k][k]
+        a[k] = [x / p for x in a[k]]
+        for i in range(n):
+            if i != k and a[i][k] != 0:
+                c = a[i][k]
+                a[i] = [x - c * y for x, y in zip(a[i], a[k])]
+    inv = RatMatrix([row[n:] for row in a])
+    if (inv @ m) != RatMatrix.identity(n):
+        raise AssertionError("inverse verification failed")
+    return inv
+
+
+def is_negative_definite_minors(m: IntMatrix) -> bool:
+    """Leading-principal-minor test: (-1)^k * minor_k > 0 for all k."""
+    if not m.is_square:
+        raise ValueError("definiteness requires a square matrix")
+    if not m.is_symmetric():
+        raise ValueError("definiteness requires a symmetric matrix")
+    for k in range(1, m.rows + 1):
+        minor = determinant(IntMatrix([row[:k] for row in m.entries[:k]]))
+        if (-1) ** k * minor <= 0:
+            return False
+    return True
+
+
+def solve_rational_fraction_gauss(m: IntMatrix, b) -> tuple:
+    """Exact solution x of m @ x = b for nonsingular square m."""
+    if not m.is_square:
+        raise ValueError("solve requires a square matrix")
+    if len(b) != m.rows:
+        raise ValueError("right-hand side has wrong length")
+    n = m.rows
+    a = [[Fraction(x) for x in row] + [Fraction(b[i])]
+         for i, row in enumerate(m.entries)]
+    for k in range(n):
+        pivot = next((i for i in range(k, n) if a[i][k] != 0), None)
+        if pivot is None:
+            raise SingularMatrixError("matrix is singular")
+        a[k], a[pivot] = a[pivot], a[k]
+        p = a[k][k]
+        a[k] = [x / p for x in a[k]]
+        for i in range(n):
+            if i != k and a[i][k] != 0:
+                c = a[i][k]
+                a[i] = [x - c * y for x, y in zip(a[i], a[k])]
+    x = tuple(a[i][n] for i in range(n))
+    if m.to_rational().mul_vector(x) != tuple(Fraction(c) for c in b):
+        raise AssertionError("solve verification failed")
+    return x

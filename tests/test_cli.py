@@ -219,6 +219,22 @@ def test_invariants_e7_full_pipeline(capsys, graphs_dir, tmp_path):
     assert res["certificate"]["ideal"] == ["x^2 + y^3 + z^4"]
 
 
+def test_invariants_fractional_exponent_in_target_exit_2(
+    capsys, graphs_dir, tmp_path
+):
+    target = tmp_path / "target.poly"
+    target.write_text("x^2/3 + z^6\n")
+    code, out, err = run(
+        capsys,
+        "invariants",
+        graph_path(graphs_dir, "e7"),
+        "--verify-identity",
+        str(target),
+    )
+    assert code == 2
+    assert "2/3" in err and "Traceback" not in err
+
+
 def test_invariants_trivial_group_variables_only(capsys, graphs_dir):
     doc = run_json(capsys, "invariants", graph_path(graphs_dir, "e8"))
     res = doc["result"]

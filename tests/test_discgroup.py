@@ -1,6 +1,7 @@
 """Discriminant group, dual basis, leaf characters."""
 
 from fractions import Fraction
+from math import lcm
 from random import Random
 
 import pytest
@@ -14,6 +15,7 @@ from sforge import (
     intersection_matrix,
     invert_rational,
     leaf_characters,
+    smith_normal_form,
 )
 from sforge.corpus import (
     a_n,
@@ -25,6 +27,8 @@ from sforge.corpus import (
     genus3_cone,
     random_negative_definite_tree,
 )
+
+from oracles import invert_rational_fraction_gauss
 
 
 def brute_force_class_order(minv, i, order_cap):
@@ -208,3 +212,34 @@ def test_dual_orders_divide_group_order_and_match_bruteforce(corpus):
             assert n == brute_force_class_order(
                 minv, g.index_of(v), d.order
             ), (name, v)
+
+
+def test_dual_class_order_matches_inverse_denominators(corpus):
+    """The adjugate formula against the former definition: the lcm of
+    the denominators in column i of the Fraction inverse."""
+    for name, g in corpus.items():
+        if not g.is_qhs_tree():
+            continue
+        minv = invert_rational_fraction_gauss(intersection_matrix(g))
+        for v in g.vertex_ids:
+            old = lcm(*(x.denominator for x in minv.column(g.index_of(v))))
+            assert dual_class_order(g, v) == old, (name, v)
+
+
+def test_generators_match_inverse_times_inverted_u(corpus):
+    """Generators from adj(M) and the tracked U^{-1} equal the columns of
+    M^{-1} (inverse of U), both inverses by Fraction Gauss-Jordan."""
+    for name, g in corpus.items():
+        if not g.is_qhs_tree():
+            continue
+        m = intersection_matrix(g)
+        snf = smith_normal_form(m)
+        coords = invert_rational_fraction_gauss(m) @ (
+            invert_rational_fraction_gauss(snf.u)
+        )
+        d = discriminant_group(g)
+        expected = tuple(
+            coords.column(i) for i in range(m.rows) if snf.d[i, i] > 1
+        )
+        assert d.generators == expected, name
+        assert d.dual_basis == invert_rational_fraction_gauss(m), name

@@ -1,5 +1,6 @@
 """Exact linear algebra against independent oracles."""
 
+from dataclasses import replace
 from fractions import Fraction
 from random import Random
 
@@ -9,6 +10,7 @@ from sforge import (
     IntMatrix,
     RatMatrix,
     SingularMatrixError,
+    adjugate,
     determinant,
     invert_rational,
     is_negative_definite,
@@ -17,12 +19,16 @@ from sforge import (
 )
 from sforge.corpus import e7
 from sforge.graph import intersection_matrix
+from sforge.intmat import _check_snf
 
 from oracles import (
     det_cofactor,
     invariant_factors_minor_gcd,
+    invert_rational_fraction_gauss,
     is_negative_definite_charpoly,
+    is_negative_definite_minors,
     quadratic_form_refutes_negdef,
+    solve_rational_fraction_gauss,
 )
 
 E7 = intersection_matrix(e7())
@@ -54,6 +60,13 @@ def test_determinant_matches_cofactor_oracle():
     rng = Random(4)
     for _ in range(40):
         m = random_matrix(rng, rng.randint(1, 5))
+        assert determinant(m) == det_cofactor(m.to_lists())
+    for _ in range(200):  # sparse, so that row pivoting is exercised
+        n = rng.randint(1, 6)
+        m = IntMatrix(
+            [[rng.choice((0, 0, 0, 1, -1, 2)) for _ in range(n)]
+             for _ in range(n)]
+        )
         assert determinant(m) == det_cofactor(m.to_lists())
 
 
@@ -110,6 +123,7 @@ def test_snf_random_against_minor_gcd_oracle(seed):
     )
     r = smith_normal_form(m)
     assert (r.u @ m @ r.v) == r.d
+    assert r.u @ r.u_inv == IntMatrix.identity(nr)
     assert r.diagonal == invariant_factors_minor_gcd(m.to_lists())
 
 
@@ -117,6 +131,24 @@ def test_snf_rank_deficient():
     m = IntMatrix([[2, 4], [1, 2]])
     r = smith_normal_form(m)
     assert r.diagonal == (1, 0)
+    assert r.u @ r.u_inv == IntMatrix.identity(2)
+
+
+def test_snf_non_square_tracks_u_inverse():
+    for m in (IntMatrix([[2, 4, 6], [3, 9, 1]]),
+              IntMatrix([[4], [6], [-10]])):
+        r = smith_normal_form(m)
+        assert r.u @ r.u_inv == IntMatrix.identity(m.rows)
+        assert r.u_inv @ r.u == IntMatrix.identity(m.rows)
+
+
+def test_snf_check_rejects_corrupted_u_inverse():
+    m = IntMatrix([[2, 1, 0], [1, 3, 1], [0, 1, 4]])
+    r = smith_normal_form(m)
+    bad = r.u_inv.to_lists()
+    bad[0][0] += 1
+    with pytest.raises(AssertionError):
+        _check_snf(m, replace(r, u_inv=IntMatrix(bad)))
 
 
 def test_abs_det_is_product_of_invariant_factors():
@@ -187,6 +219,96 @@ def test_solve_random_multiply_back():
         x = solve_rational(m, b)
         assert m.to_rational().mul_vector(x) == tuple(Fraction(v) for v in b)
         done += 1
+
+
+def test_solve_fraction_right_hand_side():
+    m = IntMatrix([[-2, 1], [1, -3]])
+    b = [Fraction(1, 3), Fraction(-5, 2)]
+    x = solve_rational(m, b)
+    assert m.to_rational().mul_vector(x) == tuple(b)
+    assert x == solve_rational_fraction_gauss(m, b)
+    assert solve_rational(IntMatrix([[3]]), [Fraction(2, 7)]) == (
+        Fraction(2, 21),
+    )
+
+
+def test_adjugate_of_e7():
+    det, adj = adjugate(E7)
+    assert abs(det) == 2
+    assert E7 @ adj == IntMatrix(
+        [[det if i == j else 0 for j in range(7)] for i in range(7)]
+    )
+
+
+def random_symmetric(rng, n, lo=-6, hi=6):
+    half = [[rng.randint(lo, hi) for _ in range(n)] for _ in range(n)]
+    return [
+        [half[i][j] if i <= j else half[j][i] for j in range(n)]
+        for i in range(n)
+    ]
+
+
+def random_singular_symmetric(rng, n):
+    """Symmetric and singular: a random symmetric matrix whose last row
+    and column repeat the first, or A^T D A with A of rank < n."""
+    if n > 1 and rng.random() < 0.5:
+        m = random_symmetric(rng, n)
+        m[-1] = list(m[0])
+        for row in m:
+            row[-1] = row[0]
+        return m
+    rank = rng.randint(0, n - 1)
+    a = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(rank)]
+    dd = [rng.choice((-2, -1, 1, 2)) for _ in range(rank)]
+    return [
+        [sum(a[k][i] * dd[k] * a[k][j] for k in range(rank))
+         for j in range(n)]
+        for i in range(n)
+    ]
+
+
+def random_negative_definite(rng, n):
+    """-(A^T A + I), so negative definite."""
+    a = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+    return [
+        [-sum(a[k][i] * a[k][j] for k in range(n)) - (i == j)
+         for j in range(n)]
+        for i in range(n)
+    ]
+
+
+def test_kernel_matches_fraction_oracles_on_symmetric_matrices():
+    rng = Random(2024)
+    seen = {"definite": 0, "indefinite": 0, "singular": 0}
+    for _ in range(240):
+        n = rng.randint(1, 8)
+        kind = rng.choice(("definite", "random", "singular"))
+        if kind == "definite":
+            rows = random_negative_definite(rng, n)
+        elif kind == "singular":
+            rows = random_singular_symmetric(rng, n)
+        else:
+            rows = random_symmetric(rng, n)
+        m = IntMatrix(rows)
+        b = [Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+             for _ in range(n)]
+        verdict = is_negative_definite(m)
+        assert verdict == is_negative_definite_minors(m)
+        if determinant(m) == 0:
+            seen["singular"] += 1
+            for f in (invert_rational, invert_rational_fraction_gauss,
+                      adjugate):
+                with pytest.raises(SingularMatrixError):
+                    f(m)
+            for f in (solve_rational, solve_rational_fraction_gauss):
+                with pytest.raises(SingularMatrixError):
+                    f(m, b)
+            assert not verdict
+            continue
+        seen["definite" if verdict else "indefinite"] += 1
+        assert invert_rational(m) == invert_rational_fraction_gauss(m)
+        assert solve_rational(m, b) == solve_rational_fraction_gauss(m, b)
+    assert min(seen.values()) >= 30, seen
 
 
 def test_solve_singular_raises():

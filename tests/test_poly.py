@@ -96,6 +96,12 @@ def test_parser_rejects_unknown_variable_and_junk():
         P("(x + y)")
 
 
+def test_parser_rejects_fractional_exponent():
+    with pytest.raises(ParseError):
+        P("x^2/3")
+    assert P("2/3*x^2") == Fraction(2, 3) * P("x^2")
+
+
 def test_monomials_and_support_maps():
     p = P("x^2 + y^3 + z^4")
     assert p.monomials() == [(2, 0, 0), (0, 3, 0), (0, 0, 4)]
