@@ -28,7 +28,12 @@ from .graph import (
     parse_graph,
 )
 from .intmat import determinant, is_negative_definite
-from .invariants import invariant_generators, membership_bounded, toric_relations
+from .invariants import (
+    check_order_cap,
+    invariant_generators,
+    membership_bounded,
+    toric_relations,
+)
 from .poly import parse_polynomial
 from .splice import (
     edge_determinant,
@@ -437,6 +442,7 @@ def _render_equations(data):
 
 def _invariants(g, degree_bound, identity_path):
     dg = discriminant_group(g)
+    check_order_cap(dg.order)
     chars = leaf_characters(g)
     basis = invariant_generators(chars, dg.order)
     relations = toric_relations(basis, degree_bound)

@@ -6,18 +6,27 @@ the intersection matrix M: with U M V = D, the classes of U^{-1} e_i
 for the nontrivial diagonal entries d_i generate, and a class acts on
 the leaf variable z_w through the fractional part of its pairing with
 the dual basis element e_w. All phases are exact rationals mod 1.
+
+The action must be faithful. With k generators on t leaves, e the lcm
+of the generator orders and of the phase denominators, and R = e *
+phases (a k x t integer matrix), the image of the group in (Q/Z)^t is
+(R^T Z^k + e Z^t) / e Z^t. Its order is e^t / prod(diag), where diag
+is the Smith normal form diagonal of the (k + t) x t matrix [R; e I_t].
+The action is faithful iff that order is |G|: one exact check whose
+cost does not grow with |G|.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
-from math import gcd
+from functools import cached_property
+from math import gcd, lcm, prod
 
 from .errors import NotQhsTreeError
 from .graph import ResolutionGraph, intersection_matrix
 from .intmat import (
+    IntMatrix,
     RatMatrix,
     adjugate,
     is_negative_definite,
@@ -60,44 +69,42 @@ class CharacterAssignment:
 
     @property
     def order(self):
-        out = 1
-        for d in self.generator_orders:
-            out *= d
-        return out
+        return prod(self.generator_orders)
+
+    @cached_property
+    def _leaf_pos(self):
+        return {vid: i for i, vid in enumerate(self.leaf_ids)}
 
     def monomial_character(self, exponents):
         """Character vector of prod z_w^alpha(w); exponents maps leaf
         id -> exponent. One Fraction in [0,1) per generator."""
+        pos = self._leaf_pos
         out = []
         for row in self.phases:
             total = Fraction(0)
             for vid, alpha in exponents.items():
-                total += alpha * row[self.leaf_ids.index(vid)]
+                total += alpha * row[pos[vid]]
             out.append(total % 1)
         return tuple(out)
 
-    def elements(self):
-        """Phase vector on the leaves of every group element, keyed by
-        the exponent tuple over the generators."""
-        out = {}
-        ranges = [range(d) for d in self.generator_orders]
-        for coeffs in product(*ranges):
-            phases = []
-            for w in range(len(self.leaf_ids)):
-                total = Fraction(0)
-                for c, row in zip(coeffs, self.phases):
-                    total += c * row[w]
-                phases.append(total % 1)
-            out[coeffs] = tuple(phases)
-        return out
-
     def is_faithful(self):
-        seen = set()
-        for phases in self.elements().values():
-            if phases in seen:
-                return False
-            seen.add(phases)
-        return True
+        """Does only the identity act trivially on every leaf? Compares
+        the order of the image in (Q/Z)^t, e^t / prod(SNF diagonal of
+        [e * phases; e * I_t]), with |G|."""
+        if not self.generator_orders:
+            return True
+        t = len(self.leaf_ids)
+        if t == 0:
+            return self.order == 1
+        e = lcm(
+            *self.generator_orders,
+            *(x.denominator for row in self.phases for x in row),
+        )
+        rows = [[x.numerator * (e // x.denominator) for x in row]
+                for row in self.phases]
+        rows += [[e if i == j else 0 for j in range(t)] for i in range(t)]
+        diag = smith_normal_form(IntMatrix(rows)).diagonal
+        return e**t == self.order * prod(diag)
 
 
 def _require_qhs_tree(g):
@@ -122,10 +129,7 @@ def discriminant_group(g: ResolutionGraph) -> DiscriminantData:
     order = abs(det)
     snf = smith_normal_form(m)
     factors = snf.invariant_factors
-    prod = 1
-    for x in factors:
-        prod *= x
-    if prod != order:
+    if prod(factors) != order:
         raise AssertionError("invariant factor product != |det|")
     minv = adj / det
     # coker(M) = Z^n / D Z^n after the row transform U; the class of the
@@ -164,7 +168,9 @@ def leaf_characters(g: ResolutionGraph) -> CharacterAssignment:
     The phase of a class c (rational coordinates in the E-basis) on the
     leaf w is the fractional part of c . e_w, which is coordinate w of
     c. Faithfulness of the resulting diagonal representation is
-    verified by enumerating the whole group.
+    verified by comparing |G| with the order of its image in
+    (Q/Z)^t, an index read off one Smith normal form (see the module
+    docstring).
     """
     data = discriminant_group(g)
     leaves = _leaf_ids(g)

@@ -23,9 +23,19 @@ __all__ = [
     "toric_relations",
     "membership_bounded",
     "ORDER_CAP",
+    "check_order_cap",
 ]
 
 ORDER_CAP = 2000
+
+
+def check_order_cap(order: int) -> None:
+    """Refuse a group order above ORDER_CAP with a ValueError, before any
+    work that grows with the order."""
+    if order > ORDER_CAP:
+        raise ValueError(
+            "group order %d above the desk-scale cap %d" % (order, ORDER_CAP)
+        )
 
 
 @dataclass(frozen=True)
@@ -79,10 +89,7 @@ def invariant_generators(
     generator already found; what survives with trivial character is a
     new generator. For the trivial group this returns the variables.
     """
-    if order > ORDER_CAP:
-        raise ValueError(
-            "group order %d above the desk-scale cap %d" % (order, ORDER_CAP)
-        )
+    check_order_cap(order)
     variables = chars.leaf_ids
     t = len(variables)
     zero_char = (Fraction(0),) * len(chars.generator_orders)

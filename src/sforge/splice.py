@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from math import gcd
 
 from .errors import NotQhsTreeError
-from .graph import ResolutionGraph, intersection_matrix
+from .graph import ResolutionGraph, blow_down_minimal, intersection_matrix
 from .intmat import determinant, is_negative_definite
 
 __all__ = [
@@ -295,11 +295,17 @@ def linking_number(d: SpliceDiagram, v: str, w: str) -> int:
 def is_zhs(g: ResolutionGraph, diagram: SpliceDiagram = None) -> bool:
     """|det| = 1 test, plus the three weight conditions asserted as a
     cross-check when it holds: pairwise coprime weights at each node,
-    leaf-edge weights > 1, positive edge determinants."""
+    leaf-edge weights > 1, positive edge determinants. These hold for
+    the minimal good resolution only (a (-1)-leaf has weight 1 at its
+    node), so they are checked on the diagram of blow_down_minimal(g);
+    `diagram` is reused when the blow-down changes nothing."""
     det = determinant(intersection_matrix(g))
     if abs(det) != 1:
         return False
-    d = diagram if diagram is not None else to_splice_diagram(g)
+    if diagram is None:
+        diagram = to_splice_diagram(g)
+    h = blow_down_minimal(g)
+    d = diagram if h == g else to_splice_diagram(h)
     for v in d.nodes:
         inc = d.incident_edges(v)
         ws = [d.weight(v, e) for e in inc]

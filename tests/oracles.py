@@ -4,7 +4,8 @@ Each oracle recomputes a quantity by a different method than the
 implementation under test: cofactor expansion for determinants, minor
 gcds for invariant factors, the characteristic polynomial for
 definiteness, exhaustive box search for fundamental cycles, and a
-coin-problem DP for semigroup membership. The dense Fraction
+coin-problem DP for semigroup membership, and a walk over every group
+element for the faithfulness of the leaf action. The dense Fraction
 Gauss-Jordan inverse and solve, and the n-determinant leading-minor
 definiteness test, are the library's former implementations, kept
 verbatim to cross-check the fraction-free kernel that replaced them.
@@ -12,7 +13,7 @@ verbatim to cross-check the fraction-free kernel that replaced them.
 
 from fractions import Fraction
 from math import gcd
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 
@@ -212,3 +213,30 @@ def solve_rational_fraction_gauss(m: IntMatrix, b) -> tuple:
     if m.to_rational().mul_vector(x) != tuple(Fraction(c) for c in b):
         raise AssertionError("solve verification failed")
     return x
+
+
+def group_elements(chars) -> dict:
+    """Phase vector on the leaves of every element of the group of a
+    CharacterAssignment, keyed by the exponent tuple over the
+    generators (|G| entries)."""
+    out = {}
+    ranges = [range(d) for d in chars.generator_orders]
+    for coeffs in product(*ranges):
+        phases = []
+        for w in range(len(chars.leaf_ids)):
+            total = Fraction(0)
+            for c, row in zip(coeffs, chars.phases):
+                total += c * row[w]
+            phases.append(total % 1)
+        out[coeffs] = tuple(phases)
+    return out
+
+
+def is_faithful_by_enumeration(chars) -> bool:
+    """Faithfulness as distinct phase vectors for distinct elements."""
+    seen = set()
+    for phases in group_elements(chars).values():
+        if phases in seen:
+            return False
+        seen.add(phases)
+    return True

@@ -1,10 +1,13 @@
 """CLI contract: exit codes, stable structured output, report content."""
 
 import json
+from random import Random
 
 import pytest
 
 from sforge.cli import main
+from sforge.corpus import random_negative_definite_tree
+from sforge.graph import serialize_graph
 
 
 def run(capsys, *argv):
@@ -106,6 +109,13 @@ def test_splice_chain_no_nodes_exit_0(capsys, graphs_dir):
     )
     assert code == 0
     assert "no nodes: cyclic quotient case" in out
+
+
+def test_splice_non_minimal_zhs_exit_0(capsys, graphs_dir):
+    # random-07 has (-1)-vertices; the ZHS cross-checks run on its
+    # minimal good resolution, where they hold
+    doc = run_json(capsys, "splice", graph_path(graphs_dir, "random-07"))
+    assert doc["result"]["zhs"] is True
 
 
 # -- conditions --------------------------------------------------------------
@@ -250,6 +260,18 @@ def test_invariants_non_qhs_exit_3(capsys, graphs_dir):
     assert "QHS" in err
 
 
+def test_invariants_order_cap_before_characters(capsys, tmp_path, monkeypatch):
+    def no_characters(g):
+        raise AssertionError("leaf characters built above the cap")
+
+    monkeypatch.setattr("sforge.cli.leaf_characters", no_characters)
+    big = tmp_path / "big.graph"
+    big.write_text("vertex a weight=-2001\n")
+    code, out, err = run(capsys, "invariants", str(big))
+    assert code == 3
+    assert "group order 2001 above the desk-scale cap 2000" in err
+
+
 def test_invariants_bound_1_no_relations(capsys, graphs_dir):
     doc = run_json(
         capsys,
@@ -289,3 +311,15 @@ def test_every_command_runs_on_corpus_members(capsys, graphs_dir, name):
     for cmd in ("analyze", "splice", "conditions"):
         code, out, err = run(capsys, cmd, path)
         assert code == 0, (cmd, name, err)
+
+
+def test_seeded_random_trees_exit_cleanly(capsys, tmp_path):
+    """100 seeded random trees x four commands: every call returns 0, 2
+    or 3; an exception escaping main fails the test."""
+    path = tmp_path / "t.graph"
+    for seed in range(100):
+        g = random_negative_definite_tree(Random(seed))
+        path.write_text(serialize_graph(g))
+        for cmd in ("analyze", "splice", "conditions", "equations"):
+            code, out, err = run(capsys, cmd, str(path))
+            assert code in (0, 2, 3), (seed, cmd, code, err)

@@ -7,6 +7,7 @@ from random import Random
 import pytest
 
 from sforge import (
+    CharacterAssignment,
     NotQhsTreeError,
     RatMatrix,
     determinant,
@@ -28,7 +29,12 @@ from sforge.corpus import (
     random_negative_definite_tree,
 )
 
-from oracles import invert_rational_fraction_gauss
+from oracles import (
+    group_elements,
+    invert_rational_fraction_gauss,
+    is_faithful_by_enumeration,
+)
+from test_invariants import char_assignment
 
 
 def brute_force_class_order(minv, i, order_cap):
@@ -142,7 +148,7 @@ def test_e7_action_phase_set_matches_paper():
     ch = leaf_characters(e7())
     assert ch.leaf_ids == ("x", "y", "z")
     nontrivial = [
-        ph for coeffs, ph in ch.elements().items() if any(coeffs)
+        ph for coeffs, ph in group_elements(ch).items() if any(coeffs)
     ]
     assert nontrivial == [(Fraction(1, 2), Fraction(0), Fraction(1, 2))]
 
@@ -150,7 +156,7 @@ def test_e7_action_phase_set_matches_paper():
 def test_e8_trivial_action():
     ch = leaf_characters(e8())
     assert ch.generator_orders == ()
-    assert ch.elements() == {(): (Fraction(0),) * 3}
+    assert group_elements(ch) == {(): (Fraction(0),) * 3}
 
 
 def test_a2_generator_acts_by_thirds():
@@ -169,10 +175,85 @@ def test_faithful_on_corpus(corpus):
         # only the identity has all phases zero
         zeros = [
             coeffs
-            for coeffs, ph in ch.elements().items()
+            for coeffs, ph in group_elements(ch).items()
             if all(x == 0 for x in ph)
         ]
         assert zeros == [tuple(0 for _ in ch.generator_orders)], name
+
+
+def _variants(ch):
+    """The assignment itself, its projection onto each single leaf and
+    onto all leaves but one, and its generators listed twice."""
+    t = len(ch.leaf_ids)
+    keeps = [[i] for i in range(t)]
+    if t > 1:
+        keeps += [[i for i in range(t) if i != j] for j in range(t)]
+    out = [ch]
+    for keep in keeps:
+        out.append(CharacterAssignment(
+            leaf_ids=tuple(ch.leaf_ids[i] for i in keep),
+            generator_orders=ch.generator_orders,
+            phases=tuple(tuple(row[i] for i in keep) for row in ch.phases),
+        ))
+    out.append(CharacterAssignment(
+        leaf_ids=ch.leaf_ids,
+        generator_orders=ch.generator_orders * 2,
+        phases=ch.phases * 2,
+    ))
+    return out
+
+
+def test_faithful_index_matches_enumeration_on_random_trees():
+    rng = Random(43)
+    checked = faithful = unfaithful = 0
+    while checked < 60:
+        g = random_negative_definite_tree(rng)
+        if discriminant_group(g).order > 1000:
+            continue
+        checked += 1
+        for ch in _variants(leaf_characters(g)):
+            if ch.order > 1000:
+                continue
+            verdict = ch.is_faithful()
+            assert verdict == is_faithful_by_enumeration(ch), ch
+            faithful += verdict
+            unfaithful += not verdict
+    # the sweep must reach both branches of the index test
+    assert faithful >= 300 and unfaithful >= 50, (faithful, unfaithful)
+
+
+@pytest.mark.parametrize(
+    "leaves, orders, phases, faithful",
+    [
+        # trivial group, with and without leaves
+        (("x", "y"), (), (), True),
+        ((), (), (), True),
+        # no leaves: only the trivial group acts faithfully
+        ((), (2,), ((),), False),
+        # Z/4 acting through its quotient Z/2
+        (("x",), (4,), ((Fraction(1, 2),),), False),
+        # Z/2 x Z/2 with both generators acting alike
+        (("x", "y"), (2, 2), ((Fraction(1, 2), 0), (Fraction(1, 2), 0)),
+         False),
+        # Z/2 x Z/2 with distinct phases on two leaves
+        (("x", "y"), (2, 2), ((Fraction(1, 2), 0), (0, Fraction(1, 2))),
+         True),
+        # Z/6 = Z/2 x Z/3 acting on one leaf
+        (("x",), (2, 3), ((Fraction(1, 2),), (Fraction(1, 3),)), True),
+        # a generator acting trivially
+        (("x", "y"), (3,), ((0, 0),), False),
+    ],
+)
+def test_faithful_constructed_cases(leaves, orders, phases, faithful):
+    ch = char_assignment(leaves, orders, phases)
+    assert ch.is_faithful() is faithful
+    assert is_faithful_by_enumeration(ch) is faithful
+
+
+def test_leaf_characters_raises_when_not_faithful(monkeypatch):
+    monkeypatch.setattr(CharacterAssignment, "is_faithful", lambda self: False)
+    with pytest.raises(AssertionError, match="not faithful"):
+        leaf_characters(e7())
 
 
 def test_monomial_character_is_additive():
