@@ -16,7 +16,7 @@ import json
 import sys
 
 from . import __version__
-from .discgroup import discriminant_group, leaf_characters
+from .discgroup import _characters_from_group, discriminant_group
 from .equations import build_splice_equations, congruence_condition
 from .errors import ParseError, PreconditionError
 from .graph import (
@@ -362,7 +362,6 @@ def _render_conditions(data):
 
 def _equations(g):
     pkg = build_splice_equations(g)
-    dg = discriminant_group(g)
     chars = pkg.characters
     return {
         "variables": list(pkg.variables),
@@ -381,8 +380,8 @@ def _equations(g):
             for ns in pkg.nodes
         ],
         "group": {
-            "order": dg.order,
-            "invariant_factors": list(dg.invariant_factors),
+            "order": chars.order,
+            "invariant_factors": list(chars.generator_orders),
         },
         "characters": {
             w: _fracs(
@@ -443,7 +442,7 @@ def _render_equations(data):
 def _invariants(g, degree_bound, identity_path):
     dg = discriminant_group(g)
     check_order_cap(dg.order)
-    chars = leaf_characters(g)
+    chars = _characters_from_group(g, dg)
     basis = invariant_generators(chars, dg.order)
     relations = toric_relations(basis, degree_bound)
     data = {

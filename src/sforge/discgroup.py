@@ -7,8 +7,13 @@ for the nontrivial diagonal entries d_i generate, and a class acts on
 the leaf variable z_w through the fractional part of its pairing with
 the dual basis element e_w. All phases are exact rationals mod 1.
 
-The action must be faithful. With k generators on t leaves, e the lcm
-of the generator orders and of the phase denominators, and R = e *
+Characters are carried as integer residues: with e the lcm of the
+generator orders and of the phase denominators, leaf w carries the
+vector (e * phases[j][w])_j, and a monomial's character is the sum of
+its leaves' vectors mod e. Fractions appear only where the output
+prints them.
+
+The action must be faithful. With k generators on t leaves and R = e *
 phases (a k x t integer matrix), the image of the group in (Q/Z)^t is
 (R^T Z^k + e Z^t) / e Z^t. Its order is e^t / prod(diag), where diag
 is the Smith normal form diagonal of the (k + t) x t matrix [R; e I_t].
@@ -61,7 +66,10 @@ class DiscriminantData:
 @dataclass(frozen=True)
 class CharacterAssignment:
     """Diagonal action on the leaf variables: generator j multiplies
-    z_w by exp(2*pi*i*phases[j][w])."""
+    z_w by exp(2*pi*i*phases[j][w]).
+
+    Internally every character is an integer residue vector modulo one
+    common modulus e: phase p becomes the integer p * e in [0, e)."""
 
     leaf_ids: tuple
     generator_orders: tuple
@@ -75,17 +83,41 @@ class CharacterAssignment:
     def _leaf_pos(self):
         return {vid: i for i, vid in enumerate(self.leaf_ids)}
 
+    @cached_property
+    def modulus(self):
+        """e: the lcm of the generator orders and of the phase
+        denominators, so that e * phase is an integer for every phase."""
+        return lcm(
+            *self.generator_orders,
+            *(x.denominator for row in self.phases for x in row),
+        )
+
+    @cached_property
+    def leaf_residues(self):
+        """Per leaf, the tuple of e * phase over the generators."""
+        e = self.modulus
+        return tuple(
+            tuple(row[i].numerator * (e // row[i].denominator)
+                  for row in self.phases)
+            for i in range(len(self.leaf_ids))
+        )
+
+    def monomial_residue(self, exponents):
+        """Character of prod z_w^alpha(w) as integers mod e, one per
+        generator; exponents maps leaf id -> exponent."""
+        pos = self._leaf_pos
+        residues = self.leaf_residues
+        out = [0] * len(self.generator_orders)
+        for vid, alpha in exponents.items():
+            out = [a + alpha * r for a, r in zip(out, residues[pos[vid]])]
+        e = self.modulus
+        return tuple(a % e for a in out)
+
     def monomial_character(self, exponents):
         """Character vector of prod z_w^alpha(w); exponents maps leaf
         id -> exponent. One Fraction in [0,1) per generator."""
-        pos = self._leaf_pos
-        out = []
-        for row in self.phases:
-            total = Fraction(0)
-            for vid, alpha in exponents.items():
-                total += alpha * row[pos[vid]]
-            out.append(total % 1)
-        return tuple(out)
+        e = self.modulus
+        return tuple(Fraction(r, e) for r in self.monomial_residue(exponents))
 
     def is_faithful(self):
         """Does only the identity act trivially on every leaf? Compares
@@ -96,12 +128,8 @@ class CharacterAssignment:
         t = len(self.leaf_ids)
         if t == 0:
             return self.order == 1
-        e = lcm(
-            *self.generator_orders,
-            *(x.denominator for row in self.phases for x in row),
-        )
-        rows = [[x.numerator * (e // x.denominator) for x in row]
-                for row in self.phases]
+        e = self.modulus
+        rows = [list(row) for row in zip(*self.leaf_residues)]
         rows += [[e if i == j else 0 for j in range(t)] for i in range(t)]
         diag = smith_normal_form(IntMatrix(rows)).diagonal
         return e**t == self.order * prod(diag)
@@ -172,7 +200,11 @@ def leaf_characters(g: ResolutionGraph) -> CharacterAssignment:
     (Q/Z)^t, an index read off one Smith normal form (see the module
     docstring).
     """
-    data = discriminant_group(g)
+    return _characters_from_group(g, discriminant_group(g))
+
+
+def _characters_from_group(g, data):
+    """leaf_characters(g), given data = discriminant_group(g)."""
     leaves = _leaf_ids(g)
     leaf_pos = [g.index_of(w) for w in leaves]
     phases = tuple(

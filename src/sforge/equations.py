@@ -13,6 +13,7 @@ combinations of the chosen monomials per node.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations
 
 from .discgroup import CharacterAssignment, leaf_characters
@@ -122,6 +123,7 @@ def congruence_condition(g: ResolutionGraph) -> CongruenceResult:
 
 
 def _congruence_from_parts(diagram, witness, chars):
+    modulus = chars.modulus
     node_characters = {}
     node_monomials = {}
     failures = []
@@ -135,7 +137,7 @@ def _congruence_from_parts(diagram, witness, chars):
             )
             char_map = {}
             for a in sols:
-                char_map.setdefault(chars.monomial_character(a), a)
+                char_map.setdefault(chars.monomial_residue(a), a)
             per_edge.append(char_map)
         common = set(per_edge[0])
         for cm in per_edge[1:]:
@@ -143,8 +145,10 @@ def _congruence_from_parts(diagram, witness, chars):
         if not common:
             failures.append(v)
             continue
+        # residues share the scale e, so their order is that of the
+        # Fraction characters r / e
         chosen = min(common)
-        node_characters[v] = chosen
+        node_characters[v] = tuple(Fraction(r, modulus) for r in chosen)
         node_monomials[v] = {
             diagram.direction_label(v, e): cm[chosen]
             for e, cm in zip(edges, per_edge)
@@ -284,7 +288,7 @@ def check_equivariance(pkg: EquationsPackage) -> bool:
             if not eq.is_weighted_homogeneous(node.variable_weights):
                 return False
             seen = {
-                pkg.characters.monomial_character(m)
+                pkg.characters.monomial_residue(m)
                 for m in eq.support_maps()
             }
             if len(seen) != 1:

@@ -1,17 +1,23 @@
 """Invariant theory of the diagonal discriminant-group action.
 
-Minimal invariant-monomial generators up to the classical degree bound
-|G|, binomial relations between them found by bounded search, and
-bounded-degree ideal membership by exact linear algebra. This is the
-verification side of the quotient computation: relations are checked,
-not derived by elimination.
+The group acts on the leaf variables z_w through characters chi_w,
+carried as integer residue vectors modulo one common modulus e (see
+CharacterAssignment). An invariant monomial is an exponent vector a
+with sum a_w chi_w = 0 mod e, and the minimal ones, the Hilbert basis
+of that monoid, generate the invariant ring; they are found by a
+breadth-first search up to the Noether bound |G| with each character
+updated incrementally. Binomial relations between the generators are
+found by grouping their products of bounded degree by image, and
+bounded-degree ideal membership is decided by exact linear algebra.
+This is the verification side of the quotient computation: relations
+are checked, not derived by elimination.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations_with_replacement
 
 from .discgroup import CharacterAssignment
 from .poly import Polynomial
@@ -82,39 +88,48 @@ def _names(k):
 def invariant_generators(
     chars: CharacterAssignment, order: int
 ) -> InvariantBasis:
-    """Minimal generating monomials of the invariant ring.
+    """Minimal generating monomials of the invariant ring: the Hilbert
+    basis of {a in N^t : sum a_w chi_w = 0}, with chi_w the character of
+    leaf w as an integer residue vector mod e (Sturmfels, Algorithms in
+    Invariant Theory, 1993).
 
     Searches total degrees 1..order (the Noether bound for a group of
-    that order) breadth-first, pruning every monomial divisible by a
-    generator already found; what survives with trivial character is a
-    new generator. For the trivial group this returns the variables.
+    that order) breadth-first. The frontier maps each monomial of the
+    previous degree that no generator divides to its residue vector; a
+    child's residue is its parent's plus chi_w, mod e. A candidate is
+    divisible by a generator iff one of its predecessors cand - e_j
+    (cand_j > 0) is missing from the frontier, so it survives iff it was
+    reached from as many frontier monomials as it has nonzero exponents.
+    A survivor with residue zero is a new generator. For the trivial
+    group this returns the variables.
     """
     check_order_cap(order)
     variables = chars.leaf_ids
     t = len(variables)
-    zero_char = (Fraction(0),) * len(chars.generator_orders)
-
-    def char_of(exps):
-        return chars.monomial_character(
-            {v: e for v, e in zip(variables, exps) if e}
-        )
-
+    e = chars.modulus
+    steps = chars.leaf_residues
+    zero = (0,) * len(chars.generator_orders)
     gens = []
-    frontier = [(0,) * t]
+    frontier = {(0,) * t: zero}
     for _degree in range(1, order + 1):
-        candidates = set()
-        for exps in frontier:
+        reached = {}  # candidate -> [predecessors seen, parent residue, leaf]
+        for exps, residue in frontier.items():
             for i in range(t):
                 cand = exps[:i] + (exps[i] + 1,) + exps[i + 1:]
-                candidates.add(cand)
-        frontier = []
-        for exps in sorted(candidates):
-            if any(all(a >= b for a, b in zip(exps, g)) for g in gens):
-                continue
-            if char_of(exps) == zero_char:
-                gens.append(exps)
+                seen = reached.get(cand)
+                if seen is None:
+                    reached[cand] = [1, residue, i]
+                else:
+                    seen[0] += 1
+        frontier = {}
+        for cand, (count, residue, i) in reached.items():
+            if count != t - cand.count(0):
+                continue  # a generator divides some predecessor
+            residue = tuple((a + b) % e for a, b in zip(residue, steps[i]))
+            if residue == zero:
+                gens.append(cand)
             else:
-                frontier.append(exps)
+                frontier[cand] = residue
         if not frontier:
             break
     gens.sort()
@@ -124,35 +139,68 @@ def invariant_generators(
 
 
 def toric_relations(basis: InvariantBasis, degree_bound: int):
-    """All binomials G^a - G^b (disjoint supports, total degrees <=
+    """All binomials G^b - G^a (disjoint supports, total degrees <=
     degree_bound) whose images under the generator parametrization
-    agree. One binomial per unordered pair, deterministic order."""
+    agree. One binomial per unordered pair, deterministic order: fibers
+    by image vector ascending, and within a fiber the pairs a < b in
+    lexicographic order of the exponent vectors over the generators.
+
+    A product of generators is a nondecreasing tuple of generator
+    indices. Its image is packed into one integer whose base-B digits
+    are the image coordinates, so no sum of degree_bound generators
+    carries and integer order is lexicographic order; its support is a
+    bitmask. The products are enumerated depth-first with the last
+    index descending, which is ascending lexicographic order of their
+    exponent vectors, so every fiber comes out sorted. Each binomial is
+    built straight from its two exponent vectors."""
     k = len(basis.exponents)
-    images = {}
-    for degree in range(1, degree_bound + 1):
-        for combo in combinations_with_replacement(range(k), degree):
-            exps = [0] * k
-            for i in combo:
-                exps[i] += 1
-            image = [0] * len(basis.variables)
-            for i, e in enumerate(exps):
-                if e:
-                    for j, x in enumerate(basis.exponents[i]):
-                        image[j] += e * x
-            images.setdefault(tuple(image), []).append(tuple(exps))
-    relations = []
-    for image in sorted(images):
-        group = images[image]
-        for a, b in combinations(sorted(group), 2):
-            if any(x and y for x, y in zip(a, b)):
-                continue  # shared support reduces to a smaller relation
-            hi, lo = max(a, b), min(a, b)
-            p = Polynomial.monomial(
-                basis.names, {n: e for n, e in zip(basis.names, hi) if e}
-            ) - Polynomial.monomial(
-                basis.names, {n: e for n, e in zip(basis.names, lo) if e}
+    if not k or degree_bound < 1:
+        return []
+    t = len(basis.variables)
+    base = degree_bound * max(max(g) for g in basis.exponents) + 1
+    packed = [
+        sum(x * base ** (t - 1 - j) for j, x in enumerate(g))
+        for g in basis.exponents
+    ]
+    fibers = {}
+    stack = [((i,), packed[i], 1 << i) for i in range(k)]
+    while stack:
+        combo, image, mask = stack.pop()
+        fiber = fibers.get(image)
+        if fiber is None:
+            fibers[image] = [(combo, mask)]
+        else:
+            fiber.append((combo, mask))
+        if len(combo) < degree_bound:
+            stack.extend(
+                (combo + (j,), image + packed[j], mask | 1 << j)
+                for j in range(combo[-1], k)
             )
-            relations.append(p)
+
+    def vector(combo):
+        counts = [0] * k
+        for i in combo:
+            counts[i] += 1
+        return tuple(counts)
+
+    one, minus_one = Fraction(1), Fraction(-1)
+    names = tuple(basis.names)
+    relations = []
+    for image in sorted(img for img, grp in fibers.items() if len(grp) > 1):
+        group = fibers[image]
+        vectors = [None] * len(group)  # built only for products in a relation
+        for x, (lo, lo_mask) in enumerate(group):
+            for y in range(x + 1, len(group)):
+                hi, hi_mask = group[y]
+                if lo_mask & hi_mask:
+                    continue  # shared support reduces to a smaller relation
+                if vectors[x] is None:
+                    vectors[x] = vector(lo)
+                if vectors[y] is None:
+                    vectors[y] = vector(hi)
+                relations.append(Polynomial._trusted(
+                    names, {vectors[y]: one, vectors[x]: minus_one}
+                ))
     return relations
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from itertools import compress
 
 from .errors import ParseError
 
@@ -35,6 +36,18 @@ class Polynomial:
         self.terms = {e: c for e, c in clean.items() if c}
 
     # -- constructors ---------------------------------------------------
+
+    @classmethod
+    def _trusted(cls, variables, terms):
+        """A polynomial that takes `variables` (a tuple of distinct names)
+        and `terms` as they are, without revalidating them. Internal
+        callers only: every exponent tuple must have the right length and
+        nonnegative int entries, and every coefficient must be a nonzero
+        Fraction."""
+        p = object.__new__(cls)
+        p.variables = variables
+        p.terms = terms
+        return p
 
     @classmethod
     def zero(cls, variables):
@@ -195,27 +208,24 @@ class Polynomial:
     def __str__(self):
         if not self.terms:
             return "0"
-        parts = []
+        names = self.variables
+        positions = range(len(names))
+        out = []
         for exps in self.monomials():
             coeff = self.terms[exps]
+            num, den = coeff.numerator, coeff.denominator
             factors = [
-                name if e == 1 else "%s^%d" % (name, e)
-                for name, e in zip(self.variables, exps)
-                if e
+                names[i] if exps[i] == 1 else "%s^%d" % (names[i], exps[i])
+                for i in compress(positions, exps)
             ]
-            if not factors:
-                body = str(abs(coeff))
-            elif abs(coeff) == 1:
-                body = "*".join(factors)
-            else:
-                body = "*".join([str(abs(coeff))] + factors)
-            sign = "-" if coeff < 0 else "+"
-            parts.append((sign, body))
-        first_sign, first_body = parts[0]
-        out = ("-" if first_sign == "-" else "") + first_body
-        for sign, body in parts[1:]:
-            out += " %s %s" % (sign, body)
-        return out
+            if den != 1:
+                factors.insert(0, "%d/%d" % (abs(num), den))
+            elif abs(num) != 1 or not factors:
+                factors.insert(0, str(abs(num)))
+            out.append(" - " if num < 0 else " + ")
+            out.append("*".join(factors))
+        out[0] = "-" if out[0] == " - " else ""
+        return "".join(out)
 
     def __repr__(self):
         return "Polynomial(%s)" % self
@@ -227,13 +237,10 @@ _TOKEN = re.compile(
 )
 
 
-def parse_polynomial(text, variables):
-    """Parse ASCII math like '2*x^2*y - 3/2*z + 1' over the given
-    variables. Supports +, -, rational coefficients, ^ powers and *
-    products; no parentheses."""
-    variables = tuple(variables)
+def _tokens(text):
+    """(kind, text) pairs, kind one of num / name / op, then (None, None)."""
+    out = []
     pos = 0
-    tokens = []
     while pos < len(text):
         m = _TOKEN.match(text, pos)
         if not m or m.end() == pos:
@@ -241,57 +248,74 @@ def parse_polynomial(text, variables):
                 raise ParseError("bad character %r in polynomial" % text[pos])
             break
         pos = m.end()
-        tokens.append(m)
-    result = Polynomial.zero(variables)
-    sign = 1
-    term = None  # current term under construction
+        out.append((m.lastgroup, m.group(m.lastgroup)))
+    out.append((None, None))
+    return out
 
-    def flush():
-        nonlocal result, term, sign
-        if term is not None:
-            result = result + sign * term
-        term = None
-        sign = 1
 
+def _unexpected(token):
+    kind, value = token
+    if kind is None:
+        return ParseError("unexpected end of polynomial")
+    return ParseError("unexpected %r in polynomial" % value)
+
+
+def parse_polynomial(text, variables):
+    """Parse ASCII math like '2*x^2*y - 3/2*z + 1' over the given
+    variables. The grammar, with whitespace between tokens ignored:
+
+        poly   := ['-'] term (('+' | '-') term)*
+        term   := factor ('*' factor)*
+        factor := number | name ['^' integer]
+
+    A number is a nonnegative integer or a fraction p/q, an exponent a
+    nonnegative integer, and a name one of the variables. Anything else
+    (juxtaposed factors, a stray or doubled operator, parentheses, an
+    empty text) raises ParseError."""
+    variables = tuple(variables)
+    tokens = _tokens(text)
     i = 0
-    while i < len(tokens):
-        tok = tokens[i]
-        if tok.group("op") in ("+", "-"):
-            if term is None and tok.group("op") == "-":
-                sign = -sign
-            else:
-                flush()
-                if tok.group("op") == "-":
-                    sign = -1
+
+    def factor():
+        nonlocal i
+        kind, value = tokens[i]
+        i += 1
+        if kind == "num":
+            return Polynomial.constant(variables, Fraction(value))
+        if kind != "name":
+            raise _unexpected((kind, value))
+        if value not in variables:
+            raise ParseError("unknown variable %r" % value)
+        exp = 1
+        if tokens[i] == ("op", "^"):
+            kind, digits = tokens[i + 1]
+            if kind != "num":
+                raise ParseError("expected exponent after '^'")
+            if "/" in digits:
+                raise ParseError(
+                    "exponent %r is not a nonnegative integer" % digits
+                )
+            exp = int(digits)
+            i += 2
+        return Polynomial.variable(variables, value) ** exp
+
+    def term():
+        nonlocal i
+        out = factor()
+        while tokens[i] == ("op", "*"):
             i += 1
-            continue
-        if tok.group("op") == "*":
-            i += 1
-            continue
-        if tok.group("op") in ("(", ")", "^"):
-            raise ParseError("unexpected %r in polynomial" % tok.group("op"))
-        factor = None
-        if tok.group("num"):
-            factor = Polynomial.constant(variables, Fraction(tok.group("num")))
-            i += 1
-        elif tok.group("name"):
-            name = tok.group("name")
-            if name not in variables:
-                raise ParseError("unknown variable %r" % name)
-            exp = 1
-            i += 1
-            if i < len(tokens) and tokens[i].group("op") == "^":
-                i += 1
-                if i >= len(tokens) or not tokens[i].group("num"):
-                    raise ParseError("expected exponent after '^'")
-                if "/" in tokens[i].group("num"):
-                    raise ParseError(
-                        "exponent %r is not a nonnegative integer"
-                        % tokens[i].group("num")
-                    )
-                exp = int(tokens[i].group("num"))
-                i += 1
-            factor = Polynomial.variable(variables, name) ** exp
-        term = factor if term is None else term * factor
-    flush()
+            out = out * factor()
+        return out
+
+    sign = 1
+    if tokens[0] == ("op", "-"):
+        sign = -1
+        i = 1
+    result = sign * term()
+    while tokens[i] in (("op", "+"), ("op", "-")):
+        sign = 1 if tokens[i][1] == "+" else -1
+        i += 1
+        result = result + sign * term()
+    if tokens[i] != (None, None):
+        raise _unexpected(tokens[i])
     return result

@@ -9,21 +9,27 @@ element for the faithfulness of the leaf action. The dense Fraction
 Gauss-Jordan inverse and solve, and the n-determinant leading-minor
 definiteness test, are the library's former implementations, kept
 verbatim to cross-check the fraction-free kernel that replaced them.
+Likewise the Fraction-valued characters, the breadth-first generator
+search, the Polynomial-built relations and the Fraction-keyed
+congruence search cross-check the integer-residue invariant layer.
 """
 
 from fractions import Fraction
 from math import gcd
-from itertools import combinations, product
+from itertools import combinations, combinations_with_replacement, product
 
 import numpy as np
 
 from sforge import (
     IntMatrix,
+    Polynomial,
     RatMatrix,
     SingularMatrixError,
     determinant,
 )
+from sforge.equations import _exponent_key
 from sforge.graph import intersection_matrix
+from sforge.invariants import InvariantBasis, _names, check_order_cap
 
 
 def det_cofactor(rows):
@@ -240,3 +246,118 @@ def is_faithful_by_enumeration(chars) -> bool:
             return False
         seen.add(phases)
     return True
+
+
+def monomial_character_by_fractions(chars, exponents) -> tuple:
+    """Character of prod z_w^alpha(w) as Fractions in [0,1), summed
+    from the phases."""
+    out = []
+    for row in chars.phases:
+        total = Fraction(0)
+        for vid, alpha in exponents.items():
+            total += alpha * row[chars.leaf_ids.index(vid)]
+        out.append(total % 1)
+    return tuple(out)
+
+
+def invariant_generators_by_search(chars, order) -> InvariantBasis:
+    """Breadth-first search over degrees 1..order with Fraction
+    characters, pruning every monomial divisible by a generator found
+    so far by a scan over all of them."""
+    check_order_cap(order)
+    variables = chars.leaf_ids
+    t = len(variables)
+    zero_char = (Fraction(0),) * len(chars.generator_orders)
+
+    def char_of(exps):
+        return monomial_character_by_fractions(
+            chars, {v: e for v, e in zip(variables, exps) if e}
+        )
+
+    gens = []
+    frontier = [(0,) * t]
+    for _degree in range(1, order + 1):
+        candidates = set()
+        for exps in frontier:
+            for i in range(t):
+                cand = exps[:i] + (exps[i] + 1,) + exps[i + 1:]
+                candidates.add(cand)
+        frontier = []
+        for exps in sorted(candidates):
+            if any(all(a >= b for a, b in zip(exps, g)) for g in gens):
+                continue
+            if char_of(exps) == zero_char:
+                gens.append(exps)
+            else:
+                frontier.append(exps)
+        if not frontier:
+            break
+    gens.sort()
+    return InvariantBasis(
+        variables=variables, exponents=tuple(gens), names=_names(len(gens))
+    )
+
+
+def toric_relations_by_polynomials(basis, degree_bound) -> list:
+    """All binomials G^a - G^b with disjoint supports and equal images,
+    from dense exponent vectors and Polynomial arithmetic."""
+    k = len(basis.exponents)
+    images = {}
+    for degree in range(1, degree_bound + 1):
+        for combo in combinations_with_replacement(range(k), degree):
+            exps = [0] * k
+            for i in combo:
+                exps[i] += 1
+            image = [0] * len(basis.variables)
+            for i, e in enumerate(exps):
+                if e:
+                    for j, x in enumerate(basis.exponents[i]):
+                        image[j] += e * x
+            images.setdefault(tuple(image), []).append(tuple(exps))
+    relations = []
+    for image in sorted(images):
+        group = images[image]
+        for a, b in combinations(sorted(group), 2):
+            if any(x and y for x, y in zip(a, b)):
+                continue
+            hi, lo = max(a, b), min(a, b)
+            p = Polynomial.monomial(
+                basis.names, {n: e for n, e in zip(basis.names, hi) if e}
+            ) - Polynomial.monomial(
+                basis.names, {n: e for n, e in zip(basis.names, lo) if e}
+            )
+            relations.append(p)
+    return relations
+
+
+def congruence_by_fractions(diagram, witness, chars):
+    """(node_characters, node_monomials, failures) of the congruence
+    condition, with the characters compared as Fraction tuples."""
+    node_characters, node_monomials, failures = {}, {}, []
+    for v in diagram.nodes:
+        edges = diagram.incident_edges(v)
+        per_edge = []
+        for e in edges:
+            sols = sorted(
+                witness.solutions[(v, e.index)],
+                key=lambda a: _exponent_key(diagram, a),
+            )
+            char_map = {}
+            for a in sols:
+                char_map.setdefault(
+                    monomial_character_by_fractions(chars, a), a
+                )
+            per_edge.append(char_map)
+        common = set(per_edge[0])
+        for cm in per_edge[1:]:
+            common &= set(cm)
+        if not common:
+            failures.append(v)
+            continue
+        chosen = min(common)
+        node_characters[v] = chosen
+        node_monomials[v] = {
+            diagram.direction_label(v, e): cm[chosen]
+            for e, cm in zip(edges, per_edge)
+        }
+    return node_characters, node_monomials, tuple(failures)

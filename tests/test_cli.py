@@ -245,6 +245,22 @@ def test_invariants_fractional_exponent_in_target_exit_2(
     assert "2/3" in err and "Traceback" not in err
 
 
+def test_invariants_juxtaposed_factors_in_target_exit_2(
+    capsys, graphs_dir, tmp_path
+):
+    target = tmp_path / "target.poly"
+    target.write_text("x y + z^6\n")
+    code, out, err = run(
+        capsys,
+        "invariants",
+        graph_path(graphs_dir, "e7"),
+        "--verify-identity",
+        str(target),
+    )
+    assert code == 2 and out == ""
+    assert "'y'" in err and "Traceback" not in err
+
+
 def test_invariants_trivial_group_variables_only(capsys, graphs_dir):
     doc = run_json(capsys, "invariants", graph_path(graphs_dir, "e8"))
     res = doc["result"]
@@ -261,10 +277,10 @@ def test_invariants_non_qhs_exit_3(capsys, graphs_dir):
 
 
 def test_invariants_order_cap_before_characters(capsys, tmp_path, monkeypatch):
-    def no_characters(g):
+    def no_characters(*args):
         raise AssertionError("leaf characters built above the cap")
 
-    monkeypatch.setattr("sforge.cli.leaf_characters", no_characters)
+    monkeypatch.setattr("sforge.cli._characters_from_group", no_characters)
     big = tmp_path / "big.graph"
     big.write_text("vertex a weight=-2001\n")
     code, out, err = run(capsys, "invariants", str(big))
@@ -323,3 +339,30 @@ def test_seeded_random_trees_exit_cleanly(capsys, tmp_path):
         for cmd in ("analyze", "splice", "conditions", "equations"):
             code, out, err = run(capsys, cmd, str(path))
             assert code in (0, 2, 3), (seed, cmd, code, err)
+
+
+@pytest.mark.parametrize("command", ["equations", "invariants"])
+def test_discriminant_group_built_once_per_call(
+    capsys, graphs_dir, monkeypatch, command
+):
+    import sforge.cli
+    import sforge.discgroup
+
+    real = sforge.discgroup.discriminant_group
+    calls = []
+
+    def counting(g):
+        calls.append(g)
+        return real(g)
+
+    monkeypatch.setattr(sforge.discgroup, "discriminant_group", counting)
+    monkeypatch.setattr(sforge.cli, "discriminant_group", counting)
+    path = graph_path(graphs_dir, "quotient-cusp-2-3")
+    doc = run_json(capsys, command, path)
+    assert len(calls) == 1
+    dg = real(calls[0])
+    assert dg.order > 1
+    assert doc["result"]["group"] == {
+        "order": dg.order,
+        "invariant_factors": list(dg.invariant_factors),
+    }

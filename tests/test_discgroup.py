@@ -324,3 +324,33 @@ def test_generators_match_inverse_times_inverted_u(corpus):
         )
         assert d.generators == expected, name
         assert d.dual_basis == invert_rational_fraction_gauss(m), name
+
+
+def test_character_orders_are_the_invariant_factors(corpus):
+    """The CLI reads |G| and the invariant factors off the leaf
+    characters, so generator_orders must equal invariant_factors."""
+    rng = Random(61)
+    graphs = [g for g in corpus.values() if g.is_qhs_tree()]
+    while len(graphs) < 214:
+        g = random_negative_definite_tree(rng)
+        if g.is_qhs_tree():
+            graphs.append(g)
+    for g in graphs:
+        dg = discriminant_group(g)
+        ch = leaf_characters(g)
+        assert ch.generator_orders == dg.invariant_factors
+        assert ch.order == dg.order
+
+
+def test_residues_of_leaf_characters():
+    ch = char_assignment(
+        ("x", "y", "z"), (4,), [[Fraction(1, 6), Fraction(1, 4), 0]]
+    )
+    assert ch.modulus == 12
+    assert ch.leaf_residues == ((2,), (3,), (0,))
+    assert ch.monomial_residue({"x": 3, "y": 2}) == (0,)
+    assert ch.monomial_residue({"x": 7}) == (2,)
+    assert ch.monomial_character({"x": 7}) == (Fraction(1, 6),)
+    trivial = char_assignment(("x",), (), ())
+    assert trivial.modulus == 1
+    assert trivial.monomial_residue({"x": 5}) == ()

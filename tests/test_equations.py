@@ -36,6 +36,7 @@ from sforge.corpus import (
 )
 from sforge.errors import NotQhsTreeError
 
+from oracles import congruence_by_fractions
 from test_splice import engineered_failing_graph
 
 
@@ -279,3 +280,41 @@ def test_zhs_semigroup_implies_congruence_on_corpus(corpus):
         assert congruence_condition(g).holds, name
         seen += 1
     assert seen >= 1
+
+
+def _congruence_cases(corpus):
+    """QHS trees with nodes that pass the semigroup condition: the
+    corpus, then 60 seeded random trees."""
+    rng = Random(29)
+    graphs = list(corpus.items())
+    graphs += [("random%d" % i, random_negative_definite_tree(rng))
+               for i in range(60)]
+    for name, g in graphs:
+        if not g.is_qhs_tree():
+            continue
+        d = to_splice_diagram(g)
+        if not d.has_nodes:
+            continue
+        witness = semigroup_condition(d)
+        if witness.holds:
+            yield name, g, d, witness
+
+
+def test_congruence_matches_fraction_oracle(corpus):
+    seen = corpus_seen = 0
+    for name, g, d, witness in _congruence_cases(corpus):
+        res = congruence_condition(g)
+        characters, monomials, failures = congruence_by_fractions(
+            d, witness, leaf_characters(g)
+        )
+        assert res.node_characters == characters, name
+        assert all(
+            type(x) is Fraction
+            for chi in res.node_characters.values() for x in chi
+        )
+        assert res.node_monomials == monomials, name
+        assert res.failures == failures, name
+        assert res.holds == (not failures), name
+        seen += 1
+        corpus_seen += name in corpus
+    assert corpus_seen >= 9 and seen >= 40, (corpus_seen, seen)

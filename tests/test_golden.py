@@ -1,0 +1,94 @@
+"""Golden structured output: every bundled graph under every command.
+
+`golden_outputs.json` maps "<command> <graph file>" to the exit code and
+the sha256 of the structured document's `result` member (null when the
+command exits non-zero and prints no document). It pins the output of
+the whole pipeline byte for byte, so a change that is meant to be a
+pure refactor or speed-up must leave it alone. To re-record after an
+intended output change:
+
+    PYTHONPATH=src python tests/test_golden.py --record
+"""
+
+import hashlib
+import json
+import sys
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
+from pathlib import Path
+
+import pytest
+
+from sforge.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = Path(__file__).resolve().parent / "golden_outputs.json"
+COMMANDS = ("analyze", "splice", "conditions", "equations", "invariants")
+README_TARGET = "x^2*z^2 + y^3*z^2 + z^6\n"
+
+
+def _cases(workdir):
+    """(key, argv) pairs; keys name graph files relative to the repo."""
+    out = []
+    for path in sorted((ROOT / "graphs").glob("*.graph")):
+        for command in COMMANDS:
+            out.append(
+                ("%s graphs/%s" % (command, path.name), [command, str(path)])
+            )
+    target = Path(workdir) / "target.poly"
+    target.write_text(README_TARGET)
+    out.append((
+        "invariants graphs/e7.graph --degree-bound=2"
+        " --verify-identity=target.poly",
+        ["invariants", str(ROOT / "graphs" / "e7.graph"),
+         "--degree-bound=2", "--verify-identity=%s" % target],
+    ))
+    return out
+
+
+def _entry(argv):
+    stdout = StringIO()
+    with redirect_stdout(stdout), redirect_stderr(StringIO()):
+        code = main(argv + ["--format=structured"])
+    if code != 0:
+        return [code, None]
+    result = json.loads(stdout.getvalue())["result"]
+    text = json.dumps(result, indent=2, sort_keys=True)
+    return [code, hashlib.sha256(text.encode("utf-8")).hexdigest()]
+
+
+def _load():
+    return json.loads(GOLDEN.read_text())
+
+
+def test_golden_covers_every_case(tmp_path):
+    assert sorted(k for k, _ in _cases(tmp_path)) == sorted(_load())
+
+
+@pytest.mark.parametrize(
+    "key", sorted(json.loads(GOLDEN.read_text())) if GOLDEN.exists() else []
+)
+def test_golden_output(key, tmp_path):
+    argv = dict(_cases(tmp_path))[key]
+    expected = _load()[key]
+    got = _entry(argv)
+    assert got == expected, (
+        "structured output changed for `sforge %s` (file %s): "
+        "expected exit %d sha256 %s, got exit %d sha256 %s"
+        % (key, key.split()[1], expected[0], expected[1], got[0], got[1])
+    )
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--record"]:
+        sys.exit("usage: python tests/test_golden.py --record")
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        table = {key: _entry(argv) for key, argv in _cases(tmp)}
+    lines = [
+        "  %s: %s" % (json.dumps(key), json.dumps(table[key]))
+        for key in sorted(table)
+    ]
+    GOLDEN.write_text("{\n" + ",\n".join(lines) + "\n}\n")
+    print("recorded %d entries in %s" % (len(table), GOLDEN.name))

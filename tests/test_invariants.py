@@ -2,6 +2,8 @@
 
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from random import Random
+
 import pytest
 
 from sforge import (
@@ -15,8 +17,19 @@ from sforge import (
     parse_polynomial,
     toric_relations,
 )
-from sforge.corpus import builtin_corpus, e7, e8
+from sforge.corpus import (
+    builtin_corpus,
+    e7,
+    e8,
+    random_negative_definite_tree,
+)
 from sforge.invariants import ORDER_CAP
+
+from oracles import (
+    invariant_generators_by_search,
+    monomial_character_by_fractions,
+    toric_relations_by_polynomials,
+)
 
 XYZ = ("x", "y", "z")
 
@@ -262,3 +275,84 @@ def test_membership_via_splice_ideal_of_e7():
     cert = membership_bounded(target, list(pkg.equations), 2)
     assert cert is not None
     assert [str(q) for q in cert.cofactors] == ["z^2"]
+
+
+# -- cross-checks of the residue layer against the Fraction oracles ---------------
+
+
+def _same_basis_and_relations(ch, order, bounds=(2,)):
+    basis = invariant_generators(ch, order)
+    expected = invariant_generators_by_search(ch, order)
+    assert basis.exponents == expected.exponents
+    assert basis.names == expected.names
+    assert basis.variables == expected.variables
+    for bound in bounds:
+        rels = toric_relations(basis, bound)
+        oracle = toric_relations_by_polynomials(expected, bound)
+        assert [str(r) for r in rels] == [str(r) for r in oracle]
+        assert rels == oracle
+        assert all(type(r) is Polynomial for r in rels)
+    return basis
+
+
+def test_residue_search_matches_oracle_on_random_trees():
+    """Seeded random trees with |G| <= 500 whose invariant rings stay
+    small (|G|^(t-2) <= 36, the bound the benchmark also uses)."""
+    rng = Random(11)
+    checked = nontrivial = 0
+    for _ in range(200):
+        g = random_negative_definite_tree(rng)
+        order = discriminant_group(g).order
+        ch = leaf_characters(g)
+        t = len(ch.leaf_ids)
+        if order > 500 or order ** max(t - 2, 0) > 36:
+            continue
+        basis = _same_basis_and_relations(ch, order)
+        checked += 1
+        nontrivial += order > 1 and len(basis.exponents) > t
+    assert checked >= 100 and nontrivial >= 40, (checked, nontrivial)
+
+
+@pytest.mark.parametrize(
+    "leaves, orders, phases",
+    [
+        # trivial group
+        (("x", "y", "z"), (), ()),
+        # phase denominators that do not divide the generator order
+        (("x", "y"), (2,), [[Fraction(1, 3), Fraction(1, 6)]]),
+        (("x", "y", "z"), (4,),
+         [[Fraction(1, 6), Fraction(1, 4), Fraction(5, 12)]]),
+        # not faithful: Z/4 acting through Z/2
+        (("x", "y"), (4,), [[Fraction(1, 2), Fraction(1, 2)]]),
+        # not faithful: a generator acting trivially
+        (("x", "y"), (2, 3), [[Fraction(1, 2), Fraction(1, 2)], [0, 0]]),
+        # Z/2 x Z/3 and Z/2 x Z/2 on three leaves
+        (("x", "y", "z"), (2, 3),
+         [[Fraction(1, 2), 0, Fraction(1, 2)],
+          [Fraction(1, 3), Fraction(2, 3), 0]]),
+        (("x", "y", "z"), (2, 2),
+         [[Fraction(1, 2), 0, Fraction(1, 2)],
+          [0, Fraction(1, 2), Fraction(1, 2)]]),
+    ],
+)
+def test_residue_search_matches_oracle_on_constructed(leaves, orders, phases):
+    ch = char_assignment(leaves, orders, phases)
+    _same_basis_and_relations(ch, ch.order, bounds=(0, 1, 2, 3))
+
+
+def test_monomial_residue_scales_to_oracle_character():
+    rng = Random(5)
+    cases = [leaf_characters(g) for g in builtin_corpus().values()
+             if g.is_qhs_tree()]
+    cases.append(char_assignment(
+        ("x", "y"), (2,), [[Fraction(1, 3), Fraction(1, 6)]]))
+    for ch in cases:
+        e = ch.modulus
+        for _ in range(20):
+            exps = {w: rng.randrange(0, 12) for w in ch.leaf_ids
+                    if rng.random() < 0.7}
+            residue = ch.monomial_residue(exps)
+            expected = monomial_character_by_fractions(ch, exps)
+            assert all(0 <= r < e for r in residue)
+            assert tuple(Fraction(r, e) for r in residue) == expected
+            assert ch.monomial_character(exps) == expected

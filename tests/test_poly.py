@@ -106,3 +106,24 @@ def test_monomials_and_support_maps():
     p = P("x^2 + y^3 + z^4")
     assert p.monomials() == [(2, 0, 0), (0, 3, 0), (0, 0, 4)]
     assert p.support_maps() == [{"x": 2}, {"y": 3}, {"z": 4}]
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["x y", "2 3 x", "* * x", "*x", "x*", "x**y", "x +", "-", "",
+     "+x", "--x", "x - -y", "x^", "x^y", "2^3", "x^2^3", "3/"],
+)
+def test_parser_rejects_outside_grammar(text):
+    with pytest.raises(ParseError):
+        P(text)
+
+
+def test_parser_grammar_accepts():
+    assert P("-x") == -P("x")
+    assert P(" - 2 * x ^ 3 * y + 1/2 ") == (
+        Fraction(-2) * P("x^3") * P("y") + Fraction(1, 2)
+    )
+    assert P("x*y*z - 3") == P("x") * P("y") * P("z") - 3
+    assert P("0").is_zero()
+    assert P("x^0") == P("1")
+    assert P("x - y + z") == P("x") - P("y") + P("z")
