@@ -30,6 +30,7 @@ from .graph import (
     Cycle,
     RationalCycle,
     ResolutionGraph,
+    TreeForm,
     Vertex,
     blow_down_minimal,
     canonical_cycle,

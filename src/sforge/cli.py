@@ -16,8 +16,12 @@ import json
 import sys
 
 from . import __version__
-from .discgroup import _characters_from_group, discriminant_group
-from .equations import build_splice_equations, congruence_condition
+from .discgroup import (
+    _characters_from_group,
+    discriminant_group,
+    leaf_characters,
+)
+from .equations import _congruence_from_parts, build_splice_equations
 from .errors import ParseError, PreconditionError
 from .graph import (
     blow_down_minimal,
@@ -27,7 +31,6 @@ from .graph import (
     intersection_matrix,
     parse_graph,
 )
-from .intmat import determinant, is_negative_definite
 from .invariants import (
     check_order_cap,
     invariant_generators,
@@ -98,13 +101,13 @@ def _analyze(g):
     data = {
         "graph": _graph_doc(g),
         "matrix": m.to_lists(),
-        "negative_definite": is_negative_definite(m),
+        "negative_definite": g.is_negative_definite(),
     }
     if not data["negative_definite"]:
         raise PreconditionError(
             "intersection matrix is not negative definite"
         )
-    det = determinant(m)
+    det = g.determinant()
     z = fundamental_cycle(g)
     k = canonical_cycle(g)
     data["abs_det"] = abs(det)
@@ -122,7 +125,7 @@ def _analyze(g):
                 "changed": h != g,
                 "graph": _graph_doc(h),
                 "classification": _classification_doc(classify(h))
-                if is_negative_definite(intersection_matrix(h))
+                if h.is_negative_definite()
                 else None,
             }
         except PreconditionError:
@@ -299,7 +302,7 @@ def _conditions(g):
     }
     if not wit.holds:
         return {"no_nodes": False, "semigroup": sem, "congruence": None}
-    cong = congruence_condition(g)
+    cong = _congruence_from_parts(d, wit, leaf_characters(g))
     return {
         "no_nodes": False,
         "semigroup": sem,

@@ -11,8 +11,7 @@ from __future__ import annotations
 import os
 from random import Random
 
-from .graph import ResolutionGraph, Vertex, intersection_matrix, serialize_graph
-from .intmat import is_negative_definite
+from .graph import ResolutionGraph, Vertex, serialize_graph
 
 __all__ = [
     "chain",
@@ -195,8 +194,8 @@ def random_negative_definite_tree(rng: Random, max_vertices=10):
     Starts from a diagonally dominant weighting (weight = -valency -
     extra, dominance strict somewhere), which is always negative
     definite, then greedily raises some weights toward -1 while the
-    leading-minor test keeps passing, so that non-dominant shapes (like
-    -1 star centers) also occur.
+    form stays negative definite (by the tree pass), so that
+    non-dominant shapes (like -1 star centers) also occur.
     """
     n = rng.randint(1, max_vertices)
     ids = ["v%d" % i for i in range(n)]
@@ -221,14 +220,14 @@ def random_negative_definite_tree(rng: Random, max_vertices=10):
         )
 
     g = graph()
-    assert is_negative_definite(intersection_matrix(g))
+    assert g.is_negative_definite()
     for _ in range(n):
         i = rng.choice(ids)
         if weights[i] >= -1:
             continue
         weights[i] += rng.randint(1, -weights[i] - 1) if weights[i] < -2 else 1
         candidate = graph()
-        if is_negative_definite(intersection_matrix(candidate)):
+        if candidate.is_negative_definite():
             g = candidate
         else:
             weights[i] = g.vertex(i).weight

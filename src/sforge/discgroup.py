@@ -5,7 +5,10 @@ The group is coker(E -> E*), presented through the Smith normal form of
 the intersection matrix M: with U M V = D, the classes of U^{-1} e_i
 for the nontrivial diagonal entries d_i generate, and a class acts on
 the leaf variable z_w through the fractional part of its pairing with
-the dual basis element e_w. All phases are exact rationals mod 1.
+the dual basis element e_w. All phases are exact rationals mod 1. The
+order |det M| and the generators M^{-1} U^{-1} e_i come from the tree
+pass of sforge.graph (its determinant and exact solves), so no inverse
+of M is formed.
 
 Characters are carried as integer residues: with e the lcm of the
 generator orders and of the phase denominators, leaf w carries the
@@ -23,20 +26,14 @@ cost does not grow with |G|.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm, prod
 
 from .errors import NotQhsTreeError
 from .graph import ResolutionGraph, intersection_matrix
-from .intmat import (
-    IntMatrix,
-    RatMatrix,
-    adjugate,
-    is_negative_definite,
-    smith_normal_form,
-)
+from .intmat import IntMatrix, invert_rational, smith_normal_form
 
 __all__ = [
     "DiscriminantData",
@@ -55,12 +52,25 @@ class DiscriminantData:
     invariant_factors: tuple  # nontrivial factors only, divisibility order
     generators: tuple  # class representatives, rational coords in the E-basis
     generator_orders: tuple  # order of each generator (= its factor)
-    dual_basis: RatMatrix  # row i = e_i in the E-basis (i.e. M^{-1})
-    pairing: tuple  # (e_i . e_j) mod 1, square tuple of Fractions
+    matrix: IntMatrix = field(repr=False, compare=False)  # M
 
     @property
     def is_trivial(self):
         return self.order == 1
+
+    @cached_property
+    def dual_basis(self):
+        """RatMatrix whose row i is e_i in the E-basis (i.e. M^{-1});
+        computed on first read."""
+        return invert_rational(self.matrix)
+
+    @cached_property
+    def pairing(self):
+        """(e_i . e_j) mod 1, a square tuple of Fractions; computed on
+        first read."""
+        return tuple(
+            tuple(x % 1 for x in row) for row in self.dual_basis.entries
+        )
 
 
 @dataclass(frozen=True)
@@ -140,48 +150,39 @@ def _require_qhs_tree(g):
         raise NotQhsTreeError(
             "not a QHS tree: graph must be a tree of genus-0 curves"
         )
-    m = intersection_matrix(g)
-    if not is_negative_definite(m):
+    form = g.tree_form()
+    if not form.negative_definite:
         raise NotQhsTreeError(
             "not a QHS tree: intersection matrix is not negative definite"
         )
-    return m
+    return form
 
 
 def discriminant_group(g: ResolutionGraph) -> DiscriminantData:
     """Invariant factors, canonical generators and discriminant pairing
     of coker(E -> E*) for a negative-definite QHS tree."""
-    m = _require_qhs_tree(g)
-    n = m.rows
-    det, adj = adjugate(m)
+    form = _require_qhs_tree(g)
+    det = form.determinant
     order = abs(det)
+    m = intersection_matrix(g)
     snf = smith_normal_form(m)
     factors = snf.invariant_factors
     if prod(factors) != order:
         raise AssertionError("invariant factor product != |det|")
-    minv = adj / det
     # coker(M) = Z^n / D Z^n after the row transform U; the class of the
     # i-th standard generator pulls back to U^{-1} e_i in dual-basis
-    # coordinates, i.e. to column i of M^{-1} U^{-1} = adj(M) U^{-1} / det
-    # in the E-basis.
-    generators = []
-    generator_orders = []
-    for i in range(n):
-        d = snf.d[i, i]
-        if d > 1:
-            coords = adj.mul_vector(snf.u_inv.column(i))
-            generators.append(tuple(Fraction(x, det) for x in coords))
-            generator_orders.append(d)
-    pairing = tuple(
-        tuple(minv[i, j] % 1 for j in range(n)) for i in range(n)
-    )
+    # coordinates, i.e. to M^{-1} U^{-1} e_i = adj(M) U^{-1} e_i / det in
+    # the E-basis: one tree solve per nontrivial factor.
+    nontrivial = [i for i in range(m.rows) if snf.d[i, i] > 1]
+    coords = form.solve([snf.u_inv.column(i) for i in nontrivial])
     return DiscriminantData(
         order=order,
         invariant_factors=tuple(x for x in factors if x > 1),
-        generators=tuple(generators),
-        generator_orders=tuple(generator_orders),
-        dual_basis=minv,
-        pairing=pairing,
+        generators=tuple(
+            tuple(Fraction(x, det) for x in y) for y in coords
+        ),
+        generator_orders=tuple(snf.d[i, i] for i in nontrivial),
+        matrix=m,
     )
 
 
@@ -225,8 +226,10 @@ def _characters_from_group(g, data):
 def dual_class_order(g: ResolutionGraph, vertex_id: str) -> int:
     """Order n_i of the class of the dual basis element e_i: the least
     n >= 1 with n * e_i integral in the E-basis. Column i of M^{-1} is
-    column i of adj(M) over det(M), so n_i = |det| / gcd(det, that
-    column)."""
-    m = _require_qhs_tree(g)
-    det, adj = adjugate(m)
-    return abs(det) // gcd(det, *adj.column(g.index_of(vertex_id)))
+    y / det(M), with y = adj(M) e_i from one tree solve, so n_i = |det|
+    / gcd(det, y)."""
+    form = _require_qhs_tree(g)
+    unit = [0] * g.n
+    unit[g.index_of(vertex_id)] = 1
+    (y,) = form.solve([unit])
+    return abs(form.determinant) // gcd(form.determinant, *y)

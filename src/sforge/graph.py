@@ -6,6 +6,25 @@ are an unordered multiset of vertex pairs. From it we compute the
 intersection matrix, the canonical cycle (adjunction), the fundamental
 cycle (Laufer's algorithm), the rational / minimally elliptic
 classification, and (-1)-curve blow-downs.
+
+On a tree the intersection form is handled by one exact integer pass,
+TreeForm, with no dense elimination (leaf-first elimination on a tree
+causes no fill-in; Rose, J. Math. Anal. Appl. 32, 1970). Rooted at the
+first vertex, with children c_i of v, the determinant D(v) of the
+subtree of v is
+
+    D(v) = w_v * prod_i D(c_i)
+           - sum_i (prod_{g child of c_i} D(g)) * prod_{j != i} D(c_j),
+
+folded over the children without division, so a zero D never breaks
+the pass. det(M) = D(root). M is negative definite iff every D(v) is
+nonzero with the sign (-1)^|subtree(v)|: these are principal minors,
+and the pivots D(v) / prod_i D(c_i) of the leaf-first elimination are
+then all negative. A second pass from the root (prefix and suffix folds
+over each vertex's neighbours) gives the determinant of every branch,
+the component of the tree minus v that contains a neighbour u; the
+splice weights are these. Back substitution through the same pass
+solves M x = b exactly. Dense Bareiss serves only graphs with cycles.
 """
 
 from __future__ import annotations
@@ -18,12 +37,19 @@ from .errors import (
     NonMinimalRepresentableError,
     NotNegativeDefiniteError,
     ParseError,
+    SingularMatrixError,
 )
-from .intmat import IntMatrix, is_negative_definite, solve_rational
+from .intmat import (
+    IntMatrix,
+    determinant,
+    is_negative_definite,
+    solve_rational,
+)
 
 __all__ = [
     "Vertex",
     "ResolutionGraph",
+    "TreeForm",
     "Cycle",
     "RationalCycle",
     "Classification",
@@ -55,7 +81,7 @@ class ResolutionGraph:
     blow-down outputs, which may degenerate).
     """
 
-    __slots__ = ("vertices", "edges", "_index")
+    __slots__ = ("vertices", "edges", "_index", "_adj", "_form")
 
     def __init__(self, vertices, edges, allow_nonnegative_weights=False):
         vs = tuple(
@@ -75,16 +101,30 @@ class ResolutionGraph:
                     "vertex %r has weight %d >= 0" % (v.id, v.weight)
                 )
             index[v.id] = len(index)
+        adj = [[] for _ in vs]
         for a, b in es:
             for end in (a, b):
                 if end not in index:
                     raise ValueError("edge endpoint %r is not declared" % end)
             if a == b:
                 raise ValueError("self-loop at %r" % a)
+            i, j = index[a], index[b]
+            adj[i].append(j)
+            adj[j].append(i)
         self.vertices = vs
         self.edges = es
         self._index = index
-        if len(self._components()) != 1:
+        # neighbour indices per vertex, ascending, repeated per multi-edge
+        self._adj = tuple(tuple(sorted(x)) for x in adj)
+        self._form = None
+        reached = {0}
+        stack = [0]
+        while stack:
+            for j in self._adj[stack.pop()]:
+                if j not in reached:
+                    reached.add(j)
+                    stack.append(j)
+        if len(reached) != len(vs):
             raise ValueError("graph is not connected")
 
     # -- basic structure -------------------------------------------------
@@ -105,39 +145,11 @@ class ResolutionGraph:
 
     def neighbors(self, vid):
         """Neighbor ids in declaration order, repeated per multi-edge."""
-        out = []
-        for a, b in self.edges:
-            if a == vid:
-                out.append(b)
-            elif b == vid:
-                out.append(a)
-        out.sort(key=self.index_of)
-        return tuple(out)
+        vs = self.vertices
+        return tuple(vs[j].id for j in self._adj[self._index[vid]])
 
     def valency(self, vid):
-        return sum(1 for a, b in self.edges if vid in (a, b))
-
-    def _components(self):
-        seen = set()
-        comps = []
-        adj = {v.id: [] for v in self.vertices}
-        for a, b in self.edges:
-            adj[a].append(b)
-            adj[b].append(a)
-        for v in self.vertices:
-            if v.id in seen:
-                continue
-            comp = {v.id}
-            stack = [v.id]
-            while stack:
-                cur = stack.pop()
-                for nxt in adj[cur]:
-                    if nxt not in comp:
-                        comp.add(nxt)
-                        stack.append(nxt)
-            seen |= comp
-            comps.append(comp)
-        return comps
+        return len(self._adj[self._index[vid]])
 
     def is_tree(self):
         return len(self.edges) == self.n - 1
@@ -145,6 +157,29 @@ class ResolutionGraph:
     def is_qhs_tree(self):
         """Tree of genus-0 curves: the link is a rational homology sphere."""
         return self.is_tree() and all(v.genus == 0 for v in self.vertices)
+
+    def tree_form(self):
+        """The TreeForm of a tree's intersection form, built on first
+        use and kept."""
+        if self._form is None:
+            if not self.is_tree():
+                raise ValueError("the tree pass needs a tree")
+            self._form = TreeForm(self)
+        return self._form
+
+    def determinant(self):
+        """det of the intersection matrix: the tree pass on a tree,
+        dense Bareiss on a graph with cycles."""
+        if self.is_tree():
+            return self.tree_form().determinant
+        return determinant(intersection_matrix(self))
+
+    def is_negative_definite(self):
+        """Is the intersection form negative definite? The tree pass on
+        a tree, dense Bareiss on a graph with cycles."""
+        if self.is_tree():
+            return self.tree_form().negative_definite
+        return is_negative_definite(intersection_matrix(self))
 
     def induced_subgraph(self, vertex_ids):
         """Subgraph on the given vertex ids (must stay connected)."""
@@ -167,6 +202,144 @@ class ResolutionGraph:
             self.n,
             len(self.edges),
         )
+
+
+class TreeForm:
+    """The intersection form of a tree, from one leaf-first pass.
+
+    Rooted at the first declared vertex and walked breadth-first, with
+    no recursion. Per vertex v it keeps D(v), the determinant of the
+    subtree of v, and prod_i D(c_i) over the children c_i (see the
+    module docstring). `determinant` is D(root); `negative_definite`
+    applies the sign rule. Branch determinants and solves are computed
+    on request. Vertices are named by id; vectors are in declaration
+    order.
+    """
+
+    __slots__ = (
+        "_index", "_weights", "_order", "_parent", "_children",
+        "_down", "_below", "_up", "determinant", "negative_definite",
+    )
+
+    def __init__(self, g):
+        weights = [v.weight for v in g.vertices]
+        n = len(weights)
+        parent = [-1] * n
+        children = [()] * n
+        order = [0]  # breadth-first: every parent before its children
+        for v in order:
+            kids = tuple(u for u in g._adj[v] if u != parent[v])
+            for u in kids:
+                parent[u] = v
+            children[v] = kids
+            order.extend(kids)
+        down = [0] * n  # D(v)
+        below = [1] * n  # prod of D(c) over the children c of v
+        odd = [True] * n  # the subtree of v has an odd number of vertices
+        for v in reversed(order):
+            p, s = 1, 0
+            for c in children[v]:
+                s = s * down[c] + below[c] * p
+                p *= down[c]
+                odd[v] ^= odd[c]
+            down[v] = weights[v] * p - s
+            below[v] = p
+        self._index = g._index
+        self._weights = weights
+        self._order = order
+        self._parent = parent
+        self._children = children
+        self._down = down
+        self._below = below
+        self._up = None
+        self.determinant = down[0]
+        self.negative_definite = all(
+            d != 0 and (d < 0) == o for d, o in zip(down, odd)
+        )
+
+    def _branches_up(self):
+        """Per non-root v, (det of the tree minus the subtree of v, det
+        of that minus the parent of v). One pass from the root: at each
+        vertex, prefix and suffix folds of its neighbours' pairs leave
+        one neighbour out without a division. Every vertex also
+        re-derives det(M) from all its branches, an exact check of the
+        pass."""
+        if self._up is not None:
+            return self._up
+        w, det = self._weights, self.determinant
+        down, below = self._down, self._below
+        up = [(0, 1)] * len(w)
+        for v in self._order:
+            pairs = [(down[c], below[c]) for c in self._children[v]]
+            if self._parent[v] >= 0:
+                pairs.append(up[v])
+            # fold (D_i, E_i) into (prod D_i, sum E_i prod_{j != i} D_j)
+            prefix = [(1, 0)]
+            for x, y in pairs:
+                p, s = prefix[-1]
+                prefix.append((p * x, s * x + y * p))
+            suffix = [(1, 0)]
+            for x, y in reversed(pairs):
+                p, s = suffix[-1]
+                suffix.append((p * x, s * x + y * p))
+            suffix.reverse()
+            p, s = prefix[-1]
+            if w[v] * p - s != det:
+                raise AssertionError("tree pass verification failed")
+            for k, c in enumerate(self._children[v]):
+                (p1, s1), (p2, s2) = prefix[k], suffix[k + 1]
+                up[c] = (w[v] * p1 * p2 - s1 * p2 - s2 * p1, p1 * p2)
+        self._up = up
+        return up
+
+    def branch_determinant(self, vid, uid):
+        """det of the component of the tree minus vid that contains its
+        neighbour uid."""
+        v, u = self._index[vid], self._index[uid]
+        if self._parent[u] == v:
+            return self._down[u]
+        if self._parent[v] == u:
+            return self._branches_up()[v][0]
+        raise ValueError("%r and %r are not adjacent" % (vid, uid))
+
+    def solve(self, columns):
+        """For each integer column b, the integer vector y = adj(M) b,
+        so that M y = det(M) b.
+
+        Leaf-first elimination scaled by the subtree determinants, then
+        back substitution from the root: y(root) is the eliminated right
+        side there, and y(v) = (det * beta(v) - y(parent) *
+        prod_i D(c_i)) / D(v), an exact division. Needs every D(v)
+        nonzero, as on a negative definite tree. Each y is verified by
+        the residual M y = det(M) b, summed over vertices and edges.
+        """
+        det, down, below = self.determinant, self._down, self._below
+        if det == 0:
+            raise SingularMatrixError("matrix is singular")
+        if 0 in down:
+            raise ValueError("tree solve needs nonzero subtree determinants")
+        w, order, parent = self._weights, self._order, self._parent
+        out = []
+        for b in columns:
+            beta = [0] * len(w)
+            for v in reversed(order):
+                p, s = 1, 0
+                for c in self._children[v]:
+                    s = s * down[c] + beta[c] * p
+                    p *= down[c]
+                beta[v] = b[v] * p - s
+            y = [0] * len(w)
+            y[0] = beta[0]  # the root
+            for v in order[1:]:
+                y[v] = (det * beta[v] - y[parent[v]] * below[v]) // down[v]
+            residual = [x * c for x, c in zip(w, y)]
+            for v in order[1:]:
+                residual[v] += y[parent[v]]
+                residual[parent[v]] += y[v]
+            if residual != [det * c for c in b]:
+                raise AssertionError("tree solve verification failed")
+            out.append(tuple(y))
+        return out
 
 
 @dataclass(frozen=True)
@@ -311,12 +484,10 @@ def intersection_matrix(g: ResolutionGraph) -> IntMatrix:
 
 
 def _require_negative_definite(g):
-    m = intersection_matrix(g)
-    if not is_negative_definite(m):
+    if not g.is_negative_definite():
         raise NotNegativeDefiniteError(
             "intersection matrix is not negative definite"
         )
-    return m
 
 
 def _adjunction_rhs(g):
@@ -325,9 +496,16 @@ def _adjunction_rhs(g):
 
 
 def canonical_cycle(g: ResolutionGraph) -> RationalCycle:
-    """Solve the adjunction system for the canonical cycle K, exactly."""
-    m = _require_negative_definite(g)
-    k = solve_rational(m, _adjunction_rhs(g))
+    """Solve the adjunction system for the canonical cycle K, exactly:
+    by the tree pass on a tree, by dense elimination otherwise."""
+    _require_negative_definite(g)
+    rhs = _adjunction_rhs(g)
+    if g.is_tree():
+        form = g.tree_form()
+        (y,) = form.solve([rhs])
+        k = tuple(Fraction(c, form.determinant) for c in y)
+    else:
+        k = solve_rational(intersection_matrix(g), rhs)
     return RationalCycle(g.vertex_ids, tuple(k))
 
 
@@ -341,30 +519,23 @@ def fundamental_cycle(g: ResolutionGraph) -> Cycle:
     Z := sum of all E_i; while some Z.E_i > 0, add E_i for the
     lowest-index violating vertex. Terminates on negative-definite
     graphs and yields the componentwise-minimal cycle Z >= (1,..,1)
-    with Z.E_i <= 0 for all i.
+    with Z.E_i <= 0 for all i. Adding E_i changes Z.E_i by w_i and
+    Z.E_j by 1 for each edge i--j.
     """
-    m = _require_negative_definite(g)
+    _require_negative_definite(g)
     n = g.n
+    weights = [v.weight for v in g.vertices]
     z = [1] * n
-    prods = list(m.mul_vector(z))
+    prods = [w + len(nbrs) for w, nbrs in zip(weights, g._adj)]
     while True:
         i = next((i for i in range(n) if prods[i] > 0), None)
         if i is None:
             break
         z[i] += 1
-        for j in range(n):
-            prods[j] += m[j, i]
+        prods[i] += weights[i]
+        for j in g._adj[i]:
+            prods[j] += 1
     return Cycle(g.vertex_ids, tuple(z))
-
-
-def _pairing(m, x, y):
-    """x^T M y with exact arithmetic (entries int or Fraction)."""
-    total = Fraction(0)
-    for i, row in enumerate(m.entries):
-        for j, a in enumerate(row):
-            if a:
-                total += Fraction(x[i]) * a * Fraction(y[j])
-    return total
 
 
 def classify(g: ResolutionGraph) -> Classification:
@@ -376,10 +547,13 @@ def classify(g: ResolutionGraph) -> Classification:
     embedding dimension follow the Artin/Laufer rules, with the
     hypersurface floor of 3 on small cases.
     """
-    m = _require_negative_definite(g)
     z = fundamental_cycle(g)
     k = canonical_cycle(g)
-    zsq = int(_pairing(m, z.coefficients, z.coefficients))
+    # Z.Z = sum w_v z_v^2 + 2 sum over edges z_a z_b, in integers
+    zmap = dict(zip(z.vertex_ids, z.coefficients))
+    zsq = sum(v.weight * zmap[v.id] ** 2 for v in g.vertices) + 2 * sum(
+        zmap[a] * zmap[b] for a, b in g.edges
+    )
     # Z.K = sum z_i (K.E_i); the adjunction right-hand side keeps this exact
     # and integral without touching K itself.
     zk = sum(zi * ri for zi, ri in zip(z.coefficients, _adjunction_rhs(g)))

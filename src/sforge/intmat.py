@@ -21,6 +21,12 @@ grow only as fast as the minors do.
 
 Every result is verified by an exact integer multiplication before it
 is returned.
+
+Resolution graphs that are trees do not come here: sforge.graph's
+TreeForm gives their determinant, definiteness, branch determinants and
+solves in one leaf-first pass. Dense elimination serves only graphs with
+cycles (in `analyze`), the Smith normal form and its self-check, and the
+generic-coefficient minors of sforge.equations.
 """
 
 from __future__ import annotations

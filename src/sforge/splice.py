@@ -4,9 +4,21 @@ The diagram keeps the valency != 2 vertices of the graph (leaves and
 nodes); every maximal valency-2 chain becomes a single edge. A node v
 carries one weight per incident edge e: the absolute determinant of the
 intersection matrix of the component of the graph minus v in the
-direction of e. Everything downstream of the paper's weight calculus
-lives here: edge determinants, linking numbers, node weights, the ZHS
-test, and the semigroup condition with its monomial witnesses.
+direction of e, a branch determinant.
+
+All of these come from the graph's TreeForm (see sforge.graph), one
+exact integer pass with no dense elimination. Rooted at the first
+vertex, the subtree determinants satisfy
+
+    D(v) = w_v * prod_i D(c_i)
+           - sum_i (prod_{g child of c_i} D(g)) * prod_{j != i} D(c_j)
+
+over the children c_i of v; the graph is negative definite iff every
+D(v) is nonzero with the sign (-1)^|subtree(v)|. A branch toward a
+child c is the subtree of c; the branch toward the parent comes from a
+second pass from the root. Everything downstream of the paper's weight
+calculus lives here: edge determinants, linking numbers, node weights,
+the ZHS test, and the semigroup condition with its monomial witnesses.
 """
 
 from __future__ import annotations
@@ -15,8 +27,7 @@ from dataclasses import dataclass, field
 from math import gcd
 
 from .errors import NotQhsTreeError
-from .graph import ResolutionGraph, blow_down_minimal, intersection_matrix
-from .intmat import determinant, is_negative_definite
+from .graph import ResolutionGraph, blow_down_minimal
 
 __all__ = [
     "SpliceEdge",
@@ -192,12 +203,13 @@ class SemigroupWitness:
 
 def to_splice_diagram(g: ResolutionGraph) -> SpliceDiagram:
     """Collapse valency-2 vertices; weight each (node, edge) pair with
-    the |det| of the cut-off subgraph on that side."""
-    if not g.is_tree() or any(v.genus > 0 for v in g.vertices):
+    the |det| of the branch on that side, read from the tree pass."""
+    if not g.is_qhs_tree():
         raise NotQhsTreeError(
             "not a QHS tree: graph must be a tree of genus-0 curves"
         )
-    if not is_negative_definite(intersection_matrix(g)):
+    form = g.tree_form()
+    if not form.negative_definite:
         raise NotQhsTreeError(
             "not a QHS tree: intersection matrix is not negative definite"
         )
@@ -230,23 +242,9 @@ def to_splice_diagram(g: ResolutionGraph) -> SpliceDiagram:
     weights = {}
     for vid in nodes:
         for e in (x for x in edges if vid in (x.a, x.b)):
-            side = _component_without(g, vid, e.first_step(vid))
-            sub = intersection_matrix(g.induced_subgraph(side))
-            weights[(vid, e.index)] = abs(determinant(sub))
+            branch = form.branch_determinant(vid, e.first_step(vid))
+            weights[(vid, e.index)] = abs(branch)
     return SpliceDiagram(g, dverts, leaves, nodes, edges, weights)
-
-
-def _component_without(g, removed, start):
-    seen = {removed, start}
-    stack = [start]
-    while stack:
-        cur = stack.pop()
-        for nxt in g.neighbors(cur):
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
-    seen.discard(removed)
-    return [v.id for v in g.vertices if v.id in seen]
 
 
 def edge_determinant(d: SpliceDiagram, e: SpliceEdge) -> int:
@@ -299,8 +297,7 @@ def is_zhs(g: ResolutionGraph, diagram: SpliceDiagram = None) -> bool:
     the minimal good resolution only (a (-1)-leaf has weight 1 at its
     node), so they are checked on the diagram of blow_down_minimal(g);
     `diagram` is reused when the blow-down changes nothing."""
-    det = determinant(intersection_matrix(g))
-    if abs(det) != 1:
+    if abs(g.determinant()) != 1:
         return False
     if diagram is None:
         diagram = to_splice_diagram(g)
@@ -390,6 +387,8 @@ def _bounded_representations(target, leaves, links, cap):
             rec(idx + 1, remaining - a * l, acc)
             if a:
                 acc.pop()
+            if len(sols) >= cap:
+                return  # later alpha only extend the list past the cap
 
     rec(0, target, [])
     return sols

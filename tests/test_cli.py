@@ -366,3 +366,29 @@ def test_discriminant_group_built_once_per_call(
         "order": dg.order,
         "invariant_factors": list(dg.invariant_factors),
     }
+
+
+def test_conditions_builds_diagram_and_witness_once(
+    capsys, graphs_dir, monkeypatch
+):
+    """conditions passes its diagram and witness on to the congruence
+    search instead of rebuilding them."""
+    import sys
+
+    import sforge.splice
+
+    calls = {"to_splice_diagram": 0, "semigroup_condition": 0}
+    for name in calls:
+        real = getattr(sforge.splice, name)
+
+        def counting(*args, _name=name, _real=real, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        for modname, module in list(sys.modules.items()):
+            if modname.startswith("sforge") and vars(module).get(name) is real:
+                monkeypatch.setattr(module, name, counting)
+    for graph in ("two-node", "quotient-cusp-2-3", "e7"):
+        doc = run_json(capsys, "conditions", graph_path(graphs_dir, graph))
+        assert doc["result"]["congruence"]["holds"]
+    assert calls == {"to_splice_diagram": 3, "semigroup_condition": 3}

@@ -250,6 +250,23 @@ def test_classify_cusp_cycle_minimally_elliptic():
         to_splice_diagram(g)
 
 
+def test_classify_zsq_is_the_dense_pairing(corpus):
+    """Z.Z summed over vertices and edges equals z^T M z."""
+    cycle = ResolutionGraph(
+        [Vertex("a", -3), Vertex("b", -3), Vertex("c", -3)],
+        [("a", "b"), ("b", "c"), ("c", "a")],
+    )
+    rng = Random(5)
+    graphs = list(corpus.values()) + [cycle] + [
+        random_negative_definite_tree(rng, max_vertices=14) for _ in range(40)
+    ]
+    for g in graphs:
+        z = fundamental_cycle(g).coefficients
+        m = intersection_matrix(g)
+        zsq = sum(a * b for a, b in zip(z, m.mul_vector(z)))
+        assert classify(g).zsq == zsq
+
+
 def test_shipped_corpus_files_match_builders(corpus, graphs_dir):
     for name, g in corpus.items():
         text = (graphs_dir / (name + ".graph")).read_text()

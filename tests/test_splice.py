@@ -357,6 +357,27 @@ def test_witness_enumeration_cap_truncates():
     assert len(full) == 31  # a + b = 30, a in 0..30
 
 
+def test_capped_witnesses_are_a_prefix_of_the_full_list():
+    """The search stops at the cap; witnesses come in lexicographic
+    order, so the capped list is the first `cap` of the full one."""
+    from sforge.splice import _bounded_representations
+
+    rng = Random(77)
+    checked = 0
+    for _ in range(60):
+        t = rng.randint(1, 4)
+        leaves = tuple("w%d" % i for i in range(t))
+        links = [rng.randint(1, 6) for _ in range(t)]
+        target = rng.randint(0, 40)
+        full = _bounded_representations(target, leaves, links, 10_000)
+        assert len(full) < 10_000
+        for cap in (1, 2, 3, 5, 8, 13):
+            capped = _bounded_representations(target, leaves, links, cap)
+            assert capped == full[:cap], (target, links, cap)
+            checked += len(full) > cap
+    assert checked > 100
+
+
 def test_semigroup_verdicts_match_dp_oracle_on_corpus(corpus):
     for name, g in corpus.items():
         m = intersection_matrix(g)
