@@ -48,6 +48,7 @@ from .splice import (
     edge_determinant,
     is_zhs,
     linking_number,
+    linking_numbers,
     node_weight,
     semigroup_condition,
     to_splice_diagram,

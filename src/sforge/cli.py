@@ -21,7 +21,11 @@ from .discgroup import (
     discriminant_group,
     leaf_characters,
 )
-from .equations import _congruence_from_parts, build_splice_equations
+from .equations import (
+    _build_splice_equations,
+    _congruence_from_parts,
+    build_splice_equations,
+)
 from .errors import ParseError, PreconditionError
 from .graph import (
     blow_down_minimal,
@@ -41,7 +45,7 @@ from .poly import parse_polynomial
 from .splice import (
     edge_determinant,
     is_zhs,
-    linking_number,
+    linking_numbers,
     node_weight,
     semigroup_condition,
     to_splice_diagram,
@@ -229,10 +233,7 @@ def _splice(g):
             for v in d.nodes
         },
         "node_weights": {v: node_weight(d, v) for v in d.nodes},
-        "linking_numbers": {
-            v: {w: linking_number(d, v, w) for w in d.leaves}
-            for v in d.nodes
-        },
+        "linking_numbers": {v: linking_numbers(d, v) for v in d.nodes},
         "edge_determinants": [
             {"a": e.a, "b": e.b, "value": edge_determinant(d, e)}
             for e in d.edges
@@ -472,7 +473,7 @@ def _invariants(g, degree_bound, identity_path):
     if identity_path is not None:
         with open(identity_path, "r", encoding="utf-8") as fh:
             target = parse_polynomial(fh.read(), basis.variables)
-        pkg = build_splice_equations(g)
+        pkg = _build_splice_equations(g, chars)
         cert = membership_bounded(target, list(pkg.equations), degree_bound)
         data["certificate"] = {
             "target": str(target),

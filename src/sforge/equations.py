@@ -28,7 +28,7 @@ from .poly import Polynomial
 from .splice import (
     SpliceDiagram,
     SemigroupWitness,
-    linking_number,
+    linking_numbers,
     node_weight,
     semigroup_condition,
     to_splice_diagram,
@@ -186,6 +186,13 @@ def generic_coefficients(delta: int) -> IntMatrix:
 def build_splice_equations(g: ResolutionGraph) -> EquationsPackage:
     """Emit the t-2 splice equations for a graph satisfying the
     semigroup and congruence conditions."""
+    return _build_splice_equations(g, None)
+
+
+def _build_splice_equations(g, chars):
+    """build_splice_equations(g), reusing chars = leaf_characters(g)
+    when the caller has them; with None they are built once the
+    semigroup condition holds."""
     diagram = to_splice_diagram(g)
     if not diagram.has_nodes:
         raise NoNodesError("no nodes: cyclic quotient case")
@@ -195,7 +202,8 @@ def build_splice_equations(g: ResolutionGraph) -> EquationsPackage:
             "semigroup condition fails at %s"
             % "; ".join("%s %s" % f for f in witness.failures)
         )
-    chars = leaf_characters(g)
+    if chars is None:
+        chars = leaf_characters(g)
     cong = _congruence_from_parts(diagram, witness, chars)
     if not cong.holds:
         raise ConditionsNotMetError(
@@ -223,9 +231,7 @@ def build_splice_equations(g: ResolutionGraph) -> EquationsPackage:
             for pos, p in enumerate(polys):
                 eq = eq + coeffs[i, pos] * p
             node_eqs.append(eq)
-        var_weights = {
-            w: linking_number(diagram, v, w) for w in diagram.leaves
-        }
+        var_weights = linking_numbers(diagram, v)
         system = NodeSystem(
             node_id=v,
             weight=dv,

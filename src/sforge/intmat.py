@@ -1,14 +1,14 @@
-"""Exact integer and rational dense matrices.
+"""Exact integer and rational matrices.
 
 Everything here is exact: IntMatrix holds arbitrary-precision Python
 ints, RatMatrix holds fractions.Fraction in lowest terms. No floating
 point is used anywhere in the package. Matrices are immutable after
 construction and safe to share between threads.
 
-All elimination runs in integers through one fraction-free kernel,
-Bareiss forward elimination (Math. Comp. 22, 1968): every intermediate
-entry is a minor of the input, so each division is exact and entries
-grow only as fast as the minors do.
+Determinants, definiteness and solves run in integers through one
+fraction-free kernel, Bareiss forward elimination (Math. Comp. 22,
+1968): every intermediate entry is a minor of the input, so each
+division is exact and entries grow only as fast as the minors do.
 
 - determinant: the last pivot of a pass with row pivoting.
 - is_negative_definite: the pivots of a pass without pivoting, which
@@ -16,17 +16,29 @@ grow only as fast as the minors do.
 - adjugate, invert_rational, solve_rational: a pass over [M | RHS] and
   an exact back substitution give det(M) and R with
   M @ R = det(M) * RHS; fractions are formed only at the end.
+
+The Smith normal form is the one routine that works on sparse rows:
+
 - smith_normal_form: elementary row/column reduction with
-  smallest-pivot selection, tracking U, its inverse and V.
+  smallest-pivot selection (lowest (row, col) on ties; the search stops
+  at the first +-1 in row-major order), tracking U, U^-1, V and V^-1.
+  The working matrix is held as dict rows with a column index, U and
+  V^-1 as dict rows, U^-1 and V as dict columns, so each operation
+  costs the nonzeros it touches. Intersection matrices of trees have
+  about three nonzeros a row, and their ones make most pivots 1.
+  The certificate is U @ m = D @ V^-1, V @ V^-1 = I and U @ U^-1 = I,
+  by sparse products: an integer matrix with an integer inverse is
+  unimodular, and together these give U @ m @ V = D.
 
 Every result is verified by an exact integer multiplication before it
 is returned.
 
-Resolution graphs that are trees do not come here: sforge.graph's
-TreeForm gives their determinant, definiteness, branch determinants and
-solves in one leaf-first pass. Dense elimination serves only graphs with
-cycles (in `analyze`), the Smith normal form and its self-check, and the
-generic-coefficient minors of sforge.equations.
+Resolution graphs that are trees do not come here for anything but
+their Smith normal form: sforge.graph's TreeForm gives their
+determinant, definiteness, branch determinants and solves in one
+leaf-first pass. Dense elimination serves only graphs with cycles (in
+`analyze`), the generic-coefficient minors of sforge.equations and the
+dual basis of sforge.discgroup, which is built only when read.
 """
 
 from __future__ import annotations
@@ -120,6 +132,20 @@ class IntMatrix(_Matrix):
     def identity(cls, n):
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
+    @classmethod
+    def _from_sparse_rows(cls, rows, ncols):
+        """The matrix whose row i has the entries of the dict rows[i]
+        (column -> int), zeros elsewhere; entries are not re-cast."""
+        dense = []
+        for row in rows:
+            r = [0] * ncols
+            for j, x in row.items():
+                r[j] = x
+            dense.append(tuple(r))
+        out = cls.__new__(cls)
+        out.entries = tuple(dense)
+        return out
+
     def transpose(self):
         return IntMatrix(list(zip(*self.entries)))
 
@@ -212,15 +238,16 @@ class RatMatrix(_Matrix):
 class SnfResult:
     """Smith normal form U @ m @ V = D.
 
-    U, V are unimodular and u_inv is the inverse of U; D is diagonal
-    with nonnegative entries, each dividing the next, zeros (if any)
-    last.
+    U, V are unimodular, u_inv is the inverse of U and v_inv that of V;
+    D is diagonal with nonnegative entries, each dividing the next,
+    zeros (if any) last.
     """
 
     u: IntMatrix
     d: IntMatrix
     v: IntMatrix
     u_inv: IntMatrix
+    v_inv: IntMatrix
 
     @property
     def diagonal(self):
@@ -275,62 +302,121 @@ def determinant(m: IntMatrix) -> int:
     return last[0]
 
 
+def _add_multiple(dst, src, c):
+    """dst += c * src for sparse vectors (dicts index -> nonzero)."""
+    for k, y in src.items():
+        x = dst.get(k, 0) + c * y
+        if x:
+            dst[k] = x
+        else:
+            del dst[k]
+
+
 def smith_normal_form(m: IntMatrix) -> SnfResult:
     """Smith normal form with transforms, U @ m @ V = D.
 
+    The working matrix is held sparse: its rows as dicts col -> nonzero
+    entry, with an index col -> set of rows that have an entry there.
+    U and V^-1 are held as dict rows, U^-1 and V as dict columns, so
+    that every elementary operation touches only the nonzeros it
+    changes: a row operation on m is the same row operation on U and
+    the inverse column operation on U^-1; a column operation on m is
+    the same column operation on V and the inverse row operation on
+    V^-1.
+
     Pivot selection: smallest nonzero absolute value in the remaining
     block, ties broken by lowest (row, col) index, so outputs are
-    deterministic. U^{-1} is tracked beside U: each row operation on U
-    is undone by the inverse column operation on U^{-1}. The returned
-    result is verified by multiplication before it leaves this function.
+    deterministic. The search stops at the first +-1 in row-major
+    order, which is the entry a full scan would pick, and the
+    divisibility scan is skipped for a pivot of 1. The returned result
+    is verified by exact sparse products before it leaves this
+    function (see _check_snf).
     """
-    a = m.to_lists()
     nr, nc = m.rows, m.cols
-    u = IntMatrix.identity(nr).to_lists()
-    u_inv = IntMatrix.identity(nr).to_lists()
-    v = IntMatrix.identity(nc).to_lists()
+    a = _sparse_rows(m)
+    cols = [set() for _ in range(nc)]
+    for i, row in enumerate(a):
+        for j in row:
+            cols[j].add(i)
+    u = [{i: 1} for i in range(nr)]  # rows
+    u_inv = [{i: 1} for i in range(nr)]  # columns
+    v = [{j: 1} for j in range(nc)]  # columns
+    v_inv = [{j: 1} for j in range(nc)]  # rows
 
     def swap_rows(i, j):
         if i != j:
+            for k in a[i]:
+                cols[k].discard(i)
+            for k in a[j]:
+                cols[k].discard(j)
             a[i], a[j] = a[j], a[i]
+            for k in a[i]:
+                cols[k].add(i)
+            for k in a[j]:
+                cols[k].add(j)
             u[i], u[j] = u[j], u[i]
-            for row in u_inv:
-                row[i], row[j] = row[j], row[i]
+            u_inv[i], u_inv[j] = u_inv[j], u_inv[i]
 
     def swap_cols(i, j):
         if i != j:
-            for row in a:
-                row[i], row[j] = row[j], row[i]
-            for row in v:
-                row[i], row[j] = row[j], row[i]
+            for r in cols[i] | cols[j]:
+                row = a[r]
+                x, y = row.pop(i, 0), row.pop(j, 0)
+                if x:
+                    row[j] = x
+                if y:
+                    row[i] = y
+            cols[i], cols[j] = cols[j], cols[i]
+            v[i], v[j] = v[j], v[i]
+            v_inv[i], v_inv[j] = v_inv[j], v_inv[i]
 
     def add_row(src, dst, c):
         # row_dst += c * row_src
-        a[dst] = [x + c * y for x, y in zip(a[dst], a[src])]
-        u[dst] = [x + c * y for x, y in zip(u[dst], u[src])]
-        for row in u_inv:
-            row[src] -= c * row[dst]
+        row = a[dst]
+        for j, y in a[src].items():
+            x = row.get(j, 0) + c * y
+            if x:
+                if j not in row:
+                    cols[j].add(dst)
+                row[j] = x
+            else:
+                del row[j]
+                cols[j].discard(dst)
+        _add_multiple(u[dst], u[src], c)
+        _add_multiple(u_inv[src], u_inv[dst], -c)
 
     def add_col(src, dst, c):
-        for row in a:
-            row[dst] += c * row[src]
-        for row in v:
-            row[dst] += c * row[src]
+        # col_dst += c * col_src
+        col = cols[dst]
+        for i in cols[src]:
+            row = a[i]
+            x = row.get(dst, 0) + c * row[src]
+            if x:
+                if dst not in row:
+                    col.add(i)
+                row[dst] = x
+            else:
+                del row[dst]
+                col.discard(i)
+        _add_multiple(v[dst], v[src], c)
+        _add_multiple(v_inv[src], v_inv[dst], -c)
 
     def negate_row(i):
-        a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
-        for row in u_inv:
-            row[i] = -row[i]
+        for row in (a[i], u[i], u_inv[i]):
+            for k in row:
+                row[k] = -row[k]
 
     def find_pivot(t):
+        # rows t.. hold entries in columns t.. only
         best = None
         for i in range(t, nr):
-            for j in range(t, nc):
-                x = a[i][j]
-                if x != 0 and (best is None or abs(x) < abs(a[best[0]][best[1]])):
-                    best = (i, j)
-        return best
+            for j, x in a[i].items():
+                key = (abs(x), i, j)
+                if best is None or key < best:
+                    best = key
+            if best is not None and best[0] == 1:
+                break
+        return None if best is None else best[1:]
 
     t = 0
     while t < min(nr, nc):
@@ -344,48 +430,92 @@ def smith_normal_form(m: IntMatrix) -> SnfResult:
                 negate_row(t)
             p = a[t][t]
             dirty = False
-            for i in range(t + 1, nr):
-                if a[i][t] != 0:
-                    add_row(t, i, -(a[i][t] // p))
-                    if a[i][t] != 0:
-                        dirty = True
-            for j in range(t + 1, nc):
-                if a[t][j] != 0:
-                    add_col(t, j, -(a[t][j] // p))
-                    if a[t][j] != 0:
-                        dirty = True
+            # the operations of one pass commute: each reads only what
+            # the pass leaves unchanged, and their updates of U^-1
+            # (V^-1) are sums into its column (row) t
+            for i in [i for i in cols[t] if i != t]:
+                c = -(a[i][t] // p)
+                if c:
+                    add_row(t, i, c)
+                if t in a[i]:
+                    dirty = True
+            for j in [j for j in a[t] if j != t]:
+                c = -(a[t][j] // p)
+                if c:
+                    add_col(t, j, c)
+                if j in a[t]:
+                    dirty = True
             if dirty:
                 pos = find_pivot(t)
                 continue
-            # enforce the divisibility chain: fold any bad entry into row t
+            if p == 1:
+                break
+            # enforce the divisibility chain: fold the first row with a
+            # bad entry into row t
             bad = next(
-                ((i, j) for i in range(t + 1, nr) for j in range(t + 1, nc)
-                 if a[i][j] % p != 0),
+                (i for i in range(t + 1, nr)
+                 if any(x % p for x in a[i].values())),
                 None,
             )
             if bad is None:
                 break
-            add_row(bad[0], t, 1)
+            add_row(bad, t, 1)
             pos = find_pivot(t)
         t += 1
 
-    d = [[a[i][j] if i == j else 0 for j in range(nc)] for i in range(nr)]
-    result = SnfResult(
-        IntMatrix(u), IntMatrix(d), IntMatrix(v), IntMatrix(u_inv)
-    )
-    _check_snf(m, result)
-    return result
+    d = [{i: a[i][i]} if i in a[i] else {} for i in range(min(nr, nc))]
+    d += [{} for _ in range(nr - len(d))]
+    u_inv = _transpose(u_inv, nr)
+    v = _transpose(v, nc)
+    _verify_snf(_sparse_rows(m), u, d, v, u_inv, v_inv)
+    return SnfResult(*(
+        IntMatrix._from_sparse_rows(rows, n)
+        for rows, n in ((u, nr), (d, nc), (v, nc), (u_inv, nr), (v_inv, nc))
+    ))
 
 
-def _check_snf(m, result):
-    if (result.u @ m @ result.v).entries != result.d.entries:
-        raise AssertionError("SNF verification failed: U*M*V != D")
-    # an integer U with an integer inverse is unimodular
-    if result.u @ result.u_inv != IntMatrix.identity(m.rows):
+def _sparse_rows(mat):
+    """The rows of an IntMatrix as dicts column -> nonzero entry."""
+    return [{j: x for j, x in enumerate(row) if x} for row in mat.entries]
+
+
+def _transpose(vectors, n):
+    """The sparse columns of a matrix from its sparse rows (or the rows
+    from the columns); n is the number of vectors returned."""
+    out = [{} for _ in range(n)]
+    for i, vec in enumerate(vectors):
+        for k, x in vec.items():
+            out[k][i] = x
+    return out
+
+
+def _sparse_product(left, right):
+    """Sparse rows of A @ B, from the sparse rows of A and of B."""
+    out = []
+    for row in left:
+        acc = {}
+        for k, x in row.items():
+            for j, y in right[k].items():
+                acc[j] = acc.get(j, 0) + x * y
+        out.append({j: x for j, x in acc.items() if x})
+    return out
+
+
+def _verify_snf(m, u, d, v, u_inv, v_inv):
+    """The Smith normal form certificate, every matrix given by its
+    sparse rows.
+
+    U @ m = D @ V^-1 and V @ V^-1 = I give U @ m @ V = D with V
+    unimodular (an integer matrix with an integer inverse is); U @ U^-1
+    = I makes U unimodular. Every product is exact and touches only
+    nonzeros."""
+    if _sparse_product(u, m) != _sparse_product(d, v_inv):
+        raise AssertionError("SNF verification failed: U*M != D*V^-1")
+    if _sparse_product(u, u_inv) != [{i: 1} for i in range(len(u))]:
         raise AssertionError("SNF verification failed: U*U^-1 != I")
-    if abs(determinant(result.v)) != 1:
-        raise AssertionError("SNF transform not unimodular")
-    diag = result.diagonal
+    if _sparse_product(v, v_inv) != [{j: 1} for j in range(len(v))]:
+        raise AssertionError("SNF transform not unimodular: V*V^-1 != I")
+    diag = [row.get(i, 0) for i, row in enumerate(d[:len(v)])]
     for x, y in zip(diag, diag[1:]):
         if x == 0 and y != 0:
             raise AssertionError("zero invariant factor before a nonzero one")
@@ -393,6 +523,14 @@ def _check_snf(m, result):
             raise AssertionError("divisibility chain broken")
     if any(x < 0 for x in diag):
         raise AssertionError("negative diagonal in SNF")
+
+
+def _check_snf(m, result):
+    """Verify an SnfResult of m, as smith_normal_form does before it
+    returns one."""
+    _verify_snf(*map(_sparse_rows, (
+        m, result.u, result.d, result.v, result.u_inv, result.v_inv
+    )))
 
 
 def _solve_scaled(m, rhs):

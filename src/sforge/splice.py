@@ -36,6 +36,7 @@ __all__ = [
     "to_splice_diagram",
     "edge_determinant",
     "linking_number",
+    "linking_numbers",
     "node_weight",
     "is_zhs",
     "semigroup_condition",
@@ -72,7 +73,10 @@ class SpliceDiagram:
     weight for each (node, incident edge) pair. Built from a graph via
     to_splice_diagram; keeps provenance to the graph's vertex ids."""
 
-    __slots__ = ("gamma", "vertices", "leaves", "nodes", "edges", "weights")
+    __slots__ = (
+        "gamma", "vertices", "leaves", "nodes", "edges", "weights",
+        "_incident",
+    )
 
     def __init__(self, gamma, vertices, leaves, nodes, edges, weights):
         self.gamma = gamma
@@ -81,6 +85,14 @@ class SpliceDiagram:
         self.nodes = tuple(nodes)
         self.edges = tuple(edges)
         self.weights = dict(weights)
+        incident = {w: [] for w in self.vertices}
+        for e in self.edges:
+            incident[e.a].append(e)
+            incident[e.b].append(e)
+        self._incident = {}
+        for w, inc in incident.items():
+            inc.sort(key=lambda e: gamma.index_of(e.first_step(w)))
+            self._incident[w] = tuple(inc)
         for (vid, _), d in self.weights.items():
             if d < 1:
                 raise AssertionError(
@@ -100,9 +112,7 @@ class SpliceDiagram:
     def incident_edges(self, vid):
         """Edges at vid, ordered by the declaration index of their
         first gamma vertex seen from vid (deterministic)."""
-        inc = [e for e in self.edges if vid in (e.a, e.b)]
-        inc.sort(key=lambda e: self.gamma.index_of(e.first_step(vid)))
-        return tuple(inc)
+        return self._incident.get(vid, ())
 
     def weight(self, vid, edge):
         return self.weights[(vid, edge.index)]
@@ -112,17 +122,14 @@ class SpliceDiagram:
 
     def path_between(self, u, v):
         """Vertices of the diagram tree path from u to v, inclusive."""
-        adj = {w: [] for w in self.vertices}
-        for e in self.edges:
-            adj[e.a].append((e.b, e))
-            adj[e.b].append((e.a, e))
         parent = {u: (None, None)}
         stack = [u]
         while stack:
             cur = stack.pop()
             if cur == v:
                 break
-            for nxt, e in adj[cur]:
+            for e in self._incident[cur]:
+                nxt = e.other(cur)
                 if nxt not in parent:
                     parent[nxt] = (cur, e)
                     stack.append(nxt)
@@ -143,15 +150,12 @@ class SpliceDiagram:
         """Diagram leaves in the branch of `edge` at `vid`, in gamma
         declaration order."""
         start = edge.other(vid)
-        adj = {w: [] for w in self.vertices}
-        for e in self.edges:
-            adj[e.a].append(e.b)
-            adj[e.b].append(e.a)
         seen = {vid, start}
         stack = [start]
         while stack:
             cur = stack.pop()
-            for nxt in adj[cur]:
+            for e in self._incident[cur]:
+                nxt = e.other(cur)
                 if nxt not in seen:
                     seen.add(nxt)
                     stack.append(nxt)
@@ -290,6 +294,33 @@ def linking_number(d: SpliceDiagram, v: str, w: str) -> int:
     return out
 
 
+def linking_numbers(d: SpliceDiagram, v: str) -> dict:
+    """{w: linking_number(d, v, w)} for every leaf w, in the order of
+    d.leaves, from one walk out of the node v.
+
+    The walk carries the product of the off-path weights at the path
+    nodes it has passed. Leaving a node x by the edge f, having entered
+    by e, multiplies it by the weights at x on neither e nor f:
+    node_weight(x) / (d_{x,e} * d_{x,f}), an exact division.
+    """
+    if not d.is_node(v):
+        raise ValueError("%r is not a node" % v)
+    found = {}
+    stack = [(v, None, 1)]
+    while stack:
+        x, via, acc = stack.pop()
+        if not d.is_node(x):
+            found[x] = acc  # a leaf ends the path
+            continue
+        rest = node_weight(d, x)
+        if via is not None:
+            rest //= d.weight(x, via)
+        for f in d.incident_edges(x):
+            if f is not via:
+                stack.append((f.other(x), f, acc * (rest // d.weight(x, f))))
+    return {w: found[w] for w in d.leaves}
+
+
 def is_zhs(g: ResolutionGraph, diagram: SpliceDiagram = None) -> bool:
     """|det| = 1 test, plus the three weight conditions asserted as a
     cross-check when it holds: pairwise coprime weights at each node,
@@ -340,9 +371,10 @@ def semigroup_condition(d: SpliceDiagram) -> SemigroupWitness:
     truncated = []
     for v in d.nodes:
         dv = node_weight(d, v)
+        links_v = linking_numbers(d, v)
         for e in d.incident_edges(v):
             outer = d.leaves_beyond(v, e)
-            links = [linking_number(d, v, w) for w in outer]
+            links = [links_v[w] for w in outer]
             sols = _bounded_representations(dv, outer, links, WITNESS_CAP)
             key = (v, e.index)
             solutions[key] = sols

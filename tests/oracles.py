@@ -12,11 +12,16 @@ verbatim to cross-check the fraction-free kernel that replaced them.
 Likewise the Fraction-valued characters, the breadth-first generator
 search, the Polynomial-built relations and the Fraction-keyed
 congruence search cross-check the integer-residue invariant layer.
+The dense Smith normal form, with its dense U*M*V = D and Bareiss
+|det V| = 1 self-check, is the library's former implementation, kept
+verbatim: the sparse one must make the same pivot choices and the same
+elementary operations, so its transforms agree entry for entry.
 """
 
 from fractions import Fraction
 from math import gcd
 from itertools import combinations, combinations_with_replacement, product
+from typing import NamedTuple
 
 import numpy as np
 
@@ -361,3 +366,138 @@ def congruence_by_fractions(diagram, witness, chars):
             for e, cm in zip(edges, per_edge)
         }
     return node_characters, node_monomials, tuple(failures)
+
+
+class DenseSnf(NamedTuple):
+    """U @ m @ V = D with U^-1, as the dense oracle returns them."""
+
+    u: IntMatrix
+    d: IntMatrix
+    v: IntMatrix
+    u_inv: IntMatrix
+
+    @property
+    def diagonal(self):
+        return tuple(
+            self.d[i, i] for i in range(min(self.d.rows, self.d.cols))
+        )
+
+
+def smith_normal_form_dense(m: IntMatrix) -> DenseSnf:
+    """Smith normal form with transforms, U @ m @ V = D.
+
+    Pivot selection: smallest nonzero absolute value in the remaining
+    block, ties broken by lowest (row, col) index, so outputs are
+    deterministic. U^{-1} is tracked beside U: each row operation on U
+    is undone by the inverse column operation on U^{-1}. The returned
+    result is verified by multiplication before it leaves this function.
+    """
+    a = m.to_lists()
+    nr, nc = m.rows, m.cols
+    u = IntMatrix.identity(nr).to_lists()
+    u_inv = IntMatrix.identity(nr).to_lists()
+    v = IntMatrix.identity(nc).to_lists()
+
+    def swap_rows(i, j):
+        if i != j:
+            a[i], a[j] = a[j], a[i]
+            u[i], u[j] = u[j], u[i]
+            for row in u_inv:
+                row[i], row[j] = row[j], row[i]
+
+    def swap_cols(i, j):
+        if i != j:
+            for row in a:
+                row[i], row[j] = row[j], row[i]
+            for row in v:
+                row[i], row[j] = row[j], row[i]
+
+    def add_row(src, dst, c):
+        # row_dst += c * row_src
+        a[dst] = [x + c * y for x, y in zip(a[dst], a[src])]
+        u[dst] = [x + c * y for x, y in zip(u[dst], u[src])]
+        for row in u_inv:
+            row[src] -= c * row[dst]
+
+    def add_col(src, dst, c):
+        for row in a:
+            row[dst] += c * row[src]
+        for row in v:
+            row[dst] += c * row[src]
+
+    def negate_row(i):
+        a[i] = [-x for x in a[i]]
+        u[i] = [-x for x in u[i]]
+        for row in u_inv:
+            row[i] = -row[i]
+
+    def find_pivot(t):
+        best = None
+        for i in range(t, nr):
+            for j in range(t, nc):
+                x = a[i][j]
+                if x != 0 and (best is None or abs(x) < abs(a[best[0]][best[1]])):
+                    best = (i, j)
+        return best
+
+    t = 0
+    while t < min(nr, nc):
+        pos = find_pivot(t)
+        if pos is None:
+            break
+        while True:
+            swap_rows(t, pos[0])
+            swap_cols(t, pos[1])
+            if a[t][t] < 0:
+                negate_row(t)
+            p = a[t][t]
+            dirty = False
+            for i in range(t + 1, nr):
+                if a[i][t] != 0:
+                    add_row(t, i, -(a[i][t] // p))
+                    if a[i][t] != 0:
+                        dirty = True
+            for j in range(t + 1, nc):
+                if a[t][j] != 0:
+                    add_col(t, j, -(a[t][j] // p))
+                    if a[t][j] != 0:
+                        dirty = True
+            if dirty:
+                pos = find_pivot(t)
+                continue
+            # enforce the divisibility chain: fold any bad entry into row t
+            bad = next(
+                ((i, j) for i in range(t + 1, nr) for j in range(t + 1, nc)
+                 if a[i][j] % p != 0),
+                None,
+            )
+            if bad is None:
+                break
+            add_row(bad[0], t, 1)
+            pos = find_pivot(t)
+        t += 1
+
+    d = [[a[i][j] if i == j else 0 for j in range(nc)] for i in range(nr)]
+    result = DenseSnf(
+        IntMatrix(u), IntMatrix(d), IntMatrix(v), IntMatrix(u_inv)
+    )
+    _check_snf_dense(m, result)
+    return result
+
+
+def _check_snf_dense(m, result):
+    if (result.u @ m @ result.v).entries != result.d.entries:
+        raise AssertionError("SNF verification failed: U*M*V != D")
+    # an integer U with an integer inverse is unimodular
+    if result.u @ result.u_inv != IntMatrix.identity(m.rows):
+        raise AssertionError("SNF verification failed: U*U^-1 != I")
+    if abs(determinant(result.v)) != 1:
+        raise AssertionError("SNF transform not unimodular")
+    diag = result.diagonal
+    for x, y in zip(diag, diag[1:]):
+        if x == 0 and y != 0:
+            raise AssertionError("zero invariant factor before a nonzero one")
+        if x != 0 and y % x != 0:
+            raise AssertionError("divisibility chain broken")
+    if any(x < 0 for x in diag):
+        raise AssertionError("negative diagonal in SNF")

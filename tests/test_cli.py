@@ -341,9 +341,20 @@ def test_seeded_random_trees_exit_cleanly(capsys, tmp_path):
             assert code in (0, 2, 3), (seed, cmd, code, err)
 
 
-@pytest.mark.parametrize("command", ["equations", "invariants"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(("equations", "quotient-cusp-2-3"), id="equations"),
+        pytest.param(("invariants", "quotient-cusp-2-3"), id="invariants"),
+        # the README call: the identity check reuses the characters
+        pytest.param(
+            ("invariants", "e7", "--degree-bound=2", "--verify-identity"),
+            id="invariants-verify-identity",
+        ),
+    ],
+)
 def test_discriminant_group_built_once_per_call(
-    capsys, graphs_dir, monkeypatch, command
+    capsys, graphs_dir, monkeypatch, tmp_path, argv
 ):
     import sforge.cli
     import sforge.discgroup
@@ -357,8 +368,12 @@ def test_discriminant_group_built_once_per_call(
 
     monkeypatch.setattr(sforge.discgroup, "discriminant_group", counting)
     monkeypatch.setattr(sforge.cli, "discriminant_group", counting)
-    path = graph_path(graphs_dir, "quotient-cusp-2-3")
-    doc = run_json(capsys, command, path)
+    command, name, *options = argv
+    if options and options[-1] == "--verify-identity":
+        target = tmp_path / "target.poly"
+        target.write_text("x^2*z^2 + y^3*z^2 + z^6\n")
+        options[-1] += "=%s" % target
+    doc = run_json(capsys, command, graph_path(graphs_dir, name), *options)
     assert len(calls) == 1
     dg = real(calls[0])
     assert dg.order > 1

@@ -9,7 +9,9 @@ import pytest
 from sforge import (
     IntMatrix,
     RatMatrix,
+    ResolutionGraph,
     SingularMatrixError,
+    Vertex,
     adjugate,
     determinant,
     invert_rational,
@@ -17,8 +19,8 @@ from sforge import (
     smith_normal_form,
     solve_rational,
 )
-from sforge.corpus import e7
-from sforge.graph import intersection_matrix
+from sforge.corpus import chain, e7, random_negative_definite_tree, star
+from sforge.graph import intersection_matrix, parse_graph
 from sforge.intmat import _check_snf
 
 from oracles import (
@@ -28,6 +30,7 @@ from oracles import (
     is_negative_definite_charpoly,
     is_negative_definite_minors,
     quadratic_form_refutes_negdef,
+    smith_normal_form_dense,
     solve_rational_fraction_gauss,
 )
 
@@ -149,6 +152,116 @@ def test_snf_check_rejects_corrupted_u_inverse():
     bad[0][0] += 1
     with pytest.raises(AssertionError):
         _check_snf(m, replace(r, u_inv=IntMatrix(bad)))
+
+
+@pytest.mark.parametrize("field", ["u", "d", "v", "u_inv", "v_inv"])
+def test_snf_check_rejects_any_corrupted_matrix(field):
+    m = IntMatrix([[2, 1, 0], [1, 3, 1], [0, 1, 4]])
+    r = smith_normal_form(m)
+    _check_snf(m, r)
+    for i, j in ((0, 0), (2, 1), (1, 2)):
+        bad = getattr(r, field).to_lists()
+        bad[i][j] += 1
+        with pytest.raises(AssertionError):
+            _check_snf(m, replace(r, **{field: IntMatrix(bad)}))
+
+
+def test_snf_check_rejects_corrupted_non_square_transforms():
+    m = IntMatrix([[2, 4, 6], [3, 9, 1]])
+    r = smith_normal_form(m)
+    for field in ("u", "v", "u_inv", "v_inv"):
+        bad = getattr(r, field).to_lists()
+        bad[-1][0] -= 1
+        with pytest.raises(AssertionError):
+            _check_snf(m, replace(r, **{field: IntMatrix(bad)}))
+
+
+def assert_snf_matches_dense(m):
+    """Same pivots and same elementary operations as the dense oracle:
+    every transform agrees entry for entry."""
+    r = smith_normal_form(m)
+    assert (r.u, r.d, r.v, r.u_inv) == tuple(smith_normal_form_dense(m))
+    return r
+
+
+def comb(spine, rng):
+    """A path of valency-3 nodes, each with a tooth of two vertices,
+    plus one leg at each end of the path."""
+    vertices, edges = [], []
+    for i in range(spine):
+        node = "s%d" % i
+        vertices.append(Vertex(node, -rng.randint(3, 4)))
+        if i:
+            edges.append(("s%d" % (i - 1), node))
+        prev = node
+        for j in range(2):
+            vertices.append(Vertex("t%d_%d" % (i, j), -rng.randint(2, 4)))
+            edges.append((prev, "t%d_%d" % (i, j)))
+            prev = "t%d_%d" % (i, j)
+    for leg, end in (("l", "s0"), ("r", "s%d" % (spine - 1))):
+        vertices.append(Vertex(leg, -rng.randint(2, 4)))
+        edges.append((end, leg))
+    return ResolutionGraph(vertices, edges)
+
+
+def test_snf_matches_dense_oracle_on_corpus(corpus, graphs_dir):
+    graphs = list(corpus.values()) + [
+        parse_graph(p.read_text(encoding="utf-8"))
+        for p in sorted(graphs_dir.glob("*.graph"))
+    ]
+    for g in graphs:
+        assert_snf_matches_dense(intersection_matrix(g))
+
+
+def test_snf_matches_dense_oracle_on_random_trees():
+    sizes = []
+    for seed in range(200):
+        g = random_negative_definite_tree(Random(seed), max_vertices=100)
+        assert_snf_matches_dense(intersection_matrix(g))
+        sizes.append(g.n)
+    assert max(sizes) >= 95 and min(sizes) <= 5
+    # the 96-vertex tree of the analyze target: the first draw from
+    # Random(1) with at least 80 vertices
+    rng = Random(1)
+    g = random_negative_definite_tree(rng, max_vertices=100)
+    while g.n < 80:
+        g = random_negative_definite_tree(rng, max_vertices=100)
+    assert g.n == 96
+    assert_snf_matches_dense(intersection_matrix(g))
+
+
+def test_snf_matches_dense_oracle_on_chain_star_comb_families():
+    rng = Random(2101)
+    for n in (10, 17, 26, 40):
+        assert_snf_matches_dense(intersection_matrix(chain([-2] * n)))
+        assert_snf_matches_dense(intersection_matrix(
+            chain([-rng.randint(2, 4) for _ in range(n)])
+        ))
+        arms = [[-rng.randint(2, 4) for _ in range((n - 1) // 3)]
+                for _ in range(3)]
+        assert_snf_matches_dense(intersection_matrix(star(-3, arms)))
+        assert_snf_matches_dense(intersection_matrix(comb(n // 3, rng)))
+
+
+def test_snf_matches_dense_oracle_on_random_matrices():
+    rng = Random(2024)
+    for _ in range(2000):
+        nr, nc = rng.randint(1, 7), rng.randint(1, 7)
+        bound = rng.choice([1, 2, 5, 30, 10**6])
+        density = rng.choice([0.2, 0.5, 1.0])
+        r = assert_snf_matches_dense(IntMatrix([
+            [rng.randint(-bound, bound) if rng.random() < density else 0
+             for _ in range(nc)]
+            for _ in range(nr)
+        ]))
+        assert r.v @ r.v_inv == IntMatrix.identity(nc)
+    # [e * phases; e * I] over t leaves, as is_faithful stacks them
+    for _ in range(300):
+        k, t = rng.randint(1, 3), rng.randint(1, 6)
+        e = rng.choice([2, 6, 12, 35, 360])
+        rows = [[rng.randrange(e) for _ in range(t)] for _ in range(k)]
+        rows += [[e if i == j else 0 for j in range(t)] for i in range(t)]
+        assert_snf_matches_dense(IntMatrix(rows))
 
 
 def test_abs_det_is_product_of_invariant_factors():

@@ -7,6 +7,10 @@ random trees; the helpers here are reused by test_acceptance.
 from random import Random
 
 from sforge import (
+    blow_down_minimal,
+    build_splice_equations,
+    classify,
+    congruence_condition,
     determinant,
     edge_determinant,
     fundamental_cycle,
@@ -90,6 +94,35 @@ def test_random_tree_suite():
     assert totals["cycle"] >= 50
     assert totals["semigroup"] >= 30
     assert totals["edgedet"] >= 1
+
+
+def test_okuma_rational_and_minimally_elliptic_trees_have_splice_equations():
+    """Okuma: a rational or minimally elliptic QHS link with a node
+    satisfies the semigroup and congruence conditions, so its splice
+    equations exist; trees of kind 'other' can fail either."""
+    kinds = {"rational": 0, "minimally_elliptic": 0}
+    other_fails = {"semigroup": 0, "congruence": 0}
+    for seed in range(2000):
+        g = random_negative_definite_tree(Random(seed), max_vertices=12)
+        h = blow_down_minimal(g)
+        if not (h.is_qhs_tree() and h.is_negative_definite()):
+            continue
+        d = to_splice_diagram(h)
+        if not d.has_nodes:
+            continue
+        kind = classify(h).kind
+        semigroup = semigroup_condition(d).holds
+        if kind in kinds:
+            kinds[kind] += 1
+            assert semigroup, seed
+            assert congruence_condition(h).holds, seed
+            build_splice_equations(h)
+        elif not semigroup:
+            other_fails["semigroup"] += 1
+        elif not congruence_condition(h).holds:
+            other_fails["congruence"] += 1
+    assert kinds["rational"] >= 100 and kinds["minimally_elliptic"] >= 1
+    assert other_fails["semigroup"] >= 1 and other_fails["congruence"] >= 1
 
 
 def test_generator_is_reproducible():
