@@ -467,7 +467,7 @@ def _invariants(g, degree_bound, identity_path):
             }
             for i in range(len(basis.exponents))
         ],
-        "relations": [str(r) for r in relations],
+        "relations": list(relations.texts),
         "certificate": None,
     }
     if identity_path is not None:
@@ -512,6 +512,110 @@ def _render_invariants(data):
                 " non-membership)" % cert["degree_bound"]
             )
     return "\n".join(out) + "\n"
+
+
+# -- structured rendering -----------------------------------------------------
+
+
+_MAX_DEPTH = 32  # deeper documents (and circular ones) take the fallback
+_ESCAPE = json.encoder.encode_basestring_ascii
+_SCALAR = {  # the text of a scalar, by its exact type
+    str: _ESCAPE,
+    int: int.__repr__,
+    bool: lambda x: "true" if x else "false",
+    type(None): lambda x: "null",
+}
+
+
+class _Fallback(Exception):
+    """The document holds something _StructuredEncoder does not write."""
+
+
+class _StructuredEncoder(json.JSONEncoder):
+    """json.JSONEncoder whose encode writes the documents of this CLI
+    faster, with the same bytes.
+
+    With an indent, the standard library formats through its pure-Python
+    encoder, one generator step per value. This one writes dicts and
+    lists recursively: each string through the C escape function
+    encode_basestring_ascii, a list whose items share one scalar type
+    (all str, say, or all int) in one str.join, and a scalar dict value
+    in one piece. Types are looked up exactly, with type(x), so bool
+    never takes the int path. Anything else (a tuple, a float, a
+    subclass, a non-str key, nesting deeper than _MAX_DEPTH, or
+    settings other than an indent with ASCII escapes) sends the whole
+    document to json.JSONEncoder.encode, so output and errors match the
+    standard library for every input."""
+
+    def encode(self, o):
+        if self.indent is None or not self.ensure_ascii:
+            return super().encode(o)
+        step = self.indent
+        if not isinstance(step, str):
+            step = " " * step
+        parts = []
+        try:
+            self._write(o, parts, "\n", step, 0)
+        except _Fallback:
+            return super().encode(o)
+        return "".join(parts)
+
+    def _write(self, o, parts, outer, step, depth):
+        """Append the text of o, whose lines start with `outer`."""
+        if depth > _MAX_DEPTH:
+            raise _Fallback
+        t = type(o)
+        inner = outer + step
+        sep = self.item_separator + inner
+        if t is dict:
+            if not o:
+                parts.append("{}")
+                return
+            items = o.items()
+            if self.sort_keys:
+                try:
+                    items = sorted(items)
+                except TypeError:
+                    raise _Fallback from None
+            lead = "{" + inner
+            for key, value in items:
+                if type(key) is not str:
+                    raise _Fallback
+                head = lead + _ESCAPE(key) + self.key_separator
+                text = _SCALAR.get(type(value))
+                if text is None:
+                    parts.append(head)
+                    self._write(value, parts, inner, step, depth + 1)
+                else:
+                    parts.append(head + text(value))
+                lead = sep
+            parts.append(outer + "}")
+        elif t is list:
+            if not o:
+                parts.append("[]")
+                return
+            kinds = set(map(type, o))
+            text = _SCALAR.get(kinds.pop()) if len(kinds) == 1 else None
+            if text is not None:
+                parts.append(
+                    "[" + inner + sep.join(map(text, o)) + outer + "]"
+                )
+                return
+            lead = "[" + inner
+            for value in o:
+                text = _SCALAR.get(type(value))
+                if text is None:
+                    parts.append(lead)
+                    self._write(value, parts, inner, step, depth + 1)
+                else:
+                    parts.append(lead + text(value))
+                lead = sep
+            parts.append(outer + "]")
+        else:
+            text = _SCALAR.get(t)
+            if text is None:
+                raise _Fallback
+            parts.append(text(o))
 
 
 # -- driver -------------------------------------------------------------------
@@ -599,7 +703,9 @@ def main(argv=None):
         return EXIT_PRECONDITION
     doc = _envelope(args.command, args.file, data)
     if args.format == "structured":
-        print(json.dumps(doc, indent=2, sort_keys=True))
+        print(json.dumps(
+            doc, indent=2, sort_keys=True, cls=_StructuredEncoder
+        ))
     else:
         sys.stdout.write(render(data))
     return EXIT_OK

@@ -17,7 +17,7 @@ division is exact and entries grow only as fast as the minors do.
   an exact back substitution give det(M) and R with
   M @ R = det(M) * RHS; fractions are formed only at the end.
 
-The Smith normal form is the one routine that works on sparse rows:
+Two routines work on sparse rows:
 
 - smith_normal_form: elementary row/column reduction with
   smallest-pivot selection (lowest (row, col) on ties; the search stops
@@ -29,9 +29,15 @@ The Smith normal form is the one routine that works on sparse rows:
   The certificate is U @ m = D @ V^-1, V @ V^-1 = I and U @ U^-1 = I,
   by sparse products: an integer matrix with an integer inverse is
   unimodular, and together these give U @ m @ V = D.
+- solve_sparse: the sparse, often underdetermined, rational systems
+  of bounded ideal membership (sforge.invariants), from integer dict
+  rows. Fraction-free elimination of the columns in order, each
+  updated row divided by its content, then back substitution over the
+  pivot unknowns. It returns the solution that reduced row echelon
+  form gives, with the free unknowns zero; its caller verifies it.
 
-Every result is verified by an exact integer multiplication before it
-is returned.
+Every other result is verified by an exact integer multiplication
+before it is returned.
 
 Resolution graphs that are trees do not come here for anything but
 their Smith normal form: sforge.graph's TreeForm gives their
@@ -45,7 +51,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 
 from .errors import SingularMatrixError
@@ -57,6 +63,7 @@ __all__ = [
     "adjugate",
     "determinant",
     "smith_normal_form",
+    "solve_sparse",
     "invert_rational",
     "is_negative_definite",
     "solve_rational",
@@ -310,6 +317,76 @@ def _add_multiple(dst, src, c):
             dst[k] = x
         else:
             del dst[k]
+
+
+def solve_sparse(rows, ncols):
+    """One solution x of A @ x = b, as a list of ncols Fractions, or
+    None when the system has none.
+
+    rows are the sparse rows of the augmented integer matrix [A | b]:
+    dicts column -> nonzero int, with the entry of b under key ncols.
+    They are not modified.
+
+    The columns of A are eliminated in order by fraction-free row
+    operations. With p the pivot and a a row's entry in the pivot
+    column, the row becomes (p * row - a * pivot_row) / g, g = gcd(p, a),
+    and is then divided by its content, the gcd of its entries, so
+    entries stay as small as the row's own ratios allow. The pivot row
+    of a column is any row, not yet a pivot row, with an entry there;
+    the one with the fewest nonzeros keeps fill-in low. An index
+    column -> rows finds them, as in smith_normal_form.
+
+    Column c becomes a pivot column iff, once the earlier columns are
+    eliminated, a row that is not a pivot row has an entry there: iff
+    column c of A is not in the span of the columns before it. So
+    whichever rows are picked, the pivot columns are the first
+    independent columns, the ones Gauss-Jordan elimination finds. With
+    the free unknowns set to zero, the pivot unknowns solve a system of
+    full column rank, so the solution is unique: it is the one the
+    reduced row echelon form of [A | b] reads off. The system is
+    inconsistent iff a row left over keeps an entry of b. Only the back
+    substitution over the pivot unknowns uses Fractions.
+    """
+    work = {i: dict(row) for i, row in enumerate(rows) if row}
+    index = {}  # column -> rows, not yet pivot rows, with an entry there
+    for i, row in work.items():
+        for j in row:
+            index.setdefault(j, set()).add(i)
+    pivots = []  # (column, pivot row), columns ascending
+    for c in range(ncols):
+        live = index.get(c)
+        if not live:
+            continue
+        p = min(live, key=lambda i: (len(work[i]), i))
+        top = work.pop(p)
+        for j in top:
+            index[j].discard(p)
+        pivots.append((c, top))
+        pc = top[c]
+        for i in list(live):
+            row = work[i]
+            g = gcd(pc, row[c])
+            s, t = pc // g, row[c] // g
+            new = {j: s * x for j, x in row.items()}
+            _add_multiple(new, top, -t)
+            content = gcd(*new.values()) if new else 1
+            if content != 1:
+                new = {j: x // content for j, x in new.items()}
+            for j in row.keys() - new.keys():
+                index[j].discard(i)
+            for j in new.keys() - row.keys():
+                index.setdefault(j, set()).add(i)
+            work[i] = new
+    if any(work.values()):
+        return None  # a row 0 = b_i with b_i nonzero
+    x = [Fraction(0)] * ncols
+    for c, top in reversed(pivots):
+        acc = Fraction(top.get(ncols, 0))
+        for j, y in top.items():
+            if j != c and j != ncols and x[j]:
+                acc -= y * x[j]
+        x[c] = acc / top[c]
+    return x
 
 
 def smith_normal_form(m: IntMatrix) -> SnfResult:

@@ -7,19 +7,31 @@ with sum a_w chi_w = 0 mod e, and the minimal ones, the Hilbert basis
 of that monoid, generate the invariant ring; they are found by a
 breadth-first search up to the Noether bound |G| with each character
 updated incrementally. Binomial relations between the generators are
-found by grouping their products of bounded degree by image, and
-bounded-degree ideal membership is decided by exact linear algebra.
-This is the verification side of the quotient computation: relations
-are checked, not derived by elimination.
+found by grouping their products of bounded degree by image; each
+product's text is written once, from its tuple of generator indices.
+
+Bounded-degree ideal membership is a linear system in the cofactor
+coefficients, one sparse integer row per monomial (denominators
+cleared row by row), solved by fraction-free elimination of the
+columns in order (intmat.solve_sparse). Its pivot columns are the first
+independent columns, whichever rows are picked, and with the free
+unknowns zero the pivot unknowns are determined; so the cofactors are
+the ones reduced row echelon form gives, as they were when a dense
+Fraction Gauss-Jordan solve did this. Every certificate is verified by
+Polynomial arithmetic. This is the verification side of the quotient
+computation: relations are checked, not derived by elimination.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, groupby
+from math import lcm
+from operator import add
 
 from .discgroup import CharacterAssignment
+from .intmat import solve_sparse
 from .poly import Polynomial
 
 __all__ = [
@@ -27,6 +39,7 @@ __all__ = [
     "MembershipCertificate",
     "invariant_generators",
     "toric_relations",
+    "Relations",
     "membership_bounded",
     "ORDER_CAP",
     "check_order_cap",
@@ -138,6 +151,28 @@ def invariant_generators(
     )
 
 
+class Relations(list):
+    """The Polynomial relations of toric_relations, a plain list to
+    every reader, with `texts`: the text of each relation, equal to its
+    str()."""
+
+    __slots__ = ("texts",)
+
+    def __init__(self, relations=(), texts=()):
+        super().__init__(relations)
+        self.texts = tuple(texts)
+
+
+def _product_text(combo, names):
+    """The text of a product of generators, given as a nondecreasing
+    tuple of generator indices: A^2*C for (0, 0, 2)."""
+    factors = []
+    for i, run in groupby(combo):
+        e = sum(1 for _ in run)
+        factors.append(names[i] if e == 1 else "%s^%d" % (names[i], e))
+    return "*".join(factors)
+
+
 def toric_relations(basis: InvariantBasis, degree_bound: int):
     """All binomials G^b - G^a (disjoint supports, total degrees <=
     degree_bound) whose images under the generator parametrization
@@ -152,10 +187,18 @@ def toric_relations(basis: InvariantBasis, degree_bound: int):
     bitmask. The products are enumerated depth-first with the last
     index descending, which is ascending lexicographic order of their
     exponent vectors, so every fiber comes out sorted. Each binomial is
-    built straight from its two exponent vectors."""
+    built straight from its two exponent vectors.
+
+    Returns a Relations list. Its `texts` hold each binomial's str(),
+    G^b - G^a with b above a in lexicographic order and unit
+    coefficients, written from the two index tuples: each product's
+    text (A^2*C) is made once, the first time it enters a relation, and
+    each relation's text is that of b, " - ", that of a. So no
+    Polynomial is rendered term by term over all k generator
+    positions."""
     k = len(basis.exponents)
     if not k or degree_bound < 1:
-        return []
+        return Relations()
     t = len(basis.variables)
     base = degree_bound * max(max(g) for g in basis.exponents) + 1
     packed = [
@@ -186,9 +229,11 @@ def toric_relations(basis: InvariantBasis, degree_bound: int):
     one, minus_one = Fraction(1), Fraction(-1)
     names = tuple(basis.names)
     relations = []
+    texts = []
     for image in sorted(img for img, grp in fibers.items() if len(grp) > 1):
         group = fibers[image]
         vectors = [None] * len(group)  # built only for products in a relation
+        words = [None] * len(group)  # their texts, likewise
         for x, (lo, lo_mask) in enumerate(group):
             for y in range(x + 1, len(group)):
                 hi, hi_mask = group[y]
@@ -196,12 +241,15 @@ def toric_relations(basis: InvariantBasis, degree_bound: int):
                     continue  # shared support reduces to a smaller relation
                 if vectors[x] is None:
                     vectors[x] = vector(lo)
+                    words[x] = _product_text(lo, names)
                 if vectors[y] is None:
                     vectors[y] = vector(hi)
+                    words[y] = _product_text(hi, names)
                 relations.append(Polynomial._trusted(
                     names, {vectors[y]: one, vectors[x]: minus_one}
                 ))
-    return relations
+                texts.append(words[y] + " - " + words[x])
+    return Relations(relations, texts)
 
 
 def _monomials_up_to(variables, bound):
@@ -217,12 +265,31 @@ def _monomials_up_to(variables, bound):
     return out
 
 
+def _integer_row(row):
+    """A sparse row of Fractions scaled by the lcm of its denominators."""
+    scale = lcm(*(x.denominator for x in row.values()))
+    return {j: x.numerator * (scale // x.denominator) for j, x in row.items()}
+
+
 def membership_bounded(target: Polynomial, ideal_gens, bound: int):
     """Search for cofactors q_i of degree <= bound with
     target = sum q_i * g_i; exact linear algebra over the finite
     monomial basis. Returns a verified MembershipCertificate, or None
     when no cofactors exist at this bound (which proves nothing about
-    higher bounds)."""
+    higher bounds). Raises ValueError for a negative bound.
+
+    The unknowns are the coefficients of the q_i, one column per (i,
+    cofactor monomial), and there is one equation per monomial of the
+    products and the target. Each equation is built straight as a
+    sparse integer row of [A | b], its denominators cleared, and
+    intmat.solve_sparse eliminates them fraction-free. Its pivot
+    columns are the first independent columns of A, and with the free
+    unknowns zero the pivot unknowns are determined, so the cofactors
+    are those that Gauss-Jordan elimination to reduced row echelon
+    form gives. The certificate is checked by Polynomial arithmetic
+    before it is returned."""
+    if bound < 0:
+        raise ValueError("degree bound must be >= 0, got %d" % bound)
     if not ideal_gens:
         return None
     variables = target.variables
@@ -230,71 +297,29 @@ def membership_bounded(target: Polynomial, ideal_gens, bound: int):
         if gpoly.variables != variables:
             raise ValueError("all polynomials must share one variable set")
     cof_monomials = _monomials_up_to(variables, bound)
-    columns = []  # (gen index, cofactor monomial) per unknown
-    col_terms = []  # dict monomial -> coefficient for that unknown
-    for gi, gpoly in enumerate(ideal_gens):
+    rows = {}  # monomial -> {unknown: coefficient}
+    ci = 0  # unknown (gen index, cofactor monomial), gens outermost
+    for gpoly in ideal_gens:
         for cm in cof_monomials:
-            prod = {}
             for exps, coeff in gpoly.terms.items():
-                key = tuple(a + b for a, b in zip(exps, cm))
-                prod[key] = prod.get(key, Fraction(0)) + coeff
-            columns.append((gi, cm))
-            col_terms.append(prod)
-    row_index = {}
-    for prod in col_terms:
-        for key in prod:
-            row_index.setdefault(key, len(row_index))
-    for key in target.terms:
-        row_index.setdefault(key, len(row_index))
-    nrows, ncols = len(row_index), len(columns)
-    a = [[Fraction(0)] * (ncols + 1) for _ in range(nrows)]
-    for ci, prod in enumerate(col_terms):
-        for key, coeff in prod.items():
-            a[row_index[key]][ci] = coeff
+                rows.setdefault(tuple(map(add, exps, cm)), {})[ci] = coeff
+            ci += 1
     for key, coeff in target.terms.items():
-        a[row_index[key]][ncols] = coeff
-    solution = _solve_underdetermined(a, nrows, ncols)
+        rows.setdefault(key, {})[ci] = coeff
+    solution = solve_sparse([_integer_row(row) for row in rows.values()], ci)
     if solution is None:
         return None
-    cofactors = []
-    for gi in range(len(ideal_gens)):
-        terms = {}
-        for ci, (gj, cm) in enumerate(columns):
-            if gj == gi and solution[ci]:
-                terms[cm] = solution[ci]
-        cofactors.append(Polynomial(variables, terms))
+    m = len(cof_monomials)
+    cofactors = [
+        Polynomial(variables, {
+            cm: x for cm, x in zip(cof_monomials, solution[gi * m:])
+            if x
+        })
+        for gi in range(len(ideal_gens))
+    ]
     check = Polynomial.zero(variables)
     for q, gpoly in zip(cofactors, ideal_gens):
         check = check + q * gpoly
     if check != target:
         raise AssertionError("membership certificate failed verification")
     return MembershipCertificate(cofactors=tuple(cofactors), degree_bound=bound)
-
-
-def _solve_underdetermined(a, nrows, ncols):
-    """Gaussian elimination on [A | b]; one solution with free unknowns
-    set to zero, or None when inconsistent."""
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if a[i][c]), None)
-        if pivot is None:
-            continue
-        a[r], a[pivot] = a[pivot], a[r]
-        pv = a[r][c]
-        a[r] = [x / pv for x in a[r]]
-        for i in range(nrows):
-            if i != r and a[i][c]:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    for i in range(r, nrows):
-        if a[i][ncols]:
-            return None
-    solution = [Fraction(0)] * ncols
-    for i, c in enumerate(pivots):
-        solution[c] = a[i][ncols]
-    return solution

@@ -268,10 +268,10 @@ def parse_polynomial(text, variables):
         term   := factor ('*' factor)*
         factor := number | name ['^' integer]
 
-    A number is a nonnegative integer or a fraction p/q, an exponent a
-    nonnegative integer, and a name one of the variables. Anything else
-    (juxtaposed factors, a stray or doubled operator, parentheses, an
-    empty text) raises ParseError."""
+    A number is a nonnegative integer or a fraction p/q with q > 0, an
+    exponent a nonnegative integer, and a name one of the variables.
+    Anything else (juxtaposed factors, a stray or doubled operator,
+    parentheses, a zero denominator, an empty text) raises ParseError."""
     variables = tuple(variables)
     tokens = _tokens(text)
     i = 0
@@ -281,7 +281,10 @@ def parse_polynomial(text, variables):
         kind, value = tokens[i]
         i += 1
         if kind == "num":
-            return Polynomial.constant(variables, Fraction(value))
+            try:
+                return Polynomial.constant(variables, Fraction(value))
+            except ZeroDivisionError:
+                raise ParseError("zero denominator in %r" % value) from None
         if kind != "name":
             raise _unexpected((kind, value))
         if value not in variables:

@@ -16,6 +16,10 @@ The dense Smith normal form, with its dense U*M*V = D and Bareiss
 |det V| = 1 self-check, is the library's former implementation, kept
 verbatim: the sparse one must make the same pivot choices and the same
 elementary operations, so its transforms agree entry for entry.
+The dense Fraction Gauss-Jordan solve of bounded ideal membership is
+the library's former implementation, kept verbatim: the sparse
+fraction-free solve must return the same solution vector, and fail on
+the same systems.
 """
 
 from fractions import Fraction
@@ -224,6 +228,35 @@ def solve_rational_fraction_gauss(m: IntMatrix, b) -> tuple:
     if m.to_rational().mul_vector(x) != tuple(Fraction(c) for c in b):
         raise AssertionError("solve verification failed")
     return x
+
+
+def solve_underdetermined_fraction_gauss(a, nrows, ncols):
+    """Gaussian elimination on [A | b]; one solution with free unknowns
+    set to zero, or None when inconsistent."""
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, nrows) if a[i][c]), None)
+        if pivot is None:
+            continue
+        a[r], a[pivot] = a[pivot], a[r]
+        pv = a[r][c]
+        a[r] = [x / pv for x in a[r]]
+        for i in range(nrows):
+            if i != r and a[i][c]:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    for i in range(r, nrows):
+        if a[i][ncols]:
+            return None
+    solution = [Fraction(0)] * ncols
+    for i, c in enumerate(pivots):
+        solution[c] = a[i][ncols]
+    return solution
 
 
 def group_elements(chars) -> dict:

@@ -5,9 +5,12 @@ from random import Random
 
 import pytest
 
+from sforge import cli
 from sforge.cli import main
 from sforge.corpus import random_negative_definite_tree
 from sforge.graph import serialize_graph
+
+from test_golden import _cases as _golden_cases
 
 
 def run(capsys, *argv):
@@ -407,3 +410,144 @@ def test_conditions_builds_diagram_and_witness_once(
         doc = run_json(capsys, "conditions", graph_path(graphs_dir, graph))
         assert doc["result"]["congruence"]["holds"]
     assert calls == {"to_splice_diagram": 3, "semigroup_condition": 3}
+
+
+# -- structured renderer ------------------------------------------------------
+
+
+class _CaptureJson:
+    """Stands in for the json module inside sforge.cli and keeps every
+    document the CLI renders, with the keyword arguments it passed."""
+
+    def __init__(self):
+        self.calls = []
+
+    def dumps(self, doc, **kwargs):
+        self.calls.append((doc, kwargs))
+        return json.dumps(doc, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(json, name)
+
+
+def _fast_path_takes(doc):
+    """Whether _StructuredEncoder writes doc itself, without the
+    json.JSONEncoder fallback."""
+    try:
+        cli._StructuredEncoder(indent=2, sort_keys=True)._write(
+            doc, [], "\n", "  ", 0
+        )
+    except cli._Fallback:
+        return False
+    return True
+
+
+def test_structured_renderer_matches_json_on_golden_documents(
+    capsys, tmp_path, monkeypatch
+):
+    """Every golden call's document, as the CLI builders made it (not
+    read back through json.loads), renders to the bytes the standard
+    library writes, through the renderer's own path."""
+    capture = _CaptureJson()
+    monkeypatch.setattr(cli, "json", capture)
+    for key, argv in _golden_cases(tmp_path):
+        main(argv + ["--format=structured"])
+    capsys.readouterr()
+    assert len(capture.calls) >= 100
+    for doc, kwargs in capture.calls:
+        assert kwargs == {
+            "indent": 2, "sort_keys": True, "cls": cli._StructuredEncoder
+        }
+        assert json.dumps(doc, **kwargs) == json.dumps(
+            doc, indent=2, sort_keys=True
+        )
+        assert _fast_path_takes(doc)
+
+
+EDGE_DOCUMENTS = [
+    {},
+    [],
+    "",
+    0,
+    None,
+    True,
+    {"a": {}, "b": [], "c": [[], {}], "d": {"e": {"f": []}}},
+    [[]],
+    [{}],
+    {"s": "café ☃ \U0001f600 \x00\x1f\x7f\"\\/\n\t"},
+    ["é", "\x01", "a\"b", ""],
+    {"é\x02": 1, "b\n": "x"},
+    [True, False, None],
+    {"t": True, "f": False, "n": None},
+    [1, True],
+    [0, -1, 10 ** 60, -(2 ** 200)],
+    {"big": 10 ** 100, "neg": -7},
+    ["a", 1],
+    [1, "a"],
+    [["a", "b"], [1, 2], [[True]]],
+    {"b": 1, "a": 2, "aa": 3, "B": 4, "": 5},
+    # these take the json.JSONEncoder fallback
+    (1, 2),
+    {"t": (1, "a"), "l": [(), ()]},
+    {1: "a", 2: "b"},
+    {"x": {3: 4}},
+    [1.5, float("inf"), -0.0],
+    {"f": 2.0},
+    [1, 2.5],
+]
+
+
+@pytest.mark.parametrize("doc", EDGE_DOCUMENTS)
+@pytest.mark.parametrize(
+    "settings",
+    [
+        {"indent": 2, "sort_keys": True},
+        {"indent": 0, "sort_keys": False},
+        {"indent": "\t", "sort_keys": True},
+        {"indent": None, "sort_keys": True},
+        {"indent": 2, "sort_keys": True, "ensure_ascii": False},
+    ],
+)
+def test_structured_renderer_edge_cases(doc, settings):
+    assert json.dumps(doc, cls=cli._StructuredEncoder, **settings) == (
+        json.dumps(doc, **settings)
+    )
+
+
+def test_structured_renderer_fallback_only_for_other_types():
+    assert _fast_path_takes({"a": [1, "b", None, {"c": [True]}]})
+    assert _fast_path_takes({"big": 10 ** 100, "s": "☃"})
+    for doc in ((1,), {1: 2}, [1.0], {"a": [object()]}, [1, True, 2.0]):
+        assert not _fast_path_takes(doc)
+
+
+def _same_error(doc, **settings):
+    with pytest.raises(Exception) as expected:
+        json.dumps(doc, **settings)
+    with pytest.raises(Exception) as got:
+        json.dumps(doc, cls=cli._StructuredEncoder, **settings)
+    assert type(got.value) is type(expected.value)
+    assert str(got.value) == str(expected.value)
+
+
+def test_structured_renderer_errors_match_json():
+    circular = {"a": []}
+    circular["a"].append(circular)
+    _same_error(circular, indent=2, sort_keys=True)
+    loop = []
+    loop.append(loop)
+    _same_error(loop, indent=2)
+    _same_error({"a": object()}, indent=2, sort_keys=True)
+    _same_error({"a": 1, 2: 3}, indent=2, sort_keys=True)
+    _same_error([float("nan")], indent=2, allow_nan=False)
+
+
+def test_structured_renderer_deep_nesting_takes_fallback():
+    doc = leaf = []
+    for _ in range(100):
+        leaf.append([])
+        leaf = leaf[0]
+    assert not _fast_path_takes(doc)
+    assert json.dumps(doc, indent=2, cls=cli._StructuredEncoder) == (
+        json.dumps(doc, indent=2)
+    )

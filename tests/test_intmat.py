@@ -21,7 +21,8 @@ from sforge import (
 )
 from sforge.corpus import chain, e7, random_negative_definite_tree, star
 from sforge.graph import intersection_matrix, parse_graph
-from sforge.intmat import _check_snf
+from sforge.intmat import _check_snf, solve_sparse
+from sforge.invariants import _integer_row
 
 from oracles import (
     det_cofactor,
@@ -32,6 +33,7 @@ from oracles import (
     quadratic_form_refutes_negdef,
     smith_normal_form_dense,
     solve_rational_fraction_gauss,
+    solve_underdetermined_fraction_gauss,
 )
 
 E7 = intersection_matrix(e7())
@@ -470,3 +472,81 @@ def test_negative_definite_against_charpoly_and_sampling_oracles():
         else:
             agree_false += 1
     assert agree_true > 5 and agree_false > 5  # suite saw both outcomes
+
+
+# -- sparse solve of underdetermined systems -------------------------------
+
+
+def _random_system(rng):
+    """A dense [A | b] of Fractions: wide or tall, sparse, sometimes
+    rank-deficient (a row or column a combination of others), with zero
+    rows and columns, and b either A @ x0 (consistent) or random."""
+    nrows, ncols = rng.randint(0, 9), rng.randint(0, 9)
+    density = rng.choice((0.15, 0.3, 0.6))
+
+    def entry():
+        if rng.random() >= density:
+            return Fraction(0)
+        return Fraction(rng.randint(-6, 6), rng.choice((1, 1, 2, 3, 7)))
+
+    a = [[entry() for _ in range(ncols)] for _ in range(nrows)]
+    if nrows >= 3 and rng.random() < 0.3:
+        i, j, k = rng.sample(range(nrows), 3)
+        f, g = Fraction(rng.randint(-3, 3), 2), Fraction(rng.randint(-3, 3))
+        a[k] = [f * x + g * y for x, y in zip(a[i], a[j])]
+    if ncols >= 2 and rng.random() < 0.3:
+        j, k = rng.sample(range(ncols), 2)
+        f = Fraction(rng.randint(-3, 3), rng.choice((1, 5)))
+        for row in a:
+            row[k] = f * row[j]
+    if nrows and rng.random() < 0.2:
+        a[rng.randrange(nrows)] = [Fraction(0)] * ncols
+    if ncols and rng.random() < 0.2:
+        k = rng.randrange(ncols)
+        for row in a:
+            row[k] = Fraction(0)
+    if rng.random() < 0.6:
+        x0 = [entry() for _ in range(ncols)]
+        b = [sum((x * y for x, y in zip(row, x0)), Fraction(0)) for row in a]
+    else:
+        b = [entry() for _ in range(nrows)]
+    return [row + [c] for row, c in zip(a, b)], nrows, ncols
+
+
+def test_solve_sparse_matches_fraction_gauss_jordan():
+    """The same solution vector (free unknowns zero), or None on exactly
+    the systems the former dense Gauss-Jordan solve rejects."""
+    rng = Random(41)
+    solved = rejected = wide = tall = 0
+    for _ in range(3000):
+        a, nrows, ncols = _random_system(rng)
+        rows = [
+            _integer_row({j: x for j, x in enumerate(row) if x}) for row in a
+        ]
+        frozen = [dict(row) for row in rows]
+        got = solve_sparse(rows, ncols)
+        assert rows == frozen  # the input rows are not modified
+        expected = solve_underdetermined_fraction_gauss(
+            [list(row) for row in a], nrows, ncols
+        )
+        assert got == expected, (a, nrows, ncols)
+        if got is None:
+            rejected += 1
+        else:
+            solved += 1
+            assert all(type(x) is Fraction for x in got)
+        wide += ncols > nrows
+        tall += nrows > ncols
+    assert solved >= 1000 and rejected >= 500, (solved, rejected)
+    assert wide >= 500 and tall >= 500, (wide, tall)
+
+
+def test_solve_sparse_edge_cases():
+    assert solve_sparse([], 3) == [0, 0, 0]
+    assert solve_sparse([], 0) == []
+    assert solve_sparse([{0: 5}], 0) is None  # 0 = 5
+    assert solve_sparse([{}, {1: 2, 2: 3}], 2) == [0, Fraction(3, 2)]
+    # x + y = 1 and 2x + 2y = 3 are inconsistent
+    assert solve_sparse([{0: 1, 1: 1, 2: 1}, {0: 2, 1: 2, 2: 3}], 2) is None
+    # the first independent column is the pivot: x + y = 1 gives x = 1
+    assert solve_sparse([{0: 1, 1: 1, 2: 1}, {0: 2, 1: 2, 2: 2}], 2) == [1, 0]

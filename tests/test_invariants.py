@@ -23,7 +23,8 @@ from sforge.corpus import (
     e8,
     random_negative_definite_tree,
 )
-from sforge.invariants import ORDER_CAP
+from sforge.errors import PreconditionError
+from sforge.invariants import ORDER_CAP, Relations, _monomials_up_to
 
 from oracles import (
     invariant_generators_by_search,
@@ -275,6 +276,82 @@ def test_membership_via_splice_ideal_of_e7():
     cert = membership_bounded(target, list(pkg.equations), 2)
     assert cert is not None
     assert [str(q) for q in cert.cofactors] == ["z^2"]
+
+
+def test_negative_degree_bound_raises():
+    gen = parse_polynomial("x^2 + y^3 + z^4", XYZ)
+    for bound in (-1, -5):
+        with pytest.raises(ValueError):
+            membership_bounded(gen, [gen], bound)
+
+
+def _random_cofactor(rng, variables, bound):
+    """A random polynomial of degree <= bound, zero about one time in
+    five."""
+    monomials = _monomials_up_to(variables, bound)
+    terms = {}
+    if rng.random() >= 0.2:
+        for exps in rng.sample(monomials, rng.randint(1, 3)):
+            terms[exps] = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+    return Polynomial(variables, terms)
+
+
+def test_membership_finds_every_bounded_combination():
+    """Completeness at the bound: any sum q_i * g_i of the splice
+    equations with deg q_i <= bound gets a (verified) certificate, on
+    the corpus and on seeded random trees."""
+    rng = Random(23)
+    graphs = list(builtin_corpus().values())
+    for seed in range(300):
+        graphs.append(
+            random_negative_definite_tree(Random(seed), max_vertices=9)
+        )
+    systems = 0
+    for g in graphs:
+        try:
+            pkg = build_splice_equations(g)
+        except PreconditionError:
+            continue
+        gens = list(pkg.equations)
+        if len(pkg.variables) > 6:
+            continue
+        systems += 1
+        for bound in (1, 2):
+            cofactors = [
+                _random_cofactor(rng, pkg.variables, bound) for _ in gens
+            ]
+            target = Polynomial.zero(pkg.variables)
+            for q, gen in zip(cofactors, gens):
+                target = target + q * gen
+            cert = membership_bounded(target, gens, bound)
+            assert cert is not None, (g, bound)
+            assert cert.degree_bound == bound
+            assert all(q.total_degree() <= bound for q in cert.cofactors)
+    assert systems >= 100, systems
+
+
+def test_relation_texts_are_the_polynomial_strings(corpus):
+    """toric_relations writes each relation's text from its index tuples;
+    it must be str() of the Polynomial at the same position."""
+    checked = 0
+    graphs = list(corpus.values()) + [
+        random_negative_definite_tree(Random(seed)) for seed in range(60)
+    ]
+    for g in graphs:
+        try:
+            order = discriminant_group(g).order
+        except PreconditionError:
+            continue
+        ch = leaf_characters(g)
+        if order > 200 or order ** max(len(ch.leaf_ids) - 2, 0) > 36:
+            continue
+        basis = invariant_generators(ch, order)
+        for bound in (0, 1, 2, 3):
+            rels = toric_relations(basis, bound)
+            assert type(rels) is Relations and isinstance(rels, list)
+            assert rels.texts == tuple(str(r) for r in rels)
+            checked += len(rels)
+    assert checked >= 10000, checked
 
 
 # -- cross-checks of the residue layer against the Fraction oracles ---------------

@@ -102,6 +102,13 @@ def test_parser_rejects_fractional_exponent():
     assert P("2/3*x^2") == Fraction(2, 3) * P("x^2")
 
 
+def test_parser_rejects_zero_denominator():
+    for text in ("1/0", "3/0*x", "x + 0/0"):
+        with pytest.raises(ParseError):
+            P(text)
+    assert P("0/5") == P("0")
+
+
 def test_monomials_and_support_maps():
     p = P("x^2 + y^3 + z^4")
     assert p.monomials() == [(2, 0, 0), (0, 3, 0), (0, 0, 4)]
