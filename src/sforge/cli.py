@@ -467,7 +467,7 @@ def _invariants(g, degree_bound, identity_path):
             }
             for i in range(len(basis.exponents))
         ],
-        "relations": list(relations.texts),
+        "relations": relations,
         "certificate": None,
     }
     if identity_path is not None:

@@ -107,9 +107,6 @@ class _Matrix:
         body = "; ".join(" ".join(str(x) for x in row) for row in self.entries)
         return "%s[%s]" % (type(self).__name__, body)
 
-    def row(self, i):
-        return self.entries[i]
-
     def column(self, j):
         return tuple(row[j] for row in self.entries)
 
@@ -153,19 +150,8 @@ class IntMatrix(_Matrix):
         out.entries = tuple(dense)
         return out
 
-    def transpose(self):
-        return IntMatrix(list(zip(*self.entries)))
-
     def is_symmetric(self):
         return self.is_square and self.entries == tuple(zip(*self.entries))
-
-    def is_diagonal(self):
-        return all(
-            x == 0
-            for i, row in enumerate(self.entries)
-            for j, x in enumerate(row)
-            if i != j
-        )
 
     def __matmul__(self, other):
         if isinstance(other, IntMatrix):
@@ -223,14 +209,6 @@ class RatMatrix(_Matrix):
                  for row in self.entries]
             )
         return NotImplemented
-
-    def is_integral(self):
-        return all(x.denominator == 1 for row in self.entries for x in row)
-
-    def to_int(self):
-        if not self.is_integral():
-            raise ValueError("matrix has non-integer entries")
-        return IntMatrix([[int(x) for x in row] for row in self.entries])
 
     def mul_vector(self, v):
         if len(v) != self.cols:

@@ -7,8 +7,11 @@ with sum a_w chi_w = 0 mod e, and the minimal ones, the Hilbert basis
 of that monoid, generate the invariant ring; they are found by a
 breadth-first search up to the Noether bound |G| with each character
 updated incrementally. Binomial relations between the generators are
-found by grouping their products of bounded degree by image; each
-product's text is written once, from its tuple of generator indices.
+found by grouping their products of bounded degree by image, and are
+kept only as texts ("A^2*C - B*D"): each product's text is written
+once, from its tuple of generator indices. A caller that wants a
+relation as a Polynomial parses its text with
+parse_polynomial(text, basis.names).
 
 Bounded-degree ideal membership is a linear system in the cofactor
 coefficients, one sparse integer row per monomial (denominators
@@ -25,9 +28,8 @@ computation: relations are checked, not derived by elimination.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations_with_replacement, groupby
-from math import lcm
+from math import comb, lcm
 from operator import add
 
 from .discgroup import CharacterAssignment
@@ -39,13 +41,18 @@ __all__ = [
     "MembershipCertificate",
     "invariant_generators",
     "toric_relations",
-    "Relations",
     "membership_bounded",
     "ORDER_CAP",
+    "PRODUCT_CAP",
     "check_order_cap",
 ]
 
 ORDER_CAP = 2000
+# Most products of generators, up to the degree bound, that
+# toric_relations enumerates. The seed-17 random tree's 453 generators
+# give 103,284 at bound 2 (about a second); seed 56's give 300,699 and
+# 8.7M relations.
+PRODUCT_CAP = 200_000
 
 
 def check_order_cap(order: int) -> None:
@@ -68,9 +75,6 @@ class InvariantBasis:
             v: e for v, e in zip(self.variables, self.exponents[i]) if e
         }
         return Polynomial.monomial(self.variables, exps)
-
-    def monomials(self):
-        return [self.monomial(i) for i in range(len(self.exponents))]
 
     def name_for(self, exponent_map):
         """Name of the generator with the given {variable: exp} map."""
@@ -151,18 +155,6 @@ def invariant_generators(
     )
 
 
-class Relations(list):
-    """The Polynomial relations of toric_relations, a plain list to
-    every reader, with `texts`: the text of each relation, equal to its
-    str()."""
-
-    __slots__ = ("texts",)
-
-    def __init__(self, relations=(), texts=()):
-        super().__init__(relations)
-        self.texts = tuple(texts)
-
-
 def _product_text(combo, names):
     """The text of a product of generators, given as a nondecreasing
     tuple of generator indices: A^2*C for (0, 0, 2)."""
@@ -173,12 +165,17 @@ def _product_text(combo, names):
     return "*".join(factors)
 
 
-def toric_relations(basis: InvariantBasis, degree_bound: int):
+def toric_relations(basis: InvariantBasis, degree_bound: int) -> list:
     """All binomials G^b - G^a (disjoint supports, total degrees <=
     degree_bound) whose images under the generator parametrization
-    agree. One binomial per unordered pair, deterministic order: fibers
-    by image vector ascending, and within a fiber the pairs a < b in
-    lexicographic order of the exponent vectors over the generators.
+    agree, as texts. One binomial per unordered pair, deterministic
+    order: fibers by image vector ascending, and within a fiber the
+    pairs a < b in lexicographic order of the exponent vectors over the
+    generators.
+
+    Raises ValueError, before any product is built, when the products
+    of the k generators up to degree d = degree_bound, C(k + d, d) - 1
+    of them, exceed PRODUCT_CAP.
 
     A product of generators is a nondecreasing tuple of generator
     indices. Its image is packed into one integer whose base-B digits
@@ -186,19 +183,25 @@ def toric_relations(basis: InvariantBasis, degree_bound: int):
     carries and integer order is lexicographic order; its support is a
     bitmask. The products are enumerated depth-first with the last
     index descending, which is ascending lexicographic order of their
-    exponent vectors, so every fiber comes out sorted. Each binomial is
-    built straight from its two exponent vectors.
+    exponent vectors, so every fiber comes out sorted.
 
-    Returns a Relations list. Its `texts` hold each binomial's str(),
-    G^b - G^a with b above a in lexicographic order and unit
-    coefficients, written from the two index tuples: each product's
-    text (A^2*C) is made once, the first time it enters a relation, and
-    each relation's text is that of b, " - ", that of a. So no
-    Polynomial is rendered term by term over all k generator
-    positions."""
+    Returns a list of str, one per binomial, written as the Polynomial
+    G^b - G^a would print: b above a in lexicographic order, unit
+    coefficients. Each product's text (A^2*C) is made from its index
+    tuple once, the first time it enters a relation, and each
+    relation's text is that of b, " - ", that of a. The texts are the
+    representation; parse_polynomial(text, basis.names) gives a
+    relation as a Polynomial."""
     k = len(basis.exponents)
     if not k or degree_bound < 1:
-        return Relations()
+        return []
+    products = comb(k + degree_bound, degree_bound) - 1
+    if products > PRODUCT_CAP:
+        raise ValueError(
+            "%d products of %d invariant generators up to degree %d above "
+            "the desk-scale product cap %d"
+            % (products, k, degree_bound, PRODUCT_CAP)
+        )
     t = len(basis.variables)
     base = degree_bound * max(max(g) for g in basis.exponents) + 1
     packed = [
@@ -219,37 +222,22 @@ def toric_relations(basis: InvariantBasis, degree_bound: int):
                 (combo + (j,), image + packed[j], mask | 1 << j)
                 for j in range(combo[-1], k)
             )
-
-    def vector(combo):
-        counts = [0] * k
-        for i in combo:
-            counts[i] += 1
-        return tuple(counts)
-
-    one, minus_one = Fraction(1), Fraction(-1)
     names = tuple(basis.names)
     relations = []
-    texts = []
     for image in sorted(img for img, grp in fibers.items() if len(grp) > 1):
         group = fibers[image]
-        vectors = [None] * len(group)  # built only for products in a relation
-        words = [None] * len(group)  # their texts, likewise
+        words = [None] * len(group)  # made only for products in a relation
         for x, (lo, lo_mask) in enumerate(group):
             for y in range(x + 1, len(group)):
                 hi, hi_mask = group[y]
                 if lo_mask & hi_mask:
                     continue  # shared support reduces to a smaller relation
-                if vectors[x] is None:
-                    vectors[x] = vector(lo)
+                if words[x] is None:
                     words[x] = _product_text(lo, names)
-                if vectors[y] is None:
-                    vectors[y] = vector(hi)
+                if words[y] is None:
                     words[y] = _product_text(hi, names)
-                relations.append(Polynomial._trusted(
-                    names, {vectors[y]: one, vectors[x]: minus_one}
-                ))
-                texts.append(words[y] + " - " + words[x])
-    return Relations(relations, texts)
+                relations.append(words[y] + " - " + words[x])
+    return relations
 
 
 def _monomials_up_to(variables, bound):

@@ -38,18 +38,6 @@ class Polynomial:
     # -- constructors ---------------------------------------------------
 
     @classmethod
-    def _trusted(cls, variables, terms):
-        """A polynomial that takes `variables` (a tuple of distinct names)
-        and `terms` as they are, without revalidating them. Internal
-        callers only: every exponent tuple must have the right length and
-        nonnegative int entries, and every coefficient must be a nonzero
-        Fraction."""
-        p = object.__new__(cls)
-        p.variables = variables
-        p.terms = terms
-        return p
-
-    @classmethod
     def zero(cls, variables):
         return cls(variables)
 

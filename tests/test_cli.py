@@ -1,6 +1,10 @@
 """CLI contract: exit codes, stable structured output, report content."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -9,6 +13,7 @@ from sforge import cli
 from sforge.cli import main
 from sforge.corpus import random_negative_definite_tree
 from sforge.graph import serialize_graph
+from sforge.invariants import PRODUCT_CAP
 
 from test_golden import _cases as _golden_cases
 
@@ -291,6 +296,17 @@ def test_invariants_order_cap_before_characters(capsys, tmp_path, monkeypatch):
     assert "group order 2001 above the desk-scale cap 2000" in err
 
 
+def test_invariants_product_cap_exit_3(capsys, tmp_path):
+    """Seed 81 has 4,780 generators, so 11,431,370 products of degree <=
+    2: refused before they are built."""
+    path = tmp_path / "random-81.graph"
+    path.write_text(serialize_graph(random_negative_definite_tree(Random(81))))
+    code, out, err = run(capsys, "invariants", str(path))
+    assert code == 3 and out == ""
+    assert "product cap %d" % PRODUCT_CAP in err
+    assert "Traceback" not in err
+
+
 def test_invariants_bound_1_no_relations(capsys, graphs_dir):
     doc = run_json(
         capsys,
@@ -342,6 +358,35 @@ def test_seeded_random_trees_exit_cleanly(capsys, tmp_path):
         for cmd in ("analyze", "splice", "conditions", "equations"):
             code, out, err = run(capsys, cmd, str(path))
             assert code in (0, 2, 3), (seed, cmd, code, err)
+
+
+def test_calls_in_one_process_match_separate_processes(
+    capsys, graphs_dir, tmp_path
+):
+    """Options given to one main() call must not leak into the next."""
+    target = tmp_path / "target.poly"
+    target.write_text("x^2*z^2 + y^3*z^2 + z^6\n")
+    e7_path = graph_path(graphs_dir, "e7")
+    calls = [
+        ("analyze", e7_path, "--format=structured"),
+        ("invariants", e7_path, "--degree-bound=3",
+         "--verify-identity=%s" % target, "--format=structured"),
+        ("invariants", e7_path, "--format=structured"),
+        ("invariants", e7_path, "--degree-bound=1"),
+        ("invariants", e7_path),
+        ("splice", graph_path(graphs_dir, "two-node")),
+        ("invariants", e7_path, "--degree-bound=0"),
+    ]
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    for argv in calls:
+        code, out, err = run(capsys, *argv)
+        fresh = subprocess.run(
+            [sys.executable, "-m", "sforge.cli", *argv],
+            capture_output=True, text=True, env=env, check=False,
+        )
+        assert (code, out, err) == (
+            fresh.returncode, fresh.stdout, fresh.stderr
+        ), argv
 
 
 @pytest.mark.parametrize(

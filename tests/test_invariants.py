@@ -8,6 +8,7 @@ import pytest
 
 from sforge import (
     CharacterAssignment,
+    InvariantBasis,
     Polynomial,
     build_splice_equations,
     discriminant_group,
@@ -24,7 +25,7 @@ from sforge.corpus import (
     random_negative_definite_tree,
 )
 from sforge.errors import PreconditionError
-from sforge.invariants import ORDER_CAP, Relations, _monomials_up_to
+from sforge.invariants import ORDER_CAP, PRODUCT_CAP, _monomials_up_to
 
 from oracles import (
     invariant_generators_by_search,
@@ -186,7 +187,8 @@ def test_e7_relation_is_the_paper_one():
     assert len(rels) == 1
     # A=z^2, B=y, C=xz, D=x^2 in canonical naming: AD - C^2 is the
     # paper's AC - B^2 after its renaming
-    assert str(rels[0]) == "A*D - C^2"
+    assert rels == ["A*D - C^2"]
+    assert str(parse_polynomial(rels[0], basis.names)) == "A*D - C^2"
 
 
 def test_trivial_group_has_no_relations():
@@ -200,7 +202,10 @@ def test_z3_relations():
         ("x", "y"), (3,), [[Fraction(1, 3), Fraction(1, 3)]]
     )
     basis = invariant_generators(ch, 3)
-    rels = {str(r) for r in toric_relations(basis, 2)}
+    rels = {
+        str(parse_polynomial(r, basis.names))
+        for r in toric_relations(basis, 2)
+    }
     assert rels == {"A*C - B^2", "A*D - B*C", "B*D - C^2"}
 
 
@@ -216,8 +221,33 @@ def test_relations_vanish_under_parametrization(corpus):
         mapping = {
             nm: basis.monomial(i) for i, nm in enumerate(basis.names)
         }
-        for rel in toric_relations(basis, 2):
+        for text in toric_relations(basis, 2):
+            rel = parse_polynomial(text, basis.names)
             assert rel.substitute(mapping).is_zero(), name
+
+
+def test_product_cap_refuses_before_enumerating(monkeypatch):
+    """C(k + d, d) - 1 products above PRODUCT_CAP raise ValueError; at
+    the cap they are enumerated."""
+    k = 1000  # 500,500 products of degree <= 2, far above the cap
+    basis = InvariantBasis(
+        variables=tuple("x%d" % i for i in range(k)),
+        exponents=tuple(
+            tuple(int(i == j) for j in range(k)) for i in range(k)
+        ),
+        names=tuple("G%d" % i for i in range(k)),
+    )
+    with pytest.raises(ValueError, match="product cap %d" % PRODUCT_CAP):
+        toric_relations(basis, 2)
+    ch = char_assignment(
+        ("x", "y"), (3,), [[Fraction(1, 3), Fraction(1, 3)]]
+    )
+    small = invariant_generators(ch, 3)  # 4 generators, 14 products
+    monkeypatch.setattr("sforge.invariants.PRODUCT_CAP", 14)
+    assert len(toric_relations(small, 2)) == 3
+    monkeypatch.setattr("sforge.invariants.PRODUCT_CAP", 13)
+    with pytest.raises(ValueError, match="14 products .* cap 13"):
+        toric_relations(small, 2)
 
 
 def test_bound_one_gives_no_relations():
@@ -332,7 +362,7 @@ def test_membership_finds_every_bounded_combination():
 
 def test_relation_texts_are_the_polynomial_strings(corpus):
     """toric_relations writes each relation's text from its index tuples;
-    it must be str() of the Polynomial at the same position."""
+    it must be str() of the oracle's Polynomial at the same position."""
     checked = 0
     graphs = list(corpus.values()) + [
         random_negative_definite_tree(Random(seed)) for seed in range(60)
@@ -348,8 +378,10 @@ def test_relation_texts_are_the_polynomial_strings(corpus):
         basis = invariant_generators(ch, order)
         for bound in (0, 1, 2, 3):
             rels = toric_relations(basis, bound)
-            assert type(rels) is Relations and isinstance(rels, list)
-            assert rels.texts == tuple(str(r) for r in rels)
+            assert type(rels) is list
+            assert all(type(r) is str for r in rels)
+            oracle = toric_relations_by_polynomials(basis, bound)
+            assert rels == [str(r) for r in oracle]
             checked += len(rels)
     assert checked >= 10000, checked
 
@@ -366,9 +398,8 @@ def _same_basis_and_relations(ch, order, bounds=(2,)):
     for bound in bounds:
         rels = toric_relations(basis, bound)
         oracle = toric_relations_by_polynomials(expected, bound)
-        assert [str(r) for r in rels] == [str(r) for r in oracle]
-        assert rels == oracle
-        assert all(type(r) is Polynomial for r in rels)
+        assert rels == [str(r) for r in oracle]
+        assert [parse_polynomial(r, basis.names) for r in rels] == oracle
     return basis
 
 
