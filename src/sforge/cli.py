@@ -28,6 +28,7 @@ from .equations import (
 )
 from .errors import ParseError, PreconditionError
 from .graph import (
+    _classify_cycles,
     blow_down_minimal,
     canonical_cycle,
     classify,
@@ -120,17 +121,21 @@ def _analyze(g):
         zip(k.vertex_ids, _fracs(k.coefficients))
     )
     data["numerically_gorenstein"] = k.is_integral()
-    data["classification"] = _classification_doc(classify(g))
+    data["classification"] = _classification_doc(_classify_cycles(g, z, k))
     blown = None
     if g.is_tree():
         try:
             h = blow_down_minimal(g)
+            if h == g:
+                classification = data["classification"]
+            elif h.is_negative_definite():
+                classification = _classification_doc(classify(h))
+            else:
+                classification = None
             blown = {
                 "changed": h != g,
                 "graph": _graph_doc(h),
-                "classification": _classification_doc(classify(h))
-                if h.is_negative_definite()
-                else None,
+                "classification": classification,
             }
         except PreconditionError:
             blown = None
@@ -447,7 +452,7 @@ def _invariants(g, degree_bound, identity_path):
     dg = discriminant_group(g)
     check_order_cap(dg.order)
     chars = _characters_from_group(g, dg)
-    basis = invariant_generators(chars, dg.order)
+    basis = invariant_generators(chars, dg.order, degree_bound=degree_bound)
     relations = toric_relations(basis, degree_bound)
     data = {
         "group": {

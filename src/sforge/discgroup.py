@@ -112,16 +112,42 @@ class CharacterAssignment:
             for i in range(len(self.leaf_ids))
         )
 
+    @cached_property
+    def _packed_residues(self):
+        """(digit shifts, digit mask, one integer per leaf): leaf w's
+        residue vector as fixed-width binary digits, generator 0 most
+        significant. A digit holds a sum of t terms (alpha mod e) * r,
+        each below e**2, without carrying."""
+        e = self.modulus
+        width = (len(self.leaf_ids) * (e - 1) ** 2).bit_length() + 1
+        k = len(self.generator_orders)
+        packed = []
+        for row in self.leaf_residues:
+            value = 0
+            for r in row:
+                value = (value << width) | r
+            packed.append(value)
+        shifts = tuple(width * (k - 1 - j) for j in range(k))
+        return shifts, (1 << width) - 1, tuple(packed)
+
     def monomial_residue(self, exponents):
         """Character of prod z_w^alpha(w) as integers mod e, one per
-        generator; exponents maps leaf id -> exponent."""
+        generator; exponents maps leaf id -> exponent.
+
+        Each leaf's residue vector is packed into one integer (see
+        _packed_residues), so the character costs one integer
+        multiply-add per leaf of the monomial, by alpha mod e; the sum
+        is then cut into its digits, each reduced mod e."""
         pos = self._leaf_pos
-        residues = self.leaf_residues
-        out = [0] * len(self.generator_orders)
-        for vid, alpha in exponents.items():
-            out = [a + alpha * r for a, r in zip(out, residues[pos[vid]])]
         e = self.modulus
-        return tuple(a % e for a in out)
+        shifts, mask, packed = self._packed_residues
+        acc = 0
+        for vid, alpha in exponents.items():
+            acc += alpha % e * packed[pos[vid]]
+        out = []
+        for s in shifts:
+            out.append((acc >> s & mask) % e)
+        return tuple(out)
 
     def monomial_character(self, exponents):
         """Character vector of prod z_w^alpha(w); exponents maps leaf

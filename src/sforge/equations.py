@@ -77,11 +77,6 @@ class CongruenceResult:
     failures: tuple  # node ids with no common character
 
 
-def _exponent_key(diagram, exponents):
-    order = diagram.leaves
-    return tuple(exponents.get(w, 0) for w in order)
-
-
 def admissible_monomials(
     diagram: SpliceDiagram,
     v: str,
@@ -90,19 +85,19 @@ def admissible_monomials(
     chars: CharacterAssignment = None,
     witness: SemigroupWitness = None,
 ):
-    """Exponent maps of the admissible monomials at (v, edge), sorted
-    lexicographically; optionally filtered to a given character (which
-    requires the leaf CharacterAssignment)."""
+    """Exponent maps of the admissible monomials at (v, edge), in the
+    lexicographic order the witnesses come in (see SemigroupWitness);
+    optionally filtered to a given character (which requires the leaf
+    CharacterAssignment)."""
     if witness is None:
         witness = semigroup_condition(diagram)
     sols = witness.solutions[(v, edge.index)]
     if character is not None:
         if chars is None:
             raise ValueError("character filtering needs a CharacterAssignment")
-        sols = [
-            a for a in sols if chars.monomial_character(a) == tuple(character)
-        ]
-    return sorted(sols, key=lambda a: _exponent_key(diagram, a))
+        character = tuple(character)
+        return [a for a in sols if chars.monomial_character(a) == character]
+    return list(sols)
 
 
 def congruence_condition(g: ResolutionGraph) -> CongruenceResult:
@@ -123,6 +118,9 @@ def congruence_condition(g: ResolutionGraph) -> CongruenceResult:
 
 
 def _congruence_from_parts(diagram, witness, chars):
+    """congruence_condition from its parts. Each direction's witnesses
+    come in lexicographic order (see SemigroupWitness), so the monomial
+    kept for each character is the lexicographically first."""
     modulus = chars.modulus
     node_characters = {}
     node_monomials = {}
@@ -131,12 +129,8 @@ def _congruence_from_parts(diagram, witness, chars):
         edges = diagram.incident_edges(v)
         per_edge = []
         for e in edges:
-            sols = sorted(
-                witness.solutions[(v, e.index)],
-                key=lambda a: _exponent_key(diagram, a),
-            )
             char_map = {}
-            for a in sols:
+            for a in witness.solutions[(v, e.index)]:
                 char_map.setdefault(chars.monomial_residue(a), a)
             per_edge.append(char_map)
         common = set(per_edge[0])

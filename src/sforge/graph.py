@@ -547,8 +547,12 @@ def classify(g: ResolutionGraph) -> Classification:
     embedding dimension follow the Artin/Laufer rules, with the
     hypersurface floor of 3 on small cases.
     """
-    z = fundamental_cycle(g)
-    k = canonical_cycle(g)
+    return _classify_cycles(g, fundamental_cycle(g), canonical_cycle(g))
+
+
+def _classify_cycles(g, z, k):
+    """classify(g), given z = fundamental_cycle(g) and k =
+    canonical_cycle(g), for a caller that has them already."""
     # Z.Z = sum w_v z_v^2 + 2 sum over edges z_a z_b, in integers
     zmap = dict(zip(z.vertex_ids, z.coefficients))
     zsq = sum(v.weight * zmap[v.id] ** 2 for v in g.vertices) + 2 * sum(

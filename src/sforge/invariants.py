@@ -5,13 +5,16 @@ carried as integer residue vectors modulo one common modulus e (see
 CharacterAssignment). An invariant monomial is an exponent vector a
 with sum a_w chi_w = 0 mod e, and the minimal ones, the Hilbert basis
 of that monoid, generate the invariant ring; they are found by a
-breadth-first search up to the Noether bound |G| with each character
-updated incrementally. Binomial relations between the generators are
-found by grouping their products of bounded degree by image, and are
-kept only as texts ("A^2*C - B*D"): each product's text is written
-once, from its tuple of generator indices. A caller that wants a
-relation as a Polynomial parses its text with
-parse_polynomial(text, basis.names).
+breadth-first search up to the Noether bound |G| on plain integers:
+the characters the search reaches are numbered, with a table of leaf
+steps between the numbers filled in on demand, and each exponent
+vector is packed into one integer whose digits are the exponents, so
+that integer order is lexicographic order. Binomial relations
+between the generators are found by grouping their products of
+bounded degree by image, and are kept only as texts ("A^2*C - B*D"):
+each product's text is written once, in one pass over its tuple of
+generator indices. A caller that wants a relation as a Polynomial
+parses its text with parse_polynomial(text, basis.names).
 
 Bounded-degree ideal membership is a linear system in the cofactor
 coefficients, one sparse integer row per monomial (denominators
@@ -28,7 +31,7 @@ computation: relations are checked, not derived by elimination.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations_with_replacement, groupby
+from itertools import combinations_with_replacement
 from math import comb, lcm
 from operator import add
 
@@ -49,9 +52,10 @@ __all__ = [
 
 ORDER_CAP = 2000
 # Most products of generators, up to the degree bound, that
-# toric_relations enumerates. The seed-17 random tree's 453 generators
-# give 103,284 at bound 2 (about a second); seed 56's give 300,699 and
-# 8.7M relations.
+# toric_relations enumerates; invariant_generators, given the bound,
+# stops its search once the generators it has found pass it. The
+# seed-17 random tree's 453 generators give 103,284 at bound 2 (about a
+# second); seed 56's give 300,699 and 8.7M relations.
 PRODUCT_CAP = 200_000
 
 
@@ -102,8 +106,18 @@ def _names(k):
     return tuple(out)
 
 
+def _check_product_cap(k, degree_bound):
+    products = comb(k + degree_bound, degree_bound) - 1
+    if products > PRODUCT_CAP:
+        raise ValueError(
+            "%d products of %d invariant generators up to degree %d above "
+            "the desk-scale product cap %d"
+            % (products, k, degree_bound, PRODUCT_CAP)
+        )
+
+
 def invariant_generators(
-    chars: CharacterAssignment, order: int
+    chars: CharacterAssignment, order: int, *, degree_bound: int = None
 ) -> InvariantBasis:
     """Minimal generating monomials of the invariant ring: the Hilbert
     basis of {a in N^t : sum a_w chi_w = 0}, with chi_w the character of
@@ -111,57 +125,106 @@ def invariant_generators(
     Invariant Theory, 1993).
 
     Searches total degrees 1..order (the Noether bound for a group of
-    that order) breadth-first. The frontier maps each monomial of the
-    previous degree that no generator divides to its residue vector; a
-    child's residue is its parent's plus chi_w, mod e. A candidate is
-    divisible by a generator iff one of its predecessors cand - e_j
-    (cand_j > 0) is missing from the frontier, so it survives iff it was
-    reached from as many frontier monomials as it has nonzero exponents.
-    A survivor with residue zero is a new generator. For the trivial
-    group this returns the variables.
+    that order) breadth-first, on plain integers:
+    - The characters reached from 0 by the leaf characters are numbered
+      as they first appear, 0 for the trivial one. step[i][h] is the
+      number of character h plus chi_i, filled in when the search first
+      asks for it, so the table never costs more than the search.
+    - An exponent vector is one integer with base order + 1 digits, the
+      first leaf most significant; exponents stay below the base, so
+      adding a leaf is adding its place value and integer order is
+      lexicographic order.
+    The frontier maps each monomial of the previous degree that no
+    generator divides to its character number and its support, the
+    nonzero positions in increasing order. A monomial is divisible by a
+    generator iff one of its predecessors cand - e_j (cand_j > 0) is
+    missing from the frontier. Each candidate is built once, from the
+    predecessor that drops its last nonzero position, and kept iff its
+    other predecessors are all in the frontier. A kept candidate of
+    character 0 is a new generator. Only the generators are unpacked
+    into exponent tuples. For the trivial group this returns the
+    variables.
+
+    With degree_bound given, raises the ValueError of toric_relations
+    as soon as the generators found so far have more than PRODUCT_CAP
+    products up to that degree, before the search runs on.
     """
     check_order_cap(order)
     variables = chars.leaf_ids
     t = len(variables)
     e = chars.modulus
-    steps = chars.leaf_residues
-    zero = (0,) * len(chars.generator_orders)
+    leaf = chars.leaf_residues
+    residues = [(0,) * len(chars.generator_orders)]
+    numbers = {residues[0]: 0}
+    step = [[-1] for _ in range(t)]
+
+    def follow(i, h):
+        r = tuple((a + b) % e for a, b in zip(residues[h], leaf[i]))
+        n = numbers.get(r)
+        if n is None:
+            n = numbers[r] = len(residues)
+            residues.append(r)
+            for row in step:
+                row.append(-1)
+        step[i][h] = n
+        return n
+
+    capped = degree_bound is not None and degree_bound >= 1
+    base = order + 1
+    place = [base ** (t - 1 - i) for i in range(t)]
     gens = []
-    frontier = {(0,) * t: zero}
+    frontier = {0: (0, ())}  # packed exponents -> (character, support)
     for _degree in range(1, order + 1):
-        reached = {}  # candidate -> [predecessors seen, parent residue, leaf]
-        for exps, residue in frontier.items():
-            for i in range(t):
-                cand = exps[:i] + (exps[i] + 1,) + exps[i + 1:]
-                seen = reached.get(cand)
-                if seen is None:
-                    reached[cand] = [1, residue, i]
+        reached = {}
+        for exps, (h, support) in frontier.items():
+            for i in range(support[-1] if support else 0, t):
+                cand = exps + place[i]
+                for j in support:
+                    if j != i and cand - place[j] not in frontier:
+                        break  # a generator divides that predecessor
                 else:
-                    seen[0] += 1
-        frontier = {}
-        for cand, (count, residue, i) in reached.items():
-            if count != t - cand.count(0):
-                continue  # a generator divides some predecessor
-            residue = tuple((a + b) % e for a, b in zip(residue, steps[i]))
-            if residue == zero:
-                gens.append(cand)
-            else:
-                frontier[cand] = residue
+                    n = step[i][h]
+                    if n < 0:
+                        n = follow(i, h)
+                    if n:
+                        if support and support[-1] == i:
+                            reached[cand] = (n, support)
+                        else:
+                            reached[cand] = (n, support + (i,))
+                    else:
+                        gens.append(cand)
+                        if capped:
+                            _check_product_cap(len(gens), degree_bound)
+        frontier = reached
         if not frontier:
             break
     gens.sort()
+    exponents = []
+    for packed in gens:
+        digits = [0] * t
+        for j in range(t - 1, -1, -1):
+            packed, digits[j] = divmod(packed, base)
+        exponents.append(tuple(digits))
     return InvariantBasis(
-        variables=variables, exponents=tuple(gens), names=_names(len(gens))
+        variables=variables,
+        exponents=tuple(exponents),
+        names=_names(len(exponents)),
     )
 
 
 def _product_text(combo, names):
     """The text of a product of generators, given as a nondecreasing
-    tuple of generator indices: A^2*C for (0, 0, 2)."""
+    tuple of generator indices: A^2*C for (0, 0, 2). One pass counts
+    the runs of equal indices."""
     factors = []
-    for i, run in groupby(combo):
-        e = sum(1 for _ in run)
-        factors.append(names[i] if e == 1 else "%s^%d" % (names[i], e))
+    prev, run = combo[0], 0
+    for i in combo + (None,):
+        if i == prev:
+            run += 1
+            continue
+        name = names[prev]
+        factors.append(name if run == 1 else "%s^%d" % (name, run))
+        prev, run = i, 1
     return "*".join(factors)
 
 
@@ -195,13 +258,7 @@ def toric_relations(basis: InvariantBasis, degree_bound: int) -> list:
     k = len(basis.exponents)
     if not k or degree_bound < 1:
         return []
-    products = comb(k + degree_bound, degree_bound) - 1
-    if products > PRODUCT_CAP:
-        raise ValueError(
-            "%d products of %d invariant generators up to degree %d above "
-            "the desk-scale product cap %d"
-            % (products, k, degree_bound, PRODUCT_CAP)
-        )
+    _check_product_cap(k, degree_bound)
     t = len(basis.variables)
     base = degree_bound * max(max(g) for g in basis.exponents) + 1
     packed = [

@@ -189,7 +189,13 @@ class SpliceDiagram:
 class SemigroupWitness:
     """Per (node, direction) exponent vectors alpha over the leaves in
     that branch with sum alpha(w) * l_vw = d_v. `truncated` lists the
-    directions whose enumeration hit the solution cap."""
+    directions whose enumeration hit the solution cap.
+
+    Each list is in lexicographic order of the exponent vectors over
+    diagram.leaves (zero for a leaf outside the branch): the enumeration
+    runs over leaves_beyond, which keeps the order of diagram.leaves,
+    with each exponent ascending. A list cut at WITNESS_CAP is a prefix
+    of the full list."""
 
     holds: bool
     solutions: dict  # (node_id, edge_index) -> list of {leaf_id: exp}

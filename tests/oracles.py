@@ -36,7 +36,6 @@ from sforge import (
     SingularMatrixError,
     determinant,
 )
-from sforge.equations import _exponent_key
 from sforge.graph import intersection_matrix
 from sforge.invariants import InvariantBasis, _names, check_order_cap
 
@@ -368,6 +367,12 @@ def toric_relations_by_polynomials(basis, degree_bound) -> list:
     return relations
 
 
+def exponent_key(diagram, exponents):
+    """An exponent map as a tuple over diagram.leaves, zero where the
+    map has no entry: lexicographic order of witnesses."""
+    return tuple(exponents.get(w, 0) for w in diagram.leaves)
+
+
 def congruence_by_fractions(diagram, witness, chars):
     """(node_characters, node_monomials, failures) of the congruence
     condition, with the characters compared as Fraction tuples."""
@@ -378,7 +383,7 @@ def congruence_by_fractions(diagram, witness, chars):
         for e in edges:
             sols = sorted(
                 witness.solutions[(v, e.index)],
-                key=lambda a: _exponent_key(diagram, a),
+                key=lambda a: exponent_key(diagram, a),
             )
             char_map = {}
             for a in sols:

@@ -4,6 +4,9 @@ import json
 import os
 import subprocess
 import sys
+import time
+from itertools import count
+from math import comb
 from pathlib import Path
 from random import Random
 
@@ -307,6 +310,23 @@ def test_invariants_product_cap_exit_3(capsys, tmp_path):
     assert "Traceback" not in err
 
 
+def test_invariants_product_cap_stops_the_generator_search(capsys, tmp_path):
+    """Seed 74 has 29,568 generators. The search stops as soon as the
+    generators found so far have more products of degree <= 2 than the
+    cap allows, so the refusal names that count and comes in seconds."""
+    path = tmp_path / "random-74.graph"
+    path.write_text(serialize_graph(random_negative_definite_tree(Random(74))))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "invariants", str(path))
+    took = time.perf_counter() - start
+    assert code == 3 and out == ""
+    k = next(k for k in count(1) if comb(k + 2, 2) - 1 > PRODUCT_CAP)
+    assert "of %d invariant generators" % k in err
+    assert "product cap %d" % PRODUCT_CAP in err
+    assert "Traceback" not in err
+    assert took < 10, took
+
+
 def test_invariants_bound_1_no_relations(capsys, graphs_dir):
     doc = run_json(
         capsys,
@@ -455,6 +475,32 @@ def test_conditions_builds_diagram_and_witness_once(
         doc = run_json(capsys, "conditions", graph_path(graphs_dir, graph))
         assert doc["result"]["congruence"]["holds"]
     assert calls == {"to_splice_diagram": 3, "semigroup_condition": 3}
+
+
+@pytest.mark.parametrize("graph, changed", [("e7", False), ("random-00", True)])
+def test_analyze_computes_cycles_once_per_graph(
+    capsys, graphs_dir, monkeypatch, graph, changed
+):
+    """analyze classifies from the Z and K it reports, and reuses the
+    classification when the blow-down changes nothing."""
+    import sforge.graph
+
+    calls = {"fundamental_cycle": [], "canonical_cycle": []}
+    for name, seen in calls.items():
+        real = getattr(sforge.graph, name)
+
+        def counting(g, _seen=seen, _real=real):
+            _seen.append(serialize_graph(g))
+            return _real(g)
+
+        for modname, module in list(sys.modules.items()):
+            if modname.startswith("sforge") and vars(module).get(name) is real:
+                monkeypatch.setattr(module, name, counting)
+    doc = run_json(capsys, "analyze", graph_path(graphs_dir, graph))
+    assert doc["result"]["blown_down"]["changed"] is changed
+    for seen in calls.values():
+        assert len(seen) == 1 + changed
+        assert len(set(seen)) == len(seen)
 
 
 # -- structured renderer ------------------------------------------------------

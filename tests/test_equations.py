@@ -36,7 +36,9 @@ from sforge.corpus import (
 )
 from sforge.errors import NotQhsTreeError
 
-from oracles import congruence_by_fractions
+from sforge.equations import _congruence_from_parts
+
+from oracles import congruence_by_fractions, exponent_key
 from test_splice import engineered_failing_graph
 
 
@@ -318,3 +320,44 @@ def test_congruence_matches_fraction_oracle(corpus):
         seen += 1
         corpus_seen += name in corpus
     assert corpus_seen >= 9 and seen >= 40, (corpus_seen, seen)
+
+
+@pytest.mark.parametrize("cap", [None, 1, 2, 5])
+def test_witnesses_come_in_lexicographic_order(corpus, monkeypatch, cap):
+    """Every witness list is strictly increasing in exponent_key order,
+    also when cut at a small WITNESS_CAP; the congruence search relies
+    on it and does not sort. On the cut lists it agrees with the
+    Fraction oracle, which sorts."""
+    if cap is not None:
+        monkeypatch.setattr("sforge.splice.WITNESS_CAP", cap)
+    rng = Random(31)
+    graphs = list(corpus.items())
+    graphs += [("random%d" % i, random_negative_definite_tree(rng))
+               for i in range(60)]
+    lists = truncated = 0
+    for name, g in graphs:
+        if not g.is_qhs_tree():
+            continue
+        d = to_splice_diagram(g)
+        if not d.has_nodes:
+            continue
+        witness = semigroup_condition(d)
+        for sols in witness.solutions.values():
+            keys = [exponent_key(d, a) for a in sols]
+            assert keys == sorted(set(keys)), name
+            lists += 1
+        truncated += len(witness.truncated)
+    assert lists >= 200, lists
+    assert bool(truncated) == (cap is not None), truncated
+    seen = 0
+    for name, g, d, witness in _congruence_cases(corpus):
+        chars = leaf_characters(g)
+        res = _congruence_from_parts(d, witness, chars)
+        characters, monomials, failures = congruence_by_fractions(
+            d, witness, chars
+        )
+        assert res.node_characters == characters, name
+        assert res.node_monomials == monomials, name
+        assert res.failures == failures, name
+        seen += 1
+    assert seen >= 40, seen

@@ -250,6 +250,33 @@ def test_product_cap_refuses_before_enumerating(monkeypatch):
         toric_relations(small, 2)
 
 
+def test_generator_search_refuses_at_the_product_cap(monkeypatch):
+    """With a degree bound, the search raises the product-cap ValueError
+    once the generators found so far have more than PRODUCT_CAP
+    products; at the cap, or with no products to build, it runs on."""
+    ch = char_assignment(
+        ("x", "y"), (3,), [[Fraction(1, 3), Fraction(1, 3)]]
+    )
+    full = invariant_generators(ch, 3)  # 4 generators, 14 products
+    monkeypatch.setattr("sforge.invariants.PRODUCT_CAP", 14)
+    assert invariant_generators(ch, 3, degree_bound=2) == full
+    monkeypatch.setattr("sforge.invariants.PRODUCT_CAP", 13)
+    with pytest.raises(
+        ValueError,
+        match="14 products of 4 invariant generators up to degree 2 above "
+        "the desk-scale product cap 13",
+    ):
+        invariant_generators(ch, 3, degree_bound=2)
+    monkeypatch.setattr("sforge.invariants.PRODUCT_CAP", 8)
+    with pytest.raises(ValueError, match="9 products of 3 .* cap 8"):
+        invariant_generators(ch, 3, degree_bound=2)
+    monkeypatch.setattr("sforge.invariants.PRODUCT_CAP", 3)
+    with pytest.raises(ValueError, match="4 products of 4 .* degree 1 "):
+        invariant_generators(ch, 3, degree_bound=1)
+    for bound in (None, 0, -1):
+        assert invariant_generators(ch, 3, degree_bound=bound) == full
+
+
 def test_bound_one_gives_no_relations():
     ch = leaf_characters(e7())
     basis = invariant_generators(ch, 2)
