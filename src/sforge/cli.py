@@ -16,11 +16,7 @@ import json
 import sys
 
 from . import __version__
-from .discgroup import (
-    _characters_from_group,
-    discriminant_group,
-    leaf_characters,
-)
+from .discgroup import _characters_from_group, discriminant_group
 from .equations import (
     _build_splice_equations,
     _congruence_from_parts,
@@ -291,24 +287,22 @@ def _conditions(g):
             "congruence": None,
         }
     wit = semigroup_condition(d)
-    witnesses = {}
-    for v in d.nodes:
-        witnesses[v] = {}
-        for e in d.incident_edges(v):
-            label = d.direction_label(v, e)
-            witnesses[v][label] = [
-                dict(sorted(a.items()))
-                for a in wit.solutions[(v, e.index)]
-            ]
     sem = {
         "holds": wit.holds,
-        "witnesses": witnesses,
+        "witnesses": {
+            v: {
+                d.direction_label(v, e): wit.solutions[(v, e.index)]
+                for e in d.incident_edges(v)
+            }
+            for v in d.nodes
+        },
         "failures": [list(f) for f in wit.failures],
         "truncated": [list(t) for t in wit.truncated],
     }
     if not wit.holds:
         return {"no_nodes": False, "semigroup": sem, "congruence": None}
-    cong = _congruence_from_parts(d, wit, leaf_characters(g))
+    dg = discriminant_group(g)
+    cong = _congruence_from_parts(d, wit, dg, _characters_from_group(g, dg))
     return {
         "no_nodes": False,
         "semigroup": sem,
@@ -317,13 +311,7 @@ def _conditions(g):
             "characters": {
                 v: _fracs(c) for v, c in cong.node_characters.items()
             },
-            "monomials": {
-                v: {
-                    label: dict(sorted(a.items()))
-                    for label, a in mm.items()
-                }
-                for v, mm in cong.node_monomials.items()
-            },
+            "monomials": cong.node_monomials,
             "failures": list(cong.failures),
         },
     }
@@ -379,9 +367,9 @@ def _equations(g):
             {
                 "node": ns.node_id,
                 "weight": ns.weight,
-                "variable_weights": dict(sorted(ns.variable_weights.items())),
+                "variable_weights": ns.variable_weights,
                 "directions": list(ns.directions),
-                "monomials": [dict(sorted(m.items())) for m in ns.monomials],
+                "monomials": list(ns.monomials),
                 "coefficients": ns.coefficients.to_lists(),
                 "character": _fracs(ns.character),
                 "equations": [str(eq) for eq in ns.equations],
@@ -478,7 +466,7 @@ def _invariants(g, degree_bound, identity_path):
     if identity_path is not None:
         with open(identity_path, "r", encoding="utf-8") as fh:
             target = parse_polynomial(fh.read(), basis.variables)
-        pkg = _build_splice_equations(g, chars)
+        pkg = _build_splice_equations(g, dg, chars)
         cert = membership_bounded(target, list(pkg.equations), degree_bound)
         data["certificate"] = {
             "target": str(target),

@@ -13,10 +13,13 @@ combinations of the chosen monomials per node.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 
-from .discgroup import CharacterAssignment, leaf_characters
+from .discgroup import (
+    CharacterAssignment,
+    _characters_from_group,
+    discriminant_group,
+)
 from .errors import (
     ConditionsNotMetError,
     NoNodesError,
@@ -28,8 +31,6 @@ from .poly import Polynomial
 from .splice import (
     SpliceDiagram,
     SemigroupWitness,
-    linking_numbers,
-    node_weight,
     semigroup_condition,
     to_splice_diagram,
 )
@@ -101,9 +102,9 @@ def admissible_monomials(
 
 
 def congruence_condition(g: ResolutionGraph) -> CongruenceResult:
-    """Per node, is there one character shared by an admissible monomial
-    in every direction? Search runs over the (finite) character sets
-    attained by each direction's witness monomials."""
+    """Per node v, is there one character shared by an admissible
+    monomial in every direction? Only the class of e_v* can be shared
+    (see _congruence_from_parts), so each direction is searched for it."""
     diagram = to_splice_diagram(g)
     if not diagram.has_nodes:
         raise NoNodesError("no nodes: cyclic quotient case")
@@ -113,40 +114,55 @@ def congruence_condition(g: ResolutionGraph) -> CongruenceResult:
             "semigroup condition fails at %s"
             % "; ".join("%s %s" % f for f in witness.failures)
         )
-    chars = leaf_characters(g)
-    return _congruence_from_parts(diagram, witness, chars)
+    group = discriminant_group(g)
+    chars = _characters_from_group(g, group)
+    return _congruence_from_parts(diagram, witness, group, chars)
 
 
-def _congruence_from_parts(diagram, witness, chars):
-    """congruence_condition from its parts. Each direction's witnesses
-    come in lexicographic order (see SemigroupWitness), so the monomial
-    kept for each character is the lexicographically first."""
+def _congruence_from_parts(diagram, witness, group, chars):
+    """congruence_condition from its parts; group is the graph's
+    DiscriminantData and chars its leaf CharacterAssignment.
+
+    At a node v the only character that admissible monomials of two
+    directions can share is that of the dual class [e_v*], whose phase
+    on generator c is coordinate v of c. Proof: write l for the linking
+    numbers, so that (-M^-1)_xy = l_xy / |det M| and l_vv = d_v. Let B_e
+    be the vertices beyond the edge e at v, w a leaf in B_e and u a
+    vertex outside B_e. The path from w to u passes through v, so the
+    weights off it split there and l_wu * d_v = l_wv * l_vu. If alpha is
+    admissible at (v, e), sum_w alpha_w l_vw = d_v, so sum_w alpha_w
+    l_wu = l_vu for every u outside B_e: delta = sum_w alpha_w e_w* -
+    e_v* has zero E-coordinates outside B_e. If monomials of two
+    directions e != e' share a character, delta_e - delta_e' is
+    integral; its two terms have disjoint supports, so each is
+    integral, and the character is [e_v*].
+
+    So per direction the monomial kept is the first witness with the
+    residue of [e_v*]; the witnesses come in lexicographic order (see
+    SemigroupWitness), so it is the lexicographically first. A node
+    fails when some direction has none."""
     modulus = chars.modulus
     node_characters = {}
     node_monomials = {}
     failures = []
     for v in diagram.nodes:
-        edges = diagram.incident_edges(v)
-        per_edge = []
-        for e in edges:
-            char_map = {}
+        p = diagram.gamma.index_of(v)
+        character = tuple(gen[p] % 1 for gen in group.generators)
+        target = tuple(
+            x.numerator * (modulus // x.denominator) for x in character
+        )
+        chosen = {}
+        for e in diagram.incident_edges(v):
             for a in witness.solutions[(v, e.index)]:
-                char_map.setdefault(chars.monomial_residue(a), a)
-            per_edge.append(char_map)
-        common = set(per_edge[0])
-        for cm in per_edge[1:]:
-            common &= set(cm)
-        if not common:
-            failures.append(v)
-            continue
-        # residues share the scale e, so their order is that of the
-        # Fraction characters r / e
-        chosen = min(common)
-        node_characters[v] = tuple(Fraction(r, modulus) for r in chosen)
-        node_monomials[v] = {
-            diagram.direction_label(v, e): cm[chosen]
-            for e, cm in zip(edges, per_edge)
-        }
+                if chars.monomial_residue(a) == target:
+                    chosen[diagram.direction_label(v, e)] = a
+                    break
+            else:
+                failures.append(v)
+                break
+        else:
+            node_characters[v] = character
+            node_monomials[v] = chosen
     return CongruenceResult(
         holds=not failures,
         node_characters=node_characters,
@@ -180,13 +196,13 @@ def generic_coefficients(delta: int) -> IntMatrix:
 def build_splice_equations(g: ResolutionGraph) -> EquationsPackage:
     """Emit the t-2 splice equations for a graph satisfying the
     semigroup and congruence conditions."""
-    return _build_splice_equations(g, None)
+    return _build_splice_equations(g)
 
 
-def _build_splice_equations(g, chars):
-    """build_splice_equations(g), reusing chars = leaf_characters(g)
-    when the caller has them; with None they are built once the
-    semigroup condition holds."""
+def _build_splice_equations(g, group=None, chars=None):
+    """build_splice_equations(g), reusing group = discriminant_group(g)
+    and chars = its leaf characters when the caller has them; without
+    them both are built once the semigroup condition holds."""
     diagram = to_splice_diagram(g)
     if not diagram.has_nodes:
         raise NoNodesError("no nodes: cyclic quotient case")
@@ -196,9 +212,10 @@ def _build_splice_equations(g, chars):
             "semigroup condition fails at %s"
             % "; ".join("%s %s" % f for f in witness.failures)
         )
-    if chars is None:
-        chars = leaf_characters(g)
-    cong = _congruence_from_parts(diagram, witness, chars)
+    if group is None:
+        group = discriminant_group(g)
+        chars = _characters_from_group(g, group)
+    cong = _congruence_from_parts(diagram, witness, group, chars)
     if not cong.holds:
         raise ConditionsNotMetError(
             "congruence condition fails at node%s %s"
@@ -211,7 +228,7 @@ def _build_splice_equations(g, chars):
         edges = diagram.incident_edges(v)
         delta = len(edges)
         coeffs = generic_coefficients(delta)
-        dv = node_weight(diagram, v)
+        links = diagram.walk(v)[0]
         monomials = tuple(
             cong.node_monomials[v][diagram.direction_label(v, e)]
             for e in edges
@@ -225,11 +242,10 @@ def _build_splice_equations(g, chars):
             for pos, p in enumerate(polys):
                 eq = eq + coeffs[i, pos] * p
             node_eqs.append(eq)
-        var_weights = linking_numbers(diagram, v)
         system = NodeSystem(
             node_id=v,
-            weight=dv,
-            variable_weights=var_weights,
+            weight=links[v],
+            variable_weights={w: links[w] for w in variables},
             directions=tuple(diagram.direction_label(v, e) for e in edges),
             monomials=monomials,
             coefficients=coeffs,

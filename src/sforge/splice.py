@@ -16,15 +16,23 @@ vertex, the subtree determinants satisfy
 over the children c_i of v; the graph is negative definite iff every
 D(v) is nonzero with the sign (-1)^|subtree(v)|. A branch toward a
 child c is the subtree of c; the branch toward the parent comes from a
-second pass from the root. Everything downstream of the paper's weight
-calculus lives here: edge determinants, linking numbers, node weights,
-the ZHS test, and the semigroup condition with its monomial witnesses.
+second pass from the root.
+
+The rest of the paper's weight calculus is read off one walk per node,
+built for every node on first use and kept by the diagram. The node
+weights d_v (the product of the weights at v) are formed once. The walk
+out of a node v records, for every diagram vertex x, the linking number
+l_vx (the product of the weights adjacent to, but not on, the path from
+v to x; l_vv = d_v) and the edge at v whose branch holds x. Node
+weights, linking numbers, the leaves beyond an edge and edge
+determinants are lookups in it; the ZHS test and the semigroup
+condition with its monomial witnesses build on those.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import gcd
+from math import gcd, prod
 
 from .errors import NotQhsTreeError
 from .graph import ResolutionGraph, blow_down_minimal
@@ -75,7 +83,7 @@ class SpliceDiagram:
 
     __slots__ = (
         "gamma", "vertices", "leaves", "nodes", "edges", "weights",
-        "_incident",
+        "_incident", "_walks",
     )
 
     def __init__(self, gamma, vertices, leaves, nodes, edges, weights):
@@ -93,6 +101,7 @@ class SpliceDiagram:
         for w, inc in incident.items():
             inc.sort(key=lambda e: gamma.index_of(e.first_step(w)))
             self._incident[w] = tuple(inc)
+        self._walks = None
         for (vid, _), d in self.weights.items():
             if d < 1:
                 raise AssertionError(
@@ -120,49 +129,53 @@ class SpliceDiagram:
     def direction_label(self, vid, edge):
         return "toward %s" % edge.first_step(vid)
 
-    def path_between(self, u, v):
-        """Vertices of the diagram tree path from u to v, inclusive."""
-        parent = {u: (None, None)}
-        stack = [u]
-        while stack:
-            cur = stack.pop()
-            if cur == v:
-                break
-            for e in self._incident[cur]:
-                nxt = e.other(cur)
-                if nxt not in parent:
-                    parent[nxt] = (cur, e)
-                    stack.append(nxt)
-        if v not in parent:
-            raise ValueError("no path between %r and %r" % (u, v))
-        verts = [v]
-        path_edges = []
-        cur = v
-        while parent[cur][0] is not None:
-            cur, e = parent[cur]
-            verts.append(cur)
-            path_edges.append(e)
-        verts.reverse()
-        path_edges.reverse()
-        return verts, path_edges
+    def walk(self, v):
+        """(links, toward) from the node v: links[x] is the linking
+        number l_vx and toward[x] the index of the edge at v whose
+        branch holds x, for every diagram vertex x (toward[v] is None).
+
+        Every node's walk is built on the first call and kept. Leaving a
+        node x by the edge f, having entered by e, multiplies the
+        running product by the weights at x on neither e nor f:
+        d_x / (d_{x,e} * d_{x,f}), an exact division."""
+        if self._walks is None:
+            weight = self.weights
+            dv = {
+                x: prod(weight[(x, e.index)] for e in self._incident[x])
+                for x in self.nodes
+            }
+            self._walks = {}
+            for root in self.nodes:
+                links = {}
+                toward = {}
+                stack = [(root, None, 1, None)]
+                while stack:
+                    x, via, acc, branch = stack.pop()
+                    toward[x] = branch
+                    if x not in dv:
+                        links[x] = acc  # a leaf ends the path
+                        continue
+                    rest = dv[x]
+                    if via is not None:
+                        rest //= weight[(x, via.index)]
+                    links[x] = acc * rest
+                    for f in self._incident[x]:
+                        if f is not via:
+                            stack.append((
+                                f.other(x), f,
+                                acc * (rest // weight[(x, f.index)]),
+                                f.index if branch is None else branch,
+                            ))
+                self._walks[root] = (links, toward)
+        if v not in self._walks:
+            raise ValueError("%r is not a node" % v)
+        return self._walks[v]
 
     def leaves_beyond(self, vid, edge):
-        """Diagram leaves in the branch of `edge` at `vid`, in gamma
-        declaration order."""
-        start = edge.other(vid)
-        seen = {vid, start}
-        stack = [start]
-        while stack:
-            cur = stack.pop()
-            for e in self._incident[cur]:
-                nxt = e.other(cur)
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        seen.discard(vid)
-        return tuple(
-            w for w in self.leaves if w in seen
-        )
+        """Diagram leaves in the branch of `edge` at the node `vid`, in
+        gamma declaration order."""
+        toward = self.walk(vid)[1]
+        return tuple(w for w in self.leaves if toward[w] == edge.index)
 
     def render_text(self):
         """Indented text form: one node per line, weights in
@@ -259,72 +272,42 @@ def to_splice_diagram(g: ResolutionGraph) -> SpliceDiagram:
 
 def edge_determinant(d: SpliceDiagram, e: SpliceEdge) -> int:
     """Product of the two weights on the edge minus the product of the
-    weights adjacent to it (around both endpoint nodes)."""
+    weights adjacent to it (around both endpoint nodes), which is the
+    linking number of its endpoints."""
     if not (d.is_node(e.a) and d.is_node(e.b)):
         raise ValueError("edge determinant needs an edge between two nodes")
-    on = d.weight(e.a, e) * d.weight(e.b, e)
-    adjacent = 1
-    for vid in (e.a, e.b):
-        for other in d.incident_edges(vid):
-            if other.index != e.index:
-                adjacent *= d.weight(vid, other)
-    return on - adjacent
+    return d.weight(e.a, e) * d.weight(e.b, e) - d.walk(e.a)[0][e.b]
 
 
 def node_weight(d: SpliceDiagram, v: str) -> int:
     """Product of all weights on the edges at the node v."""
-    if not d.is_node(v):
-        raise ValueError("%r is not a node" % v)
-    out = 1
-    for e in d.incident_edges(v):
-        out *= d.weight(v, e)
-    return out
+    return d.walk(v)[0][v]
 
 
 def linking_number(d: SpliceDiagram, v: str, w: str) -> int:
     """Product of the weights adjacent to, but not on, the path from v
     to w (including the weights around the endpoint nodes). For a node
-    v, linking_number(v, v) is the node weight."""
+    v, linking_number(v, v) is the node weight. Between two leaves it is
+    the link from the node next to v, less that node's weight toward v;
+    with no nodes on the path it is 1."""
+    if d.is_node(v):
+        return d.walk(v)[0][w]
     if v == w:
-        if d.is_node(v):
-            return node_weight(d, v)
         raise ValueError("self-linking is undefined for a leaf")
-    verts, path_edges = d.path_between(v, w)
-    on = {e.index for e in path_edges}
-    out = 1
-    for x in verts:
-        if d.is_node(x):
-            for e in d.incident_edges(x):
-                if e.index not in on:
-                    out *= d.weight(x, e)
-    return out
+    if d.is_node(w):
+        return d.walk(w)[0][v]
+    if not d.has_nodes:
+        return 1
+    (e,) = d.incident_edges(v)
+    u = e.other(v)
+    return d.walk(u)[0][w] // d.weight(u, e)
 
 
 def linking_numbers(d: SpliceDiagram, v: str) -> dict:
     """{w: linking_number(d, v, w)} for every leaf w, in the order of
-    d.leaves, from one walk out of the node v.
-
-    The walk carries the product of the off-path weights at the path
-    nodes it has passed. Leaving a node x by the edge f, having entered
-    by e, multiplies it by the weights at x on neither e nor f:
-    node_weight(x) / (d_{x,e} * d_{x,f}), an exact division.
-    """
-    if not d.is_node(v):
-        raise ValueError("%r is not a node" % v)
-    found = {}
-    stack = [(v, None, 1)]
-    while stack:
-        x, via, acc = stack.pop()
-        if not d.is_node(x):
-            found[x] = acc  # a leaf ends the path
-            continue
-        rest = node_weight(d, x)
-        if via is not None:
-            rest //= d.weight(x, via)
-        for f in d.incident_edges(x):
-            if f is not via:
-                stack.append((f.other(x), f, acc * (rest // d.weight(x, f))))
-    return {w: found[w] for w in d.leaves}
+    d.leaves, read off the walk from the node v."""
+    links = d.walk(v)[0]
+    return {w: links[w] for w in d.leaves}
 
 
 def is_zhs(g: ResolutionGraph, diagram: SpliceDiagram = None) -> bool:
@@ -376,12 +359,13 @@ def semigroup_condition(d: SpliceDiagram) -> SemigroupWitness:
     failures = []
     truncated = []
     for v in d.nodes:
-        dv = node_weight(d, v)
-        links_v = linking_numbers(d, v)
+        links = d.walk(v)[0]
         for e in d.incident_edges(v):
             outer = d.leaves_beyond(v, e)
-            links = [links_v[w] for w in outer]
-            sols = _bounded_representations(dv, outer, links, WITNESS_CAP)
+            coins = [links[w] for w in outer]
+            sols = _bounded_representations(
+                links[v], outer, coins, WITNESS_CAP
+            )
             key = (v, e.index)
             solutions[key] = sols
             if len(sols) >= WITNESS_CAP:

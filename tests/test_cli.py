@@ -424,7 +424,8 @@ def test_calls_in_one_process_match_separate_processes(
 def test_discriminant_group_built_once_per_call(
     capsys, graphs_dir, monkeypatch, tmp_path, argv
 ):
-    import sforge.cli
+    import sys
+
     import sforge.discgroup
 
     real = sforge.discgroup.discriminant_group
@@ -434,8 +435,11 @@ def test_discriminant_group_built_once_per_call(
         calls.append(g)
         return real(g)
 
-    monkeypatch.setattr(sforge.discgroup, "discriminant_group", counting)
-    monkeypatch.setattr(sforge.cli, "discriminant_group", counting)
+    for modname, module in list(sys.modules.items()):
+        if modname.startswith("sforge") and vars(module).get(
+            "discriminant_group"
+        ) is real:
+            monkeypatch.setattr(module, "discriminant_group", counting)
     command, name, *options = argv
     if options and options[-1] == "--verify-identity":
         target = tmp_path / "target.poly"

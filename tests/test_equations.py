@@ -18,6 +18,7 @@ from sforge import (
     check_equivariance,
     congruence_condition,
     determinant,
+    discriminant_group,
     generic_coefficients,
     leaf_characters,
     parse_polynomial,
@@ -36,9 +37,14 @@ from sforge.corpus import (
 )
 from sforge.errors import NotQhsTreeError
 
+from sforge.discgroup import _characters_from_group
 from sforge.equations import _congruence_from_parts
 
-from oracles import congruence_by_fractions, exponent_key
+from oracles import (
+    congruence_by_fractions,
+    exponent_key,
+    monomial_character_by_fractions,
+)
 from test_splice import engineered_failing_graph
 
 
@@ -322,6 +328,54 @@ def test_congruence_matches_fraction_oracle(corpus):
     assert corpus_seen >= 9 and seen >= 40, (corpus_seen, seen)
 
 
+def test_common_character_is_the_dual_class(corpus):
+    """At every node v, the characters shared by admissible monomials of
+    all directions are exactly {[e_v*]} when any are shared, and [e_v*]
+    is missing from some direction when none are; congruence_condition
+    agrees with the Fraction oracle. On 1,000 seeded trees, the corpus
+    and the quotient cusps k = 3..8."""
+    graphs = [("seed%d" % seed,
+               random_negative_definite_tree(Random(seed), max_vertices=12))
+              for seed in range(1000)]
+    graphs += list(corpus.items())
+    graphs += [("qc%d" % k, quotient_cusp(k, [3] * k)) for k in range(3, 9)]
+    shared = unshared = 0
+    for name, g in graphs:
+        if not g.is_qhs_tree() or not g.is_negative_definite():
+            continue
+        d = to_splice_diagram(g)
+        if not d.has_nodes:
+            continue
+        witness = semigroup_condition(d)
+        if not witness.holds:
+            continue
+        group = discriminant_group(g)
+        chars = _characters_from_group(g, group)
+        for v in d.nodes:
+            p = g.index_of(v)
+            dual = tuple(gen[p] % 1 for gen in group.generators)
+            per_edge = [
+                {monomial_character_by_fractions(chars, a)
+                 for a in witness.solutions[(v, e.index)]}
+                for e in d.incident_edges(v)
+            ]
+            common = set.intersection(*per_edge)
+            if common:
+                assert common == {dual}, (name, v)
+                shared += 1
+            else:
+                assert any(dual not in chis for chis in per_edge), (name, v)
+                unshared += 1
+        res = congruence_condition(g)
+        characters, monomials, failures = congruence_by_fractions(
+            d, witness, chars
+        )
+        assert res.node_characters == characters, name
+        assert res.node_monomials == monomials, name
+        assert res.failures == failures, name
+    assert shared >= 1000 and unshared >= 10, (shared, unshared)
+
+
 @pytest.mark.parametrize("cap", [None, 1, 2, 5])
 def test_witnesses_come_in_lexicographic_order(corpus, monkeypatch, cap):
     """Every witness list is strictly increasing in exponent_key order,
@@ -351,8 +405,9 @@ def test_witnesses_come_in_lexicographic_order(corpus, monkeypatch, cap):
     assert bool(truncated) == (cap is not None), truncated
     seen = 0
     for name, g, d, witness in _congruence_cases(corpus):
-        chars = leaf_characters(g)
-        res = _congruence_from_parts(d, witness, chars)
+        group = discriminant_group(g)
+        chars = _characters_from_group(g, group)
+        res = _congruence_from_parts(d, witness, group, chars)
         characters, monomials, failures = congruence_by_fractions(
             d, witness, chars
         )

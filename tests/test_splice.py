@@ -30,7 +30,7 @@ from sforge.corpus import (
     two_node_example,
 )
 
-from oracles import coin_membership_dp
+from oracles import coin_membership_dp, invert_rational_fraction_gauss
 
 
 def weights_at(d, v):
@@ -219,18 +219,39 @@ def test_linking_numbers_paper_values():
 
 
 def test_linking_numbers_walk_matches_per_pair_definition():
-    """One walk from a node v gives every linking_number(d, v, w), on
-    300 seeded random trees, at every node."""
-    nodes = 0
+    """Every linking number read off the per-node walks equals
+    |det M| * (-M^-1)_xy from the Fraction Gauss-Jordan oracle, on 300
+    seeded random trees: node-leaf, node-node and leaf-leaf pairs, and
+    l_vv = d_v at every node."""
+    kinds = {"node-leaf": 0, "node-node": 0, "leaf-leaf": 0}
     for seed in range(300):
         g = random_negative_definite_tree(Random(seed), max_vertices=30)
         d = to_splice_diagram(g)
+        if not d.has_nodes:
+            continue
+        m = intersection_matrix(g)
+        inv = invert_rational_fraction_gauss(m)
+        det = abs(determinant(m))
+
+        def expected(x, y):
+            link = -inv[g.index_of(x), g.index_of(y)] * det
+            assert link.denominator == 1
+            return link.numerator
+
         for v in d.nodes:
-            expected = {w: linking_number(d, v, w) for w in d.leaves}
+            assert node_weight(d, v) == linking_number(d, v, v)
+            assert node_weight(d, v) == expected(v, v)
             links = linking_numbers(d, v)
-            assert links == expected and list(links) == list(expected)
-            nodes += 1
-    assert nodes >= 1000
+            assert list(links) == list(d.leaves)
+            assert links == {w: expected(v, w) for w in d.leaves}
+        for i, x in enumerate(d.vertices):
+            for y in d.vertices[i + 1 :]:
+                got = linking_number(d, x, y)
+                assert got == linking_number(d, y, x) == expected(x, y)
+                kind = sorted("node" if d.is_node(z) else "leaf"
+                              for z in (x, y))
+                kinds["%s-%s" % (kind[1], kind[0])] += 1
+    assert min(kinds.values()) >= 1000, kinds
     d = to_splice_diagram(two_node_example())
     assert list(linking_numbers(d, "n1").values()) == [21, 14, 12, 30]
     with pytest.raises(ValueError):
