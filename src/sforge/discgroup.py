@@ -8,7 +8,11 @@ the leaf variable z_w through the fractional part of its pairing with
 the dual basis element e_w. All phases are exact rationals mod 1. The
 order |det M| and the generators M^{-1} U^{-1} e_i come from the tree
 pass of sforge.graph (its determinant and exact solves), so no inverse
-of M is formed.
+of M is formed. The Smith normal form is given that determinant: it
+builds D, U^{-1} and V^{-1} but not U or V, and is certified by M =
+U^{-1} D V^{-1} with prod(d_i) = |det M| (see
+sforge.intmat.smith_normal_form), which also makes the invariant
+factors multiply to the order.
 
 Characters are carried as integer residues: with e the lcm of the
 generator orders and of the phase denominators, leaf w carries the
@@ -21,7 +25,9 @@ phases (a k x t integer matrix), the image of the group in (Q/Z)^t is
 (R^T Z^k + e Z^t) / e Z^t. Its order is e^t / prod(diag), where diag
 is the Smith normal form diagonal of the (k + t) x t matrix [R; e I_t].
 The action is faithful iff that order is |G|: one exact check whose
-cost does not grow with |G|.
+cost does not grow with |G|. That stack is not square and has no
+determinant, so its Smith normal form builds all four transforms and
+keeps the full certificate.
 """
 
 from __future__ import annotations
@@ -189,25 +195,24 @@ def discriminant_group(g: ResolutionGraph) -> DiscriminantData:
     of coker(E -> E*) for a negative-definite QHS tree."""
     form = _require_qhs_tree(g)
     det = form.determinant
-    order = abs(det)
     m = intersection_matrix(g)
-    snf = smith_normal_form(m)
-    factors = snf.invariant_factors
-    if prod(factors) != order:
-        raise AssertionError("invariant factor product != |det|")
+    # certified against the tree pass's determinant, so the factors
+    # multiply to |det|; U and V are not built
+    snf = smith_normal_form(m, det=det)
     # coker(M) = Z^n / D Z^n after the row transform U; the class of the
     # i-th standard generator pulls back to U^{-1} e_i in dual-basis
     # coordinates, i.e. to M^{-1} U^{-1} e_i = adj(M) U^{-1} e_i / det in
     # the E-basis: one tree solve per nontrivial factor.
     nontrivial = [i for i in range(m.rows) if snf.d[i, i] > 1]
+    factors = tuple(snf.d[i, i] for i in nontrivial)
     coords = form.solve([snf.u_inv.column(i) for i in nontrivial])
     return DiscriminantData(
-        order=order,
-        invariant_factors=tuple(x for x in factors if x > 1),
+        order=abs(det),
+        invariant_factors=factors,
         generators=tuple(
             tuple(Fraction(x, det) for x in y) for y in coords
         ),
-        generator_orders=tuple(snf.d[i, i] for i in nontrivial),
+        generator_orders=factors,
         matrix=m,
     )
 

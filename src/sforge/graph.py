@@ -81,7 +81,7 @@ class ResolutionGraph:
     blow-down outputs, which may degenerate).
     """
 
-    __slots__ = ("vertices", "edges", "_index", "_adj", "_form")
+    __slots__ = ("vertices", "edges", "_index", "_adj", "_form", "_matrix")
 
     def __init__(self, vertices, edges, allow_nonnegative_weights=False):
         vs = tuple(
@@ -117,6 +117,7 @@ class ResolutionGraph:
         # neighbour indices per vertex, ascending, repeated per multi-edge
         self._adj = tuple(tuple(sorted(x)) for x in adj)
         self._form = None
+        self._matrix = None
         reached = {0}
         stack = [0]
         while stack:
@@ -471,16 +472,19 @@ def serialize_graph(g: ResolutionGraph) -> str:
 
 def intersection_matrix(g: ResolutionGraph) -> IntMatrix:
     """Symmetric matrix: diagonal = weights, off-diagonal = edge
-    multiplicities, vertex order = declaration order."""
-    n = g.n
-    m = [[0] * n for _ in range(n)]
-    for v, row in zip(g.vertices, m):
-        row[g.index_of(v.id)] = v.weight
-    for a, b in g.edges:
-        i, j = g.index_of(a), g.index_of(b)
-        m[i][j] += 1
-        m[j][i] += 1
-    return IntMatrix(m)
+    multiplicities, vertex order = declaration order. Built on first
+    use and kept by g, like its TreeForm."""
+    if g._matrix is None:
+        n = g.n
+        m = [[0] * n for _ in range(n)]
+        for i, (v, row) in enumerate(zip(g.vertices, m)):
+            row[i] = v.weight
+        for a, b in g.edges:
+            i, j = g.index_of(a), g.index_of(b)
+            m[i][j] += 1
+            m[j][i] += 1
+        g._matrix = IntMatrix(m)
+    return g._matrix
 
 
 def _require_negative_definite(g):

@@ -21,14 +21,19 @@ Two routines work on sparse rows:
 
 - smith_normal_form: elementary row/column reduction with
   smallest-pivot selection (lowest (row, col) on ties; the search stops
-  at the first +-1 in row-major order), tracking U, U^-1, V and V^-1.
-  The working matrix is held as dict rows with a column index, U and
-  V^-1 as dict rows, U^-1 and V as dict columns, so each operation
-  costs the nonzeros it touches. Intersection matrices of trees have
-  about three nonzeros a row, and their ones make most pivots 1.
-  The certificate is U @ m = D @ V^-1, V @ V^-1 = I and U @ U^-1 = I,
-  by sparse products: an integer matrix with an integer inverse is
-  unimodular, and together these give U @ m @ V = D.
+  at the first +-1 in row-major order), tracking U^-1 and V^-1, and U
+  and V unless the caller supplies det(m). The working matrix is held
+  as dict rows with a column index, U and V^-1 as dict rows, U^-1 and
+  V as dict columns, so each operation costs the nonzeros it touches.
+  Intersection matrices of trees have about three nonzeros a row, and
+  their ones make most pivots 1. Two certificates, by sparse products:
+  - without det, U @ m = D @ V^-1, V @ V^-1 = I and U @ U^-1 = I: an
+    integer matrix with an integer inverse is unimodular, and together
+    these give U @ m @ V = D;
+  - with an independently computed det of a square m, m = U^-1 @ D @
+    V^-1 and prod(d_i) = |det| != 0: then det U^-1 * det V^-1 = +-1,
+    so both are unimodular and U @ m @ V = D, without U or V ever
+    being built (they fill in on long (-2)-chains).
 - solve_sparse: the sparse, often underdetermined, rational systems
   of bounded ideal membership (sforge.invariants), from integer dict
   rows. Fraction-free elimination of the columns in order, each
@@ -51,7 +56,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from operator import mul
 
 from .errors import SingularMatrixError
@@ -225,12 +230,13 @@ class SnfResult:
 
     U, V are unimodular, u_inv is the inverse of U and v_inv that of V;
     D is diagonal with nonnegative entries, each dividing the next,
-    zeros (if any) last.
+    zeros (if any) last. u and v are None when smith_normal_form was
+    given the determinant: then only d, u_inv and v_inv are built.
     """
 
-    u: IntMatrix
+    u: IntMatrix | None
     d: IntMatrix
-    v: IntMatrix
+    v: IntMatrix | None
     u_inv: IntMatrix
     v_inv: IntMatrix
 
@@ -367,7 +373,7 @@ def solve_sparse(rows, ncols):
     return x
 
 
-def smith_normal_form(m: IntMatrix) -> SnfResult:
+def smith_normal_form(m: IntMatrix, *, det=None) -> SnfResult:
     """Smith normal form with transforms, U @ m @ V = D.
 
     The working matrix is held sparse: its rows as dicts col -> nonzero
@@ -383,20 +389,46 @@ def smith_normal_form(m: IntMatrix) -> SnfResult:
     block, ties broken by lowest (row, col) index, so outputs are
     deterministic. The search stops at the first +-1 in row-major
     order, which is the entry a full scan would pick, and the
-    divisibility scan is skipped for a pivot of 1. The returned result
-    is verified by exact sparse products before it leaves this
-    function (see _check_snf).
+    divisibility scan is skipped for a pivot of 1.
+
+    The result is certified by exact sparse products before it leaves
+    this function, in one of two ways (see _verify_snf):
+
+    - det is None: all four transforms are built, and the certificate
+      is U @ m = D @ V^-1, U @ U^-1 = I and V @ V^-1 = I. An integer
+      matrix with an integer inverse is unimodular, so U @ m @ V = D.
+    - det given: the caller's determinant of the square m, computed
+      independently of this elimination (sforge.discgroup passes the
+      tree pass's). The elimination, and so d, u_inv and v_inv, are
+      entry for entry those of the first mode, but U and V are not
+      built: the result's u and v are None. The certificate is m =
+      U^-1 @ (D @ V^-1), by one sparse product, and prod(d_i) = |det|
+      != 0. Proof: det m = det U^-1 * prod(d_i) * det V^-1, so
+      |det U^-1 * det V^-1| = 1. Both are determinants of integer
+      matrices, hence integers, hence +-1: U^-1 and V^-1 are
+      unimodular, their inverses U and V are integer matrices, and
+      U @ m @ V = D. U is what fills in on long (-2)-chains, and its
+      two products dominate the first certificate there.
+
+    Both certificates also check that D is diagonal and nonnegative
+    with each entry dividing the next, zeros last. Raises ValueError
+    when det is given for a non-square m.
     """
     nr, nc = m.rows, m.cols
-    a = _sparse_rows(m)
+    full = det is None
+    if not full and nr != nc:
+        raise ValueError("det is defined only for a square matrix")
+    m_rows = _sparse_rows(m)
+    a = [dict(row) for row in m_rows]
     cols = [set() for _ in range(nc)]
     for i, row in enumerate(a):
         for j in row:
             cols[j].add(i)
-    u = [{i: 1} for i in range(nr)]  # rows
     u_inv = [{i: 1} for i in range(nr)]  # columns
-    v = [{j: 1} for j in range(nc)]  # columns
     v_inv = [{j: 1} for j in range(nc)]  # rows
+    if full:
+        u = [{i: 1} for i in range(nr)]  # rows
+        v = [{j: 1} for j in range(nc)]  # columns
 
     def swap_rows(i, j):
         if i != j:
@@ -409,8 +441,9 @@ def smith_normal_form(m: IntMatrix) -> SnfResult:
                 cols[k].add(i)
             for k in a[j]:
                 cols[k].add(j)
-            u[i], u[j] = u[j], u[i]
             u_inv[i], u_inv[j] = u_inv[j], u_inv[i]
+            if full:
+                u[i], u[j] = u[j], u[i]
 
     def swap_cols(i, j):
         if i != j:
@@ -422,8 +455,9 @@ def smith_normal_form(m: IntMatrix) -> SnfResult:
                 if y:
                     row[i] = y
             cols[i], cols[j] = cols[j], cols[i]
-            v[i], v[j] = v[j], v[i]
             v_inv[i], v_inv[j] = v_inv[j], v_inv[i]
+            if full:
+                v[i], v[j] = v[j], v[i]
 
     def add_row(src, dst, c):
         # row_dst += c * row_src
@@ -437,8 +471,9 @@ def smith_normal_form(m: IntMatrix) -> SnfResult:
             else:
                 del row[j]
                 cols[j].discard(dst)
-        _add_multiple(u[dst], u[src], c)
         _add_multiple(u_inv[src], u_inv[dst], -c)
+        if full:
+            _add_multiple(u[dst], u[src], c)
 
     def add_col(src, dst, c):
         # col_dst += c * col_src
@@ -453,11 +488,12 @@ def smith_normal_form(m: IntMatrix) -> SnfResult:
             else:
                 del row[dst]
                 col.discard(i)
-        _add_multiple(v[dst], v[src], c)
         _add_multiple(v_inv[src], v_inv[dst], -c)
+        if full:
+            _add_multiple(v[dst], v[src], c)
 
     def negate_row(i):
-        for row in (a[i], u[i], u_inv[i]):
+        for row in (a[i], u_inv[i], u[i]) if full else (a[i], u_inv[i]):
             for k in row:
                 row[k] = -row[k]
 
@@ -521,10 +557,13 @@ def smith_normal_form(m: IntMatrix) -> SnfResult:
     d = [{i: a[i][i]} if i in a[i] else {} for i in range(min(nr, nc))]
     d += [{} for _ in range(nr - len(d))]
     u_inv = _transpose(u_inv, nr)
-    v = _transpose(v, nc)
-    _verify_snf(_sparse_rows(m), u, d, v, u_inv, v_inv)
+    if full:
+        v = _transpose(v, nc)
+    else:
+        u = v = None
+    _verify_snf(m_rows, d, u_inv, v_inv, u, v, det)
     return SnfResult(*(
-        IntMatrix._from_sparse_rows(rows, n)
+        None if rows is None else IntMatrix._from_sparse_rows(rows, n)
         for rows, n in ((u, nr), (d, nc), (v, nc), (u_inv, nr), (v_inv, nc))
     ))
 
@@ -556,21 +595,30 @@ def _sparse_product(left, right):
     return out
 
 
-def _verify_snf(m, u, d, v, u_inv, v_inv):
-    """The Smith normal form certificate, every matrix given by its
-    sparse rows.
-
-    U @ m = D @ V^-1 and V @ V^-1 = I give U @ m @ V = D with V
-    unimodular (an integer matrix with an integer inverse is); U @ U^-1
-    = I makes U unimodular. Every product is exact and touches only
+def _verify_snf(m, d, u_inv, v_inv, u=None, v=None, det=None):
+    """The two certificates of smith_normal_form (its docstring says
+    why each suffices), every matrix given by its sparse rows; with
+    det, u and v are not read. Every product is exact and touches only
     nonzeros."""
-    if _sparse_product(u, m) != _sparse_product(d, v_inv):
-        raise AssertionError("SNF verification failed: U*M != D*V^-1")
-    if _sparse_product(u, u_inv) != [{i: 1} for i in range(len(u))]:
-        raise AssertionError("SNF verification failed: U*U^-1 != I")
-    if _sparse_product(v, v_inv) != [{j: 1} for j in range(len(v))]:
-        raise AssertionError("SNF transform not unimodular: V*V^-1 != I")
-    diag = [row.get(i, 0) for i, row in enumerate(d[:len(v)])]
+    if any(row.keys() - {i} for i, row in enumerate(d)):
+        raise AssertionError("SNF verification failed: D is not diagonal")
+    if det is None:
+        if _sparse_product(u, m) != _sparse_product(d, v_inv):
+            raise AssertionError("SNF verification failed: U*M != D*V^-1")
+        if _sparse_product(u, u_inv) != [{i: 1} for i in range(len(u))]:
+            raise AssertionError("SNF verification failed: U*U^-1 != I")
+        if _sparse_product(v, v_inv) != [{j: 1} for j in range(len(v))]:
+            raise AssertionError("SNF transform not unimodular: V*V^-1 != I")
+    else:
+        scaled = [
+            {j: x * row[i] for j, x in v_inv[i].items()} if row else {}
+            for i, row in enumerate(d)
+        ]
+        if _sparse_product(u_inv, scaled) != m:
+            raise AssertionError("SNF verification failed: M != U^-1*D*V^-1")
+    diag = [row.get(i, 0) for i, row in enumerate(d[:len(v_inv)])]
+    if det is not None and (det == 0 or prod(diag) != abs(det)):
+        raise AssertionError("SNF verification failed: prod(d_i) != |det|")
     for x, y in zip(diag, diag[1:]):
         if x == 0 and y != 0:
             raise AssertionError("zero invariant factor before a nonzero one")
@@ -580,12 +628,16 @@ def _verify_snf(m, u, d, v, u_inv, v_inv):
         raise AssertionError("negative diagonal in SNF")
 
 
-def _check_snf(m, result):
+def _check_snf(m, result, det=None):
     """Verify an SnfResult of m, as smith_normal_form does before it
-    returns one."""
-    _verify_snf(*map(_sparse_rows, (
-        m, result.u, result.d, result.v, result.u_inv, result.v_inv
-    )))
+    returns one: the full certificate, or with det the determinant
+    certificate, which does not read result.u and result.v."""
+    if det is not None and not m.is_square:
+        raise ValueError("det is defined only for a square matrix")
+    rows = [_sparse_rows(x) for x in (m, result.d, result.u_inv, result.v_inv)]
+    if det is None:
+        rows += [_sparse_rows(result.u), _sparse_rows(result.v)]
+    _verify_snf(*rows, det=det)
 
 
 def _solve_scaled(m, rhs):

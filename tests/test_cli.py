@@ -455,6 +455,35 @@ def test_discriminant_group_built_once_per_call(
     }
 
 
+def test_analyze_builds_the_intersection_matrix_once(
+    capsys, graphs_dir, monkeypatch
+):
+    """The matrix is kept by the graph: the report and the discriminant
+    group read the same IntMatrix, built once per analyze call."""
+    import sforge.graph
+
+    real = sforge.graph.IntMatrix
+    built = []
+
+    def counting(rows):
+        built.append(len(rows))
+        return real(rows)
+
+    monkeypatch.setattr(sforge.graph, "IntMatrix", counting)
+    groups = 0
+    for path in sorted(graphs_dir.glob("*.graph")):
+        built.clear()
+        code, out, err = run(capsys, "analyze", str(path), "--format",
+                             "structured")
+        if code == 0:
+            doc = json.loads(out)["result"]
+            assert built == [len(doc["matrix"])], path.name
+            groups += doc["discriminant"] is not None
+        else:
+            assert built == [7], path.name  # indefinite-star, exit 3
+    assert groups >= 20, groups
+
+
 def test_conditions_builds_diagram_and_witness_once(
     capsys, graphs_dir, monkeypatch
 ):

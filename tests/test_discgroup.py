@@ -326,6 +326,44 @@ def test_generators_match_inverse_times_inverted_u(corpus):
         assert d.dual_basis == invert_rational_fraction_gauss(m), name
 
 
+def test_group_snf_is_certified_by_the_tree_determinant(
+    corpus, monkeypatch
+):
+    """discriminant_group hands its Smith normal form the tree pass's
+    determinant, so U and V are not built; is_faithful's stack has no
+    determinant and keeps all four transforms and the full
+    certificate."""
+    import sforge.discgroup
+
+    real = sforge.discgroup.smith_normal_form
+    calls = []
+
+    def recording(m, **kwargs):
+        result = real(m, **kwargs)
+        calls.append((m, kwargs, result))
+        return result
+
+    monkeypatch.setattr(sforge.discgroup, "smith_normal_form", recording)
+    faithful = 0
+    for name, g in corpus.items():
+        if not g.is_qhs_tree():
+            continue
+        calls.clear()
+        chars = leaf_characters(g)
+        (m, kwargs, group_snf), *rest = calls
+        assert m is intersection_matrix(g), name
+        assert kwargs == {"det": g.tree_form().determinant}, name
+        assert group_snf.u is None and group_snf.v is None, name
+        if chars.generator_orders:
+            ((stack, kwargs, snf),) = rest
+            assert not stack.is_square and kwargs == {}, name
+            assert snf.u @ stack @ snf.v == snf.d, name
+            faithful += 1
+        else:
+            assert rest == [], name
+    assert faithful >= 10, faithful
+
+
 def test_character_orders_are_the_invariant_factors(corpus):
     """The CLI reads |G| and the invariant factors off the leaf
     characters, so generator_orders must equal invariant_factors."""

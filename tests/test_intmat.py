@@ -158,14 +158,45 @@ def test_snf_check_rejects_corrupted_u_inverse():
 
 @pytest.mark.parametrize("field", ["u", "d", "v", "u_inv", "v_inv"])
 def test_snf_check_rejects_any_corrupted_matrix(field):
+    """Both certificates; the determinant one reads only d, u_inv and
+    v_inv."""
     m = IntMatrix([[2, 1, 0], [1, 3, 1], [0, 1, 4]])
+    det = determinant(m)
     r = smith_normal_form(m)
+    q = smith_normal_form(m, det=det)
     _check_snf(m, r)
-    for i, j in ((0, 0), (2, 1), (1, 2)):
+    _check_snf(m, q, det=det)
+    _check_snf(m, q, det=-det)  # only |det| is read
+    for i, j in ((0, 0), (2, 1), (1, 2), (2, 2)):
         bad = getattr(r, field).to_lists()
         bad[i][j] += 1
+        bad = {field: IntMatrix(bad)}
         with pytest.raises(AssertionError):
-            _check_snf(m, replace(r, **{field: IntMatrix(bad)}))
+            _check_snf(m, replace(r, **bad))
+        if getattr(q, field) is not None:
+            with pytest.raises(AssertionError):
+                _check_snf(m, replace(q, **bad), det=det)
+
+
+def test_snf_det_check_rejects_a_wrong_or_zero_determinant():
+    m = IntMatrix([[2, 1, 0], [1, 3, 1], [0, 1, 4]])
+    r = smith_normal_form(m, det=determinant(m))
+    for det in (0, determinant(m) + 1, 1, 2 * determinant(m)):
+        with pytest.raises(AssertionError):
+            _check_snf(m, r, det=det)
+        with pytest.raises(AssertionError):
+            smith_normal_form(m, det=det)
+    singular = IntMatrix([[2, 4], [1, 2]])
+    with pytest.raises(AssertionError):
+        smith_normal_form(singular, det=0)
+
+
+def test_snf_det_mode_requires_a_square_matrix():
+    m = IntMatrix([[2, 4, 6], [3, 9, 1]])
+    with pytest.raises(ValueError):
+        smith_normal_form(m, det=1)
+    with pytest.raises(ValueError):
+        _check_snf(m, smith_normal_form(m), det=1)
 
 
 def test_snf_check_rejects_corrupted_non_square_transforms():
@@ -178,12 +209,25 @@ def test_snf_check_rejects_corrupted_non_square_transforms():
             _check_snf(m, replace(r, **{field: IntMatrix(bad)}))
 
 
-def assert_snf_matches_dense(m):
+def assert_snf_matches_dense(m, det=None):
     """Same pivots and same elementary operations as the dense oracle:
-    every transform agrees entry for entry."""
+    every transform agrees entry for entry. With det, the determinant
+    mode runs too and must give the same d, u_inv and v_inv, without
+    u and v."""
     r = smith_normal_form(m)
     assert (r.u, r.d, r.v, r.u_inv) == tuple(smith_normal_form_dense(m))
+    if det is not None:
+        q = smith_normal_form(m, det=det)
+        assert (q.d, q.u_inv, q.v_inv) == (r.d, r.u_inv, r.v_inv)
+        assert q.u is None and q.v is None
     return r
+
+
+def assert_graph_snf_matches_dense(g):
+    """assert_snf_matches_dense on the intersection matrix of g, with
+    the tree pass's determinant on a nondegenerate tree."""
+    det = g.tree_form().determinant if g.is_tree() else 0
+    return assert_snf_matches_dense(intersection_matrix(g), det or None)
 
 
 def comb(spine, rng):
@@ -211,15 +255,18 @@ def test_snf_matches_dense_oracle_on_corpus(corpus, graphs_dir):
         parse_graph(p.read_text(encoding="utf-8"))
         for p in sorted(graphs_dir.glob("*.graph"))
     ]
+    trees = 0
     for g in graphs:
-        assert_snf_matches_dense(intersection_matrix(g))
+        assert_graph_snf_matches_dense(g)
+        trees += g.is_tree() and g.tree_form().determinant != 0
+    assert trees >= 30, trees
 
 
 def test_snf_matches_dense_oracle_on_random_trees():
     sizes = []
     for seed in range(200):
         g = random_negative_definite_tree(Random(seed), max_vertices=100)
-        assert_snf_matches_dense(intersection_matrix(g))
+        assert_graph_snf_matches_dense(g)
         sizes.append(g.n)
     assert max(sizes) >= 95 and min(sizes) <= 5
     # the 96-vertex tree of the analyze target: the first draw from
@@ -229,20 +276,20 @@ def test_snf_matches_dense_oracle_on_random_trees():
     while g.n < 80:
         g = random_negative_definite_tree(rng, max_vertices=100)
     assert g.n == 96
-    assert_snf_matches_dense(intersection_matrix(g))
+    assert_graph_snf_matches_dense(g)
 
 
 def test_snf_matches_dense_oracle_on_chain_star_comb_families():
     rng = Random(2101)
     for n in (10, 17, 26, 40):
-        assert_snf_matches_dense(intersection_matrix(chain([-2] * n)))
-        assert_snf_matches_dense(intersection_matrix(
+        assert_graph_snf_matches_dense(chain([-2] * n))
+        assert_graph_snf_matches_dense(
             chain([-rng.randint(2, 4) for _ in range(n)])
-        ))
+        )
         arms = [[-rng.randint(2, 4) for _ in range((n - 1) // 3)]
                 for _ in range(3)]
-        assert_snf_matches_dense(intersection_matrix(star(-3, arms)))
-        assert_snf_matches_dense(intersection_matrix(comb(n // 3, rng)))
+        assert_graph_snf_matches_dense(star(-3, arms))
+        assert_graph_snf_matches_dense(comb(n // 3, rng))
 
 
 def test_snf_matches_dense_oracle_on_random_matrices():

@@ -8,6 +8,7 @@ from sforge import (
     NotQhsTreeError,
     ResolutionGraph,
     Vertex,
+    adjugate,
     determinant,
     edge_determinant,
     intersection_matrix,
@@ -30,7 +31,7 @@ from sforge.corpus import (
     two_node_example,
 )
 
-from oracles import coin_membership_dp, invert_rational_fraction_gauss
+from oracles import coin_membership_dp
 
 
 def weights_at(d, v):
@@ -220,23 +221,22 @@ def test_linking_numbers_paper_values():
 
 def test_linking_numbers_walk_matches_per_pair_definition():
     """Every linking number read off the per-node walks equals
-    |det M| * (-M^-1)_xy from the Fraction Gauss-Jordan oracle, on 300
-    seeded random trees: node-leaf, node-node and leaf-leaf pairs, and
-    l_vv = d_v at every node."""
+    |det M| * (-M^-1)_xy = -sign(det M) * adj(M)_xy, from the dense
+    Bareiss adjugate (which checks M @ adj(M) = det(M) * I itself, and
+    uses neither the walk nor the tree pass), on 300 seeded random
+    trees: node-leaf, node-node and leaf-leaf pairs, and l_vv = d_v at
+    every node."""
     kinds = {"node-leaf": 0, "node-node": 0, "leaf-leaf": 0}
     for seed in range(300):
         g = random_negative_definite_tree(Random(seed), max_vertices=30)
         d = to_splice_diagram(g)
         if not d.has_nodes:
             continue
-        m = intersection_matrix(g)
-        inv = invert_rational_fraction_gauss(m)
-        det = abs(determinant(m))
+        det, adj = adjugate(intersection_matrix(g))
+        sign = 1 if det > 0 else -1
 
         def expected(x, y):
-            link = -inv[g.index_of(x), g.index_of(y)] * det
-            assert link.denominator == 1
-            return link.numerator
+            return -sign * adj[g.index_of(x), g.index_of(y)]
 
         for v in d.nodes:
             assert node_weight(d, v) == linking_number(d, v, v)
