@@ -16,15 +16,10 @@ import json
 import sys
 
 from . import __version__
-from .discgroup import _characters_from_group, discriminant_group
-from .equations import (
-    _build_splice_equations,
-    _congruence_from_parts,
-    build_splice_equations,
-)
+from .discgroup import discriminant_group, leaf_characters
+from .equations import build_splice_equations, congruence_condition
 from .errors import ParseError, PreconditionError
 from .graph import (
-    _classify_cycles,
     blow_down_minimal,
     canonical_cycle,
     classify,
@@ -81,6 +76,16 @@ def _graph_doc(g):
     }
 
 
+def _read(path):
+    """The text of the UTF-8 file at path. A file that cannot be read,
+    or is not UTF-8, is malformed input: ParseError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError("cannot read %s: %s" % (path, exc)) from None
+
+
 def _envelope(command, path, data):
     with open(path, "rb") as fh:
         digest = hashlib.sha256(fh.read()).hexdigest()
@@ -117,19 +122,17 @@ def _analyze(g):
         zip(k.vertex_ids, _fracs(k.coefficients))
     )
     data["numerically_gorenstein"] = k.is_integral()
-    data["classification"] = _classification_doc(_classify_cycles(g, z, k))
+    data["classification"] = _classification_doc(classify(g))
     blown = None
     if g.is_tree():
         try:
             h = blow_down_minimal(g)
-            if h == g:
-                classification = data["classification"]
-            elif h.is_negative_definite():
+            if h.is_negative_definite():
                 classification = _classification_doc(classify(h))
             else:
                 classification = None
             blown = {
-                "changed": h != g,
+                "changed": h is not g,
                 "graph": _graph_doc(h),
                 "classification": classification,
             }
@@ -240,7 +243,7 @@ def _splice(g):
             for e in d.edges
             if d.is_node(e.a) and d.is_node(e.b)
         ],
-        "zhs": is_zhs(g, d),
+        "zhs": is_zhs(g),
         "diagram": d.render_text(),
     }
     if data["no_nodes"]:
@@ -301,8 +304,7 @@ def _conditions(g):
     }
     if not wit.holds:
         return {"no_nodes": False, "semigroup": sem, "congruence": None}
-    dg = discriminant_group(g)
-    cong = _congruence_from_parts(d, wit, dg, _characters_from_group(g, dg))
+    cong = congruence_condition(g)
     return {
         "no_nodes": False,
         "semigroup": sem,
@@ -439,7 +441,7 @@ def _render_equations(data):
 def _invariants(g, degree_bound, identity_path):
     dg = discriminant_group(g)
     check_order_cap(dg.order)
-    chars = _characters_from_group(g, dg)
+    chars = leaf_characters(g)
     basis = invariant_generators(chars, dg.order, degree_bound=degree_bound)
     relations = toric_relations(basis, degree_bound)
     data = {
@@ -464,9 +466,8 @@ def _invariants(g, degree_bound, identity_path):
         "certificate": None,
     }
     if identity_path is not None:
-        with open(identity_path, "r", encoding="utf-8") as fh:
-            target = parse_polynomial(fh.read(), basis.variables)
-        pkg = _build_splice_equations(g, dg, chars)
+        target = parse_polynomial(_read(identity_path), basis.variables)
+        pkg = build_splice_equations(g)
         cert = membership_bounded(target, list(pkg.equations), degree_bound)
         data["certificate"] = {
             "target": str(target),
@@ -659,10 +660,9 @@ def _build_parser():
 def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
-        with open(args.file, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        print("sforge: cannot read %s: %s" % (args.file, exc), file=sys.stderr)
+        text = _read(args.file)
+    except ParseError as exc:
+        print("sforge: %s" % exc, file=sys.stderr)
         return EXIT_INPUT
     try:
         g = parse_graph(text)
@@ -688,7 +688,7 @@ def main(argv=None):
                 return EXIT_INPUT
             data = _invariants(g, args.degree_bound, args.verify_identity)
             render = _render_invariants
-    except ParseError as exc:  # polynomial file errors
+    except ParseError as exc:  # polynomial file errors, unreadable too
         print("sforge: %s" % exc, file=sys.stderr)
         return EXIT_INPUT
     except (PreconditionError, ValueError) as exc:

@@ -32,14 +32,18 @@ keeps the full certificate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm, prod
 
-from .errors import NotQhsTreeError
-from .graph import ResolutionGraph, intersection_matrix
-from .intmat import IntMatrix, invert_rational, smith_normal_form
+from .graph import (
+    ResolutionGraph,
+    intersection_matrix,
+    memoized,
+    require_qhs_tree,
+)
+from .intmat import IntMatrix, smith_normal_form
 
 __all__ = [
     "DiscriminantData",
@@ -58,25 +62,10 @@ class DiscriminantData:
     invariant_factors: tuple  # nontrivial factors only, divisibility order
     generators: tuple  # class representatives, rational coords in the E-basis
     generator_orders: tuple  # order of each generator (= its factor)
-    matrix: IntMatrix = field(repr=False, compare=False)  # M
 
     @property
     def is_trivial(self):
         return self.order == 1
-
-    @cached_property
-    def dual_basis(self):
-        """RatMatrix whose row i is e_i in the E-basis (i.e. M^{-1});
-        computed on first read."""
-        return invert_rational(self.matrix)
-
-    @cached_property
-    def pairing(self):
-        """(e_i . e_j) mod 1, a square tuple of Fractions; computed on
-        first read."""
-        return tuple(
-            tuple(x % 1 for x in row) for row in self.dual_basis.entries
-        )
 
 
 @dataclass(frozen=True)
@@ -177,23 +166,11 @@ class CharacterAssignment:
         return e**t == self.order * prod(diag)
 
 
-def _require_qhs_tree(g):
-    if not g.is_qhs_tree():
-        raise NotQhsTreeError(
-            "not a QHS tree: graph must be a tree of genus-0 curves"
-        )
-    form = g.tree_form()
-    if not form.negative_definite:
-        raise NotQhsTreeError(
-            "not a QHS tree: intersection matrix is not negative definite"
-        )
-    return form
-
-
+@memoized
 def discriminant_group(g: ResolutionGraph) -> DiscriminantData:
-    """Invariant factors, canonical generators and discriminant pairing
-    of coker(E -> E*) for a negative-definite QHS tree."""
-    form = _require_qhs_tree(g)
+    """Order, invariant factors and canonical generators of coker(E ->
+    E*) for a negative-definite QHS tree."""
+    form = require_qhs_tree(g)
     det = form.determinant
     m = intersection_matrix(g)
     # certified against the tree pass's determinant, so the factors
@@ -213,15 +190,10 @@ def discriminant_group(g: ResolutionGraph) -> DiscriminantData:
             tuple(Fraction(x, det) for x in y) for y in coords
         ),
         generator_orders=factors,
-        matrix=m,
     )
 
 
-def _leaf_ids(g):
-    leaves = [v.id for v in g.vertices if g.valency(v.id) <= 1]
-    return tuple(leaves)
-
-
+@memoized
 def leaf_characters(g: ResolutionGraph) -> CharacterAssignment:
     """Phases of the canonical generators on the end-curve variables.
 
@@ -232,12 +204,8 @@ def leaf_characters(g: ResolutionGraph) -> CharacterAssignment:
     (Q/Z)^t, an index read off one Smith normal form (see the module
     docstring).
     """
-    return _characters_from_group(g, discriminant_group(g))
-
-
-def _characters_from_group(g, data):
-    """leaf_characters(g), given data = discriminant_group(g)."""
-    leaves = _leaf_ids(g)
+    data = discriminant_group(g)
+    leaves = g.leaf_ids
     leaf_pos = [g.index_of(w) for w in leaves]
     phases = tuple(
         tuple(gen[p] % 1 for p in leaf_pos) for gen in data.generators
@@ -259,7 +227,7 @@ def dual_class_order(g: ResolutionGraph, vertex_id: str) -> int:
     n >= 1 with n * e_i integral in the E-basis. Column i of M^{-1} is
     y / det(M), with y = adj(M) e_i from one tree solve, so n_i = |det|
     / gcd(det, y)."""
-    form = _require_qhs_tree(g)
+    form = require_qhs_tree(g)
     unit = [0] * g.n
     unit[g.index_of(vertex_id)] = 1
     (y,) = form.solve([unit])

@@ -17,8 +17,8 @@ from itertools import combinations
 
 from .discgroup import (
     CharacterAssignment,
-    _characters_from_group,
     discriminant_group,
+    leaf_characters,
 )
 from .errors import (
     ConditionsNotMetError,
@@ -28,12 +28,7 @@ from .errors import (
 from .graph import ResolutionGraph
 from .intmat import IntMatrix, determinant
 from .poly import Polynomial
-from .splice import (
-    SpliceDiagram,
-    SemigroupWitness,
-    semigroup_condition,
-    to_splice_diagram,
-)
+from .splice import SpliceDiagram, semigroup_condition, to_splice_diagram
 
 __all__ = [
     "NodeSystem",
@@ -84,44 +79,38 @@ def admissible_monomials(
     edge,
     character=None,
     chars: CharacterAssignment = None,
-    witness: SemigroupWitness = None,
 ):
     """Exponent maps of the admissible monomials at (v, edge), in the
     lexicographic order the witnesses come in (see SemigroupWitness);
-    optionally filtered to a given character (which requires the leaf
-    CharacterAssignment)."""
-    if witness is None:
-        witness = semigroup_condition(diagram)
-    sols = witness.solutions[(v, edge.index)]
+    optionally filtered to a given character, a tuple of phases in
+    [0, 1) (which requires the leaf CharacterAssignment)."""
+    sols = semigroup_condition(diagram).solutions[(v, edge.index)]
     if character is not None:
         if chars is None:
             raise ValueError("character filtering needs a CharacterAssignment")
-        character = tuple(character)
-        return [a for a in sols if chars.monomial_character(a) == character]
+        # e * phase: the residue a monomial of this character has
+        target = tuple(x * chars.modulus for x in character)
+        return [a for a in sols if chars.monomial_residue(a) == target]
     return list(sols)
 
 
-def congruence_condition(g: ResolutionGraph) -> CongruenceResult:
-    """Per node v, is there one character shared by an admissible
-    monomial in every direction? Only the class of e_v* can be shared
-    (see _congruence_from_parts), so each direction is searched for it."""
-    diagram = to_splice_diagram(g)
+def _require_semigroup(diagram, error):
+    """The diagram's semigroup witness; raises NoNodesError without
+    nodes and `error` when the condition fails."""
     if not diagram.has_nodes:
         raise NoNodesError("no nodes: cyclic quotient case")
     witness = semigroup_condition(diagram)
     if not witness.holds:
-        raise SemigroupConditionError(
+        raise error(
             "semigroup condition fails at %s"
             % "; ".join("%s %s" % f for f in witness.failures)
         )
-    group = discriminant_group(g)
-    chars = _characters_from_group(g, group)
-    return _congruence_from_parts(diagram, witness, group, chars)
+    return witness
 
 
-def _congruence_from_parts(diagram, witness, group, chars):
-    """congruence_condition from its parts; group is the graph's
-    DiscriminantData and chars its leaf CharacterAssignment.
+def congruence_condition(g: ResolutionGraph) -> CongruenceResult:
+    """Per node v, is there one character shared by an admissible
+    monomial in every direction?
 
     At a node v the only character that admissible monomials of two
     directions can share is that of the dual class [e_v*], whose phase
@@ -141,12 +130,16 @@ def _congruence_from_parts(diagram, witness, group, chars):
     residue of [e_v*]; the witnesses come in lexicographic order (see
     SemigroupWitness), so it is the lexicographically first. A node
     fails when some direction has none."""
+    diagram = to_splice_diagram(g)
+    witness = _require_semigroup(diagram, SemigroupConditionError)
+    group = discriminant_group(g)
+    chars = leaf_characters(g)
     modulus = chars.modulus
     node_characters = {}
     node_monomials = {}
     failures = []
     for v in diagram.nodes:
-        p = diagram.gamma.index_of(v)
+        p = g.index_of(v)
         character = tuple(gen[p] % 1 for gen in group.generators)
         target = tuple(
             x.numerator * (modulus // x.denominator) for x in character
@@ -195,27 +188,11 @@ def generic_coefficients(delta: int) -> IntMatrix:
 
 def build_splice_equations(g: ResolutionGraph) -> EquationsPackage:
     """Emit the t-2 splice equations for a graph satisfying the
-    semigroup and congruence conditions."""
-    return _build_splice_equations(g)
-
-
-def _build_splice_equations(g, group=None, chars=None):
-    """build_splice_equations(g), reusing group = discriminant_group(g)
-    and chars = its leaf characters when the caller has them; without
-    them both are built once the semigroup condition holds."""
+    semigroup and congruence conditions; raises ConditionsNotMetError
+    when either fails."""
     diagram = to_splice_diagram(g)
-    if not diagram.has_nodes:
-        raise NoNodesError("no nodes: cyclic quotient case")
-    witness = semigroup_condition(diagram)
-    if not witness.holds:
-        raise ConditionsNotMetError(
-            "semigroup condition fails at %s"
-            % "; ".join("%s %s" % f for f in witness.failures)
-        )
-    if group is None:
-        group = discriminant_group(g)
-        chars = _characters_from_group(g, group)
-    cong = _congruence_from_parts(diagram, witness, group, chars)
+    _require_semigroup(diagram, ConditionsNotMetError)
+    cong = congruence_condition(g)
     if not cong.holds:
         raise ConditionsNotMetError(
             "congruence condition fails at node%s %s"
@@ -258,7 +235,7 @@ def _build_splice_equations(g, group=None, chars=None):
         variables=variables,
         equations=tuple(equations),
         nodes=tuple(systems),
-        characters=chars,
+        characters=leaf_characters(g),
     )
     _verify_package(pkg)
     return pkg

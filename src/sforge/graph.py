@@ -31,11 +31,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import wraps
 from typing import Optional
 
 from .errors import (
     NonMinimalRepresentableError,
     NotNegativeDefiniteError,
+    NotQhsTreeError,
     ParseError,
     SingularMatrixError,
 )
@@ -61,7 +63,27 @@ __all__ = [
     "fundamental_cycle",
     "classify",
     "blow_down_minimal",
+    "memoized",
+    "require_qhs_tree",
 ]
+
+
+def memoized(fn):
+    """Compute fn(x) once per x: the result is kept in x._memo under
+    fn's name and returned as is on every later call, so it is shared
+    and must not be mutated. A raised exception is not kept. A result
+    must not refer back to x, or x and its memo would form a reference
+    cycle that only the cyclic garbage collector frees."""
+    name = fn.__name__
+
+    @wraps(fn)
+    def wrapper(x):
+        memo = x._memo
+        if name not in memo:
+            memo[name] = fn(x)
+        return memo[name]
+
+    return wrapper
 
 
 @dataclass(frozen=True)
@@ -81,7 +103,7 @@ class ResolutionGraph:
     blow-down outputs, which may degenerate).
     """
 
-    __slots__ = ("vertices", "edges", "_index", "_adj", "_form", "_matrix")
+    __slots__ = ("vertices", "edges", "_index", "_adj", "_memo")
 
     def __init__(self, vertices, edges, allow_nonnegative_weights=False):
         vs = tuple(
@@ -116,8 +138,7 @@ class ResolutionGraph:
         self._index = index
         # neighbour indices per vertex, ascending, repeated per multi-edge
         self._adj = tuple(tuple(sorted(x)) for x in adj)
-        self._form = None
-        self._matrix = None
+        self._memo = {}  # stage results, see memoized
         reached = {0}
         stack = [0]
         while stack:
@@ -137,6 +158,13 @@ class ResolutionGraph:
     @property
     def vertex_ids(self):
         return tuple(v.id for v in self.vertices)
+
+    @property
+    def leaf_ids(self):
+        """Ids of the vertices of valency <= 1, in declaration order:
+        the leaves of a splice diagram, the end-curve variables."""
+        return tuple(v.id for v, nb in zip(self.vertices, self._adj)
+                     if len(nb) <= 1)
 
     def index_of(self, vid):
         return self._index[vid]
@@ -159,14 +187,12 @@ class ResolutionGraph:
         """Tree of genus-0 curves: the link is a rational homology sphere."""
         return self.is_tree() and all(v.genus == 0 for v in self.vertices)
 
+    @memoized
     def tree_form(self):
-        """The TreeForm of a tree's intersection form, built on first
-        use and kept."""
-        if self._form is None:
-            if not self.is_tree():
-                raise ValueError("the tree pass needs a tree")
-            self._form = TreeForm(self)
-        return self._form
+        """The TreeForm of a tree's intersection form."""
+        if not self.is_tree():
+            raise ValueError("the tree pass needs a tree")
+        return TreeForm(self)
 
     def determinant(self):
         """det of the intersection matrix: the tree pass on a tree,
@@ -219,7 +245,7 @@ class TreeForm:
 
     __slots__ = (
         "_index", "_weights", "_order", "_parent", "_children",
-        "_down", "_below", "_up", "determinant", "negative_definite",
+        "_down", "_below", "_memo", "determinant", "negative_definite",
     )
 
     def __init__(self, g):
@@ -252,12 +278,13 @@ class TreeForm:
         self._children = children
         self._down = down
         self._below = below
-        self._up = None
+        self._memo = {}
         self.determinant = down[0]
         self.negative_definite = all(
             d != 0 and (d < 0) == o for d, o in zip(down, odd)
         )
 
+    @memoized
     def _branches_up(self):
         """Per non-root v, (det of the tree minus the subtree of v, det
         of that minus the parent of v). One pass from the root: at each
@@ -265,8 +292,6 @@ class TreeForm:
         one neighbour out without a division. Every vertex also
         re-derives det(M) from all its branches, an exact check of the
         pass."""
-        if self._up is not None:
-            return self._up
         w, det = self._weights, self.determinant
         down, below = self._down, self._below
         up = [(0, 1)] * len(w)
@@ -290,7 +315,6 @@ class TreeForm:
             for k, c in enumerate(self._children[v]):
                 (p1, s1), (p2, s2) = prefix[k], suffix[k + 1]
                 up[c] = (w[v] * p1 * p2 - s1 * p2 - s2 * p1, p1 * p2)
-        self._up = up
         return up
 
     def branch_determinant(self, vid, uid):
@@ -470,21 +494,19 @@ def serialize_graph(g: ResolutionGraph) -> str:
 # -- invariants -----------------------------------------------------------
 
 
+@memoized
 def intersection_matrix(g: ResolutionGraph) -> IntMatrix:
     """Symmetric matrix: diagonal = weights, off-diagonal = edge
-    multiplicities, vertex order = declaration order. Built on first
-    use and kept by g, like its TreeForm."""
-    if g._matrix is None:
-        n = g.n
-        m = [[0] * n for _ in range(n)]
-        for i, (v, row) in enumerate(zip(g.vertices, m)):
-            row[i] = v.weight
-        for a, b in g.edges:
-            i, j = g.index_of(a), g.index_of(b)
-            m[i][j] += 1
-            m[j][i] += 1
-        g._matrix = IntMatrix(m)
-    return g._matrix
+    multiplicities, vertex order = declaration order."""
+    n = g.n
+    m = [[0] * n for _ in range(n)]
+    for i, (v, row) in enumerate(zip(g.vertices, m)):
+        row[i] = v.weight
+    for a, b in g.edges:
+        i, j = g.index_of(a), g.index_of(b)
+        m[i][j] += 1
+        m[j][i] += 1
+    return IntMatrix(m)
 
 
 def _require_negative_definite(g):
@@ -494,11 +516,28 @@ def _require_negative_definite(g):
         )
 
 
+def require_qhs_tree(g: ResolutionGraph) -> TreeForm:
+    """g's TreeForm, once g is known to be a negative definite tree of
+    genus-0 curves (the link is a rational homology sphere); raises
+    NotQhsTreeError otherwise."""
+    if not g.is_qhs_tree():
+        raise NotQhsTreeError(
+            "not a QHS tree: graph must be a tree of genus-0 curves"
+        )
+    form = g.tree_form()
+    if not form.negative_definite:
+        raise NotQhsTreeError(
+            "not a QHS tree: intersection matrix is not negative definite"
+        )
+    return form
+
+
 def _adjunction_rhs(g):
     # K.E_i = 2g_i - 2 - E_i.E_i for every i
     return [2 * v.genus - 2 - v.weight for v in g.vertices]
 
 
+@memoized
 def canonical_cycle(g: ResolutionGraph) -> RationalCycle:
     """Solve the adjunction system for the canonical cycle K, exactly:
     by the tree pass on a tree, by dense elimination otherwise."""
@@ -517,6 +556,7 @@ def is_numerically_gorenstein(g: ResolutionGraph) -> bool:
     return canonical_cycle(g).is_integral()
 
 
+@memoized
 def fundamental_cycle(g: ResolutionGraph) -> Cycle:
     """Laufer's computation sequence, started at the reduced cycle.
 
@@ -542,6 +582,7 @@ def fundamental_cycle(g: ResolutionGraph) -> Cycle:
     return Cycle(g.vertex_ids, tuple(z))
 
 
+@memoized
 def classify(g: ResolutionGraph) -> Classification:
     """Rational / minimally elliptic / other, from Z_o and K.
 
@@ -551,12 +592,7 @@ def classify(g: ResolutionGraph) -> Classification:
     embedding dimension follow the Artin/Laufer rules, with the
     hypersurface floor of 3 on small cases.
     """
-    return _classify_cycles(g, fundamental_cycle(g), canonical_cycle(g))
-
-
-def _classify_cycles(g, z, k):
-    """classify(g), given z = fundamental_cycle(g) and k =
-    canonical_cycle(g), for a caller that has them already."""
+    z, k = fundamental_cycle(g), canonical_cycle(g)
     # Z.Z = sum w_v z_v^2 + 2 sum over edges z_a z_b, in integers
     zmap = dict(zip(z.vertex_ids, z.coefficients))
     zsq = sum(v.weight * zmap[v.id] ** 2 for v in g.vertices) + 2 * sum(
@@ -606,7 +642,8 @@ def blow_down_minimal(g: ResolutionGraph) -> ResolutionGraph:
     negative definiteness. A lone final vertex is never deleted. If a
     weight >= 0 vertex survives in a multi-vertex end state (possible
     only for inputs that were not negative definite), the graph has no
-    minimal representative under these moves alone.
+    minimal representative under these moves alone. When nothing
+    contracts, the result is g itself.
     """
     if not g.is_tree():
         raise ValueError("blow-down is implemented for trees only")
@@ -643,6 +680,8 @@ def blow_down_minimal(g: ResolutionGraph) -> ResolutionGraph:
             "blow-down left a weight >= 0 vertex; graph has no minimal "
             "representative under (-1)-contractions"
         )
+    if len(verts) == g.n:
+        return g  # nothing contracted: g keeps its memoized stages
     return ResolutionGraph(
         [Vertex(v["id"], v["weight"], v["genus"]) for v in verts],
         [tuple(e) for e in edges],

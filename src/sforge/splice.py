@@ -34,8 +34,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import gcd, prod
 
-from .errors import NotQhsTreeError
-from .graph import ResolutionGraph, blow_down_minimal
+from .graph import (
+    ResolutionGraph,
+    blow_down_minimal,
+    memoized,
+    require_qhs_tree,
+)
 
 __all__ = [
     "SpliceEdge",
@@ -79,15 +83,16 @@ class SpliceEdge:
 class SpliceDiagram:
     """Tree with leaves (valency <= 1) and nodes (valency >= 3) and a
     weight for each (node, incident edge) pair. Built from a graph via
-    to_splice_diagram; keeps provenance to the graph's vertex ids."""
+    to_splice_diagram; keeps provenance to the graph's vertex ids, but
+    no reference to the graph. index_of gives a graph vertex id's
+    declaration index; it orders the edges at each vertex."""
 
     __slots__ = (
-        "gamma", "vertices", "leaves", "nodes", "edges", "weights",
-        "_incident", "_walks",
+        "vertices", "leaves", "nodes", "edges", "weights", "_incident",
+        "_memo",
     )
 
-    def __init__(self, gamma, vertices, leaves, nodes, edges, weights):
-        self.gamma = gamma
+    def __init__(self, index_of, vertices, leaves, nodes, edges, weights):
         self.vertices = tuple(vertices)
         self.leaves = tuple(leaves)
         self.nodes = tuple(nodes)
@@ -99,9 +104,9 @@ class SpliceDiagram:
             incident[e.b].append(e)
         self._incident = {}
         for w, inc in incident.items():
-            inc.sort(key=lambda e: gamma.index_of(e.first_step(w)))
+            inc.sort(key=lambda e: index_of(e.first_step(w)))
             self._incident[w] = tuple(inc)
-        self._walks = None
+        self._memo = {}  # see sforge.graph.memoized
         for (vid, _), d in self.weights.items():
             if d < 1:
                 raise AssertionError(
@@ -134,42 +139,47 @@ class SpliceDiagram:
         number l_vx and toward[x] the index of the edge at v whose
         branch holds x, for every diagram vertex x (toward[v] is None).
 
-        Every node's walk is built on the first call and kept. Leaving a
-        node x by the edge f, having entered by e, multiplies the
-        running product by the weights at x on neither e nor f:
-        d_x / (d_{x,e} * d_{x,f}), an exact division."""
-        if self._walks is None:
-            weight = self.weights
-            dv = {
-                x: prod(weight[(x, e.index)] for e in self._incident[x])
-                for x in self.nodes
-            }
-            self._walks = {}
-            for root in self.nodes:
-                links = {}
-                toward = {}
-                stack = [(root, None, 1, None)]
-                while stack:
-                    x, via, acc, branch = stack.pop()
-                    toward[x] = branch
-                    if x not in dv:
-                        links[x] = acc  # a leaf ends the path
-                        continue
-                    rest = dv[x]
-                    if via is not None:
-                        rest //= weight[(x, via.index)]
-                    links[x] = acc * rest
-                    for f in self._incident[x]:
-                        if f is not via:
-                            stack.append((
-                                f.other(x), f,
-                                acc * (rest // weight[(x, f.index)]),
-                                f.index if branch is None else branch,
-                            ))
-                self._walks[root] = (links, toward)
-        if v not in self._walks:
+        Every node's walk is built on the first call and kept."""
+        walks = self._walks()
+        if v not in walks:
             raise ValueError("%r is not a node" % v)
-        return self._walks[v]
+        return walks[v]
+
+    @memoized
+    def _walks(self):
+        """The walks of all nodes, by node. Leaving a node x by the edge
+        f, having entered by e, multiplies the running product by the
+        weights at x on neither e nor f: d_x / (d_{x,e} * d_{x,f}), an
+        exact division."""
+        weight = self.weights
+        dv = {
+            x: prod(weight[(x, e.index)] for e in self._incident[x])
+            for x in self.nodes
+        }
+        walks = {}
+        for root in self.nodes:
+            links = {}
+            toward = {}
+            stack = [(root, None, 1, None)]
+            while stack:
+                x, via, acc, branch = stack.pop()
+                toward[x] = branch
+                if x not in dv:
+                    links[x] = acc  # a leaf ends the path
+                    continue
+                rest = dv[x]
+                if via is not None:
+                    rest //= weight[(x, via.index)]
+                links[x] = acc * rest
+                for f in self._incident[x]:
+                    if f is not via:
+                        stack.append((
+                            f.other(x), f,
+                            acc * (rest // weight[(x, f.index)]),
+                            f.index if branch is None else branch,
+                        ))
+            walks[root] = (links, toward)
+        return walks
 
     def leaves_beyond(self, vid, edge):
         """Diagram leaves in the branch of `edge` at the node `vid`, in
@@ -224,21 +234,14 @@ class SemigroupWitness:
         raise KeyError((node_id, first_step))
 
 
+@memoized
 def to_splice_diagram(g: ResolutionGraph) -> SpliceDiagram:
     """Collapse valency-2 vertices; weight each (node, edge) pair with
     the |det| of the branch on that side, read from the tree pass."""
-    if not g.is_qhs_tree():
-        raise NotQhsTreeError(
-            "not a QHS tree: graph must be a tree of genus-0 curves"
-        )
-    form = g.tree_form()
-    if not form.negative_definite:
-        raise NotQhsTreeError(
-            "not a QHS tree: intersection matrix is not negative definite"
-        )
+    form = require_qhs_tree(g)
     dverts = [v.id for v in g.vertices if g.valency(v.id) != 2]
     dset = set(dverts)
-    leaves = tuple(v for v in dverts if g.valency(v) <= 1)
+    leaves = g.leaf_ids
     nodes = tuple(v for v in dverts if g.valency(v) >= 3)
 
     edges = []
@@ -267,7 +270,7 @@ def to_splice_diagram(g: ResolutionGraph) -> SpliceDiagram:
         for e in (x for x in edges if vid in (x.a, x.b)):
             branch = form.branch_determinant(vid, e.first_step(vid))
             weights[(vid, e.index)] = abs(branch)
-    return SpliceDiagram(g, dverts, leaves, nodes, edges, weights)
+    return SpliceDiagram(g.index_of, dverts, leaves, nodes, edges, weights)
 
 
 def edge_determinant(d: SpliceDiagram, e: SpliceEdge) -> int:
@@ -310,19 +313,17 @@ def linking_numbers(d: SpliceDiagram, v: str) -> dict:
     return {w: links[w] for w in d.leaves}
 
 
-def is_zhs(g: ResolutionGraph, diagram: SpliceDiagram = None) -> bool:
+def is_zhs(g: ResolutionGraph) -> bool:
     """|det| = 1 test, plus the three weight conditions asserted as a
     cross-check when it holds: pairwise coprime weights at each node,
     leaf-edge weights > 1, positive edge determinants. These hold for
     the minimal good resolution only (a (-1)-leaf has weight 1 at its
-    node), so they are checked on the diagram of blow_down_minimal(g);
-    `diagram` is reused when the blow-down changes nothing."""
+    node), so they are checked on the diagram of blow_down_minimal(g),
+    which is g's own diagram when the blow-down changes nothing."""
     if abs(g.determinant()) != 1:
         return False
-    if diagram is None:
-        diagram = to_splice_diagram(g)
-    h = blow_down_minimal(g)
-    d = diagram if h == g else to_splice_diagram(h)
+    require_qhs_tree(g)
+    d = to_splice_diagram(blow_down_minimal(g))
     for v in d.nodes:
         inc = d.incident_edges(v)
         ws = [d.weight(v, e) for e in inc]
@@ -345,6 +346,7 @@ def is_zhs(g: ResolutionGraph, diagram: SpliceDiagram = None) -> bool:
     return True
 
 
+@memoized
 def semigroup_condition(d: SpliceDiagram) -> SemigroupWitness:
     """Does every node weight lie in the numerical semigroup of the
     linking numbers of the leaves beyond each incident edge?

@@ -186,7 +186,7 @@ def test_criterion_3_zhs():
     # is_zhs asserts the three weight conditions internally; re-check
     # them here explicitly
     d = to_splice_diagram(g)
-    assert is_zhs(g, d)
+    assert is_zhs(g)
     from math import gcd
 
     for v in d.nodes:

@@ -79,6 +79,15 @@ def test_analyze_missing_file_exit_2(capsys):
     assert code == 2
 
 
+def test_analyze_graph_file_not_utf8_exit_2(capsys, tmp_path):
+    bad = tmp_path / "bad.graph"
+    bad.write_bytes(b"vertex a weight=-2\n\xff\n")
+    code, out, err = run(capsys, "analyze", str(bad))
+    assert code == 2
+    assert err.startswith("sforge: cannot read %s: " % bad)
+    assert "utf-8" in err and out == ""
+
+
 def test_analyze_indefinite_exit_3(capsys, graphs_dir):
     code, out, err = run(
         capsys, "analyze", graph_path(graphs_dir, "indefinite-star")
@@ -272,6 +281,31 @@ def test_invariants_juxtaposed_factors_in_target_exit_2(
     assert "'y'" in err and "Traceback" not in err
 
 
+def test_invariants_missing_target_file_exit_2(capsys, graphs_dir, tmp_path):
+    missing = tmp_path / "missing.poly"
+    code, out, err = run(
+        capsys, "invariants", graph_path(graphs_dir, "e7"),
+        "--verify-identity=%s" % missing,
+    )
+    assert code == 2
+    assert err.startswith("sforge: cannot read %s: " % missing)
+    assert out == ""
+
+
+def test_invariants_target_file_not_utf8_exit_2(
+    capsys, graphs_dir, tmp_path
+):
+    target = tmp_path / "target.poly"
+    target.write_bytes(b"x^2*z^2 + \xff\n")
+    code, out, err = run(
+        capsys, "invariants", graph_path(graphs_dir, "e7"),
+        "--verify-identity=%s" % target,
+    )
+    assert code == 2
+    assert err.startswith("sforge: cannot read %s: " % target)
+    assert "utf-8" in err and out == ""
+
+
 def test_invariants_trivial_group_variables_only(capsys, graphs_dir):
     doc = run_json(capsys, "invariants", graph_path(graphs_dir, "e8"))
     res = doc["result"]
@@ -291,7 +325,7 @@ def test_invariants_order_cap_before_characters(capsys, tmp_path, monkeypatch):
     def no_characters(*args):
         raise AssertionError("leaf characters built above the cap")
 
-    monkeypatch.setattr("sforge.cli._characters_from_group", no_characters)
+    monkeypatch.setattr("sforge.cli.leaf_characters", no_characters)
     big = tmp_path / "big.graph"
     big.write_text("vertex a weight=-2001\n")
     code, out, err = run(capsys, "invariants", str(big))
@@ -422,32 +456,19 @@ def test_calls_in_one_process_match_separate_processes(
     ],
 )
 def test_discriminant_group_built_once_per_call(
-    capsys, graphs_dir, monkeypatch, tmp_path, argv
+    capsys, graphs_dir, builds, tmp_path, argv
 ):
-    import sys
+    from sforge.discgroup import discriminant_group
 
-    import sforge.discgroup
-
-    real = sforge.discgroup.discriminant_group
-    calls = []
-
-    def counting(g):
-        calls.append(g)
-        return real(g)
-
-    for modname, module in list(sys.modules.items()):
-        if modname.startswith("sforge") and vars(module).get(
-            "discriminant_group"
-        ) is real:
-            monkeypatch.setattr(module, "discriminant_group", counting)
     command, name, *options = argv
     if options and options[-1] == "--verify-identity":
         target = tmp_path / "target.poly"
         target.write_text("x^2*z^2 + y^3*z^2 + z^6\n")
         options[-1] += "=%s" % target
     doc = run_json(capsys, command, graph_path(graphs_dir, name), *options)
-    assert len(calls) == 1
-    dg = real(calls[0])
+    assert len(builds["discriminant_group"]) == 1
+    assert len(builds["leaf_characters"]) == 1
+    dg = discriminant_group(builds["discriminant_group"][0])
     assert dg.order > 1
     assert doc["result"]["group"] == {
         "order": dg.order,
@@ -485,53 +506,27 @@ def test_analyze_builds_the_intersection_matrix_once(
 
 
 def test_conditions_builds_diagram_and_witness_once(
-    capsys, graphs_dir, monkeypatch
+    capsys, graphs_dir, builds
 ):
-    """conditions passes its diagram and witness on to the congruence
-    search instead of rebuilding them."""
-    import sys
-
-    import sforge.splice
-
-    calls = {"to_splice_diagram": 0, "semigroup_condition": 0}
-    for name in calls:
-        real = getattr(sforge.splice, name)
-
-        def counting(*args, _name=name, _real=real, **kwargs):
-            calls[_name] += 1
-            return _real(*args, **kwargs)
-
-        for modname, module in list(sys.modules.items()):
-            if modname.startswith("sforge") and vars(module).get(name) is real:
-                monkeypatch.setattr(module, name, counting)
+    """conditions and the congruence search read one diagram and one
+    witness per graph."""
     for graph in ("two-node", "quotient-cusp-2-3", "e7"):
         doc = run_json(capsys, "conditions", graph_path(graphs_dir, graph))
         assert doc["result"]["congruence"]["holds"]
-    assert calls == {"to_splice_diagram": 3, "semigroup_condition": 3}
+    assert len(builds["to_splice_diagram"]) == 3
+    assert len(builds["semigroup_condition"]) == 3
 
 
 @pytest.mark.parametrize("graph, changed", [("e7", False), ("random-00", True)])
 def test_analyze_computes_cycles_once_per_graph(
-    capsys, graphs_dir, monkeypatch, graph, changed
+    capsys, graphs_dir, builds, graph, changed
 ):
     """analyze classifies from the Z and K it reports, and reuses the
     classification when the blow-down changes nothing."""
-    import sforge.graph
-
-    calls = {"fundamental_cycle": [], "canonical_cycle": []}
-    for name, seen in calls.items():
-        real = getattr(sforge.graph, name)
-
-        def counting(g, _seen=seen, _real=real):
-            _seen.append(serialize_graph(g))
-            return _real(g)
-
-        for modname, module in list(sys.modules.items()):
-            if modname.startswith("sforge") and vars(module).get(name) is real:
-                monkeypatch.setattr(module, name, counting)
     doc = run_json(capsys, "analyze", graph_path(graphs_dir, graph))
     assert doc["result"]["blown_down"]["changed"] is changed
-    for seen in calls.values():
+    for name in ("fundamental_cycle", "canonical_cycle", "classify"):
+        seen = [serialize_graph(g) for g in builds[name]]
         assert len(seen) == 1 + changed
         assert len(set(seen)) == len(seen)
 

@@ -37,9 +37,6 @@ from sforge.corpus import (
 )
 from sforge.errors import NotQhsTreeError
 
-from sforge.discgroup import _characters_from_group
-from sforge.equations import _congruence_from_parts
-
 from oracles import (
     congruence_by_fractions,
     exponent_key,
@@ -59,12 +56,11 @@ def edge_toward(d, v, first_step):
 
 def test_admissible_monomials_paper_left_node():
     d = to_splice_diagram(two_node_example())
-    wit = semigroup_condition(d)
     assert admissible_monomials(
-        d, "n1", edge_toward(d, "n1", "z1"), witness=wit
+        d, "n1", edge_toward(d, "n1", "z1")
     ) == [{"z1": 2}]
     assert admissible_monomials(
-        d, "n2", edge_toward(d, "n2", "m"), witness=wit
+        d, "n2", edge_toward(d, "n2", "m")
     ) == [{"z1": 1, "z2": 4}, {"z1": 3, "z2": 1}]
 
 
@@ -72,17 +68,16 @@ def test_admissible_monomials_character_filter():
     g = e7()
     d = to_splice_diagram(g)
     chars = leaf_characters(g)
-    wit = semigroup_condition(d)
     v = d.nodes[0]
     e = edge_toward(d, v, "x")
     trivial = (Fraction(0),)
     assert admissible_monomials(
-        d, v, e, character=trivial, chars=chars, witness=wit
+        d, v, e, character=trivial, chars=chars
     ) == [{"x": 2}]
     unattained = (Fraction(1, 2),)
     assert (
         admissible_monomials(
-            d, v, e, character=unattained, chars=chars, witness=wit
+            d, v, e, character=unattained, chars=chars
         )
         == []
     )
@@ -281,7 +276,7 @@ def test_zhs_semigroup_implies_congruence_on_corpus(corpus):
             d = to_splice_diagram(g)
         except NotQhsTreeError:
             continue
-        if not d.has_nodes or not is_zhs(g, d):
+        if not d.has_nodes or not is_zhs(g):
             continue
         if not semigroup_condition(d).holds:
             continue
@@ -350,7 +345,7 @@ def test_common_character_is_the_dual_class(corpus):
         if not witness.holds:
             continue
         group = discriminant_group(g)
-        chars = _characters_from_group(g, group)
+        chars = leaf_characters(g)
         for v in d.nodes:
             p = g.index_of(v)
             dual = tuple(gen[p] % 1 for gen in group.generators)
@@ -377,11 +372,15 @@ def test_common_character_is_the_dual_class(corpus):
 
 
 @pytest.mark.parametrize("cap", [None, 1, 2, 5])
-def test_witnesses_come_in_lexicographic_order(corpus, monkeypatch, cap):
+def test_witnesses_come_in_lexicographic_order(
+    fresh_corpus, monkeypatch, cap
+):
     """Every witness list is strictly increasing in exponent_key order,
     also when cut at a small WITNESS_CAP; the congruence search relies
     on it and does not sort. On the cut lists it agrees with the
-    Fraction oracle, which sorts."""
+    Fraction oracle, which sorts. The graphs are built anew, so that
+    no witness memoized under another cap is reused."""
+    corpus = fresh_corpus
     if cap is not None:
         monkeypatch.setattr("sforge.splice.WITNESS_CAP", cap)
     rng = Random(31)
@@ -405,11 +404,9 @@ def test_witnesses_come_in_lexicographic_order(corpus, monkeypatch, cap):
     assert bool(truncated) == (cap is not None), truncated
     seen = 0
     for name, g, d, witness in _congruence_cases(corpus):
-        group = discriminant_group(g)
-        chars = _characters_from_group(g, group)
-        res = _congruence_from_parts(d, witness, group, chars)
+        res = congruence_condition(g)
         characters, monomials, failures = congruence_by_fractions(
-            d, witness, chars
+            d, witness, leaf_characters(g)
         )
         assert res.node_characters == characters, name
         assert res.node_monomials == monomials, name

@@ -177,7 +177,7 @@ def test_edge_determinant_formula_instance():
     ]
     for a, b in [(5, 4), (3, 11)]:
         d = SpliceDiagram(
-            gamma,
+            gamma.index_of,
             vertices=("p", "q", "c", "c2", "r", "s"),
             leaves=("p", "q", "r", "s"),
             nodes=("c", "c2"),
