@@ -58,6 +58,7 @@ from .discgroup import (
     DiscriminantData,
     discriminant_group,
     dual_class_order,
+    invariant_factors,
     leaf_characters,
 )
 from .poly import Polynomial, parse_polynomial

@@ -2,7 +2,8 @@
 
     sforge <analyze|splice|conditions|equations|invariants> <file> [options]
 
-Exit codes: 0 success (negative mathematical verdicts included), 2
+Exit codes: 0 success (negative mathematical verdicts included), 1
+stdout closed before the output was written (a pipe into head, say), 2
 malformed input, 3 precondition violation. Structured output is
 byte-stable for a fixed input and version; the text rendering is
 derived from the same document, never recomputed.
@@ -13,10 +14,11 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 
 from . import __version__
-from .discgroup import discriminant_group, leaf_characters
+from .discgroup import invariant_factors, leaf_characters
 from .equations import build_splice_equations, congruence_condition
 from .errors import ParseError, PreconditionError
 from .graph import (
@@ -26,6 +28,7 @@ from .graph import (
     fundamental_cycle,
     intersection_matrix,
     parse_graph,
+    require_qhs_tree,
 )
 from .invariants import (
     check_order_cap,
@@ -44,6 +47,7 @@ from .splice import (
 )
 
 EXIT_OK = 0
+EXIT_CLOSED_STDOUT = 1
 EXIT_INPUT = 2
 EXIT_PRECONDITION = 3
 
@@ -140,10 +144,9 @@ def _analyze(g):
             blown = None
     data["blown_down"] = blown
     if g.is_qhs_tree():
-        dg = discriminant_group(g)
         data["discriminant"] = {
-            "order": dg.order,
-            "invariant_factors": list(dg.invariant_factors),
+            "order": abs(det),
+            "invariant_factors": list(invariant_factors(g)),
         }
         data["discriminant_note"] = None
     else:
@@ -439,15 +442,15 @@ def _render_equations(data):
 
 
 def _invariants(g, degree_bound, identity_path):
-    dg = discriminant_group(g)
-    check_order_cap(dg.order)
+    order = abs(require_qhs_tree(g).determinant)
+    check_order_cap(order)
     chars = leaf_characters(g)
-    basis = invariant_generators(chars, dg.order, degree_bound=degree_bound)
+    basis = invariant_generators(chars, order, degree_bound=degree_bound)
     relations = toric_relations(basis, degree_bound)
     data = {
         "group": {
-            "order": dg.order,
-            "invariant_factors": list(dg.invariant_factors),
+            "order": order,
+            "invariant_factors": list(chars.generator_orders),
         },
         "degree_bound": degree_bound,
         "generators": [
@@ -695,13 +698,31 @@ def main(argv=None):
         print("sforge: %s" % exc, file=sys.stderr)
         return EXIT_PRECONDITION
     doc = _envelope(args.command, args.file, data)
-    if args.format == "structured":
-        print(json.dumps(
-            doc, indent=2, sort_keys=True, cls=_StructuredEncoder
-        ))
-    else:
-        sys.stdout.write(render(data))
+    try:
+        if args.format == "structured":
+            print(json.dumps(
+                doc, indent=2, sort_keys=True, cls=_StructuredEncoder
+            ))
+        else:
+            sys.stdout.write(render(data))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        _discard_stdout()
+        return EXIT_CLOSED_STDOUT
     return EXIT_OK
+
+
+def _discard_stdout():
+    """Point stdout's file descriptor, if it has one, at os.devnull, so
+    that the flush at interpreter shutdown finds no closed pipe and
+    prints nothing (as in the Python docs' note on SIGPIPE)."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return  # an in-memory stream: nothing is flushed to a pipe
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
 
 
 if __name__ == "__main__":

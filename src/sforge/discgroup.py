@@ -27,7 +27,13 @@ is the Smith normal form diagonal of the (k + t) x t matrix [R; e I_t].
 The action is faithful iff that order is |G|: one exact check whose
 cost does not grow with |G|. That stack is not square and has no
 determinant, so its Smith normal form builds all four transforms and
-keeps the full certificate.
+keeps the full certificate. With one generator (k = 1) the stack [r;
+e I_t] has index e^(t-1) gcd(e, r_1, ..., r_t), so the image order is
+e / gcd(e, r_1, ..., r_t) and the check needs no Smith normal form.
+
+The structure of the group needs no Smith normal form either when the
+group is cyclic: the leaf classes generate it, so an element of order
+|G| among them proves it cyclic (see invariant_factors).
 """
 
 from __future__ import annotations
@@ -49,6 +55,7 @@ __all__ = [
     "DiscriminantData",
     "CharacterAssignment",
     "discriminant_group",
+    "invariant_factors",
     "leaf_characters",
     "dual_class_order",
 ]
@@ -153,13 +160,18 @@ class CharacterAssignment:
     def is_faithful(self):
         """Does only the identity act trivially on every leaf? Compares
         the order of the image in (Q/Z)^t, e^t / prod(SNF diagonal of
-        [e * phases; e * I_t]), with |G|."""
+        [e * phases; e * I_t]), with |G|. With one generator that order
+        is e / gcd(e, residues), in closed form (see the module
+        docstring)."""
         if not self.generator_orders:
             return True
         t = len(self.leaf_ids)
         if t == 0:
             return self.order == 1
         e = self.modulus
+        if len(self.generator_orders) == 1:
+            residues = (r for (r,) in self.leaf_residues)
+            return e == self.order * gcd(e, *residues)
         rows = [list(row) for row in zip(*self.leaf_residues)]
         rows += [[e if i == j else 0 for j in range(t)] for i in range(t)]
         diag = smith_normal_form(IntMatrix(rows)).diagonal
@@ -191,6 +203,38 @@ def discriminant_group(g: ResolutionGraph) -> DiscriminantData:
         ),
         generator_orders=factors,
     )
+
+
+@memoized
+def invariant_factors(g: ResolutionGraph) -> tuple:
+    """The nontrivial invariant factors of D(Gamma) for a negative
+    definite QHS tree, in divisibility order; (N,) with N = |det M|
+    when the group is cyclic, read off the leaf dual classes without a
+    Smith normal form.
+
+    Proof. D(Gamma) is generated by the classes [e_v] of the dual
+    basis, and each curve E_v gives the relation w_v [e_v] + sum over
+    the neighbours u of v of [e_u] = 0. Read leaf-first, these put
+    every vertex class in the span of the leaf classes. Root the tree
+    anywhere; a leaf's class is in the span, and a non-leaf v has a
+    child c, whose relation gives [e_v] with coefficient 1 from [e_c]
+    and the classes of c's children, in the span by induction from the
+    leaves. So the leaf classes generate G, the exponent of G is the
+    lcm of their orders, and G is cyclic iff that lcm is |G|.
+
+    Each leaf order is N / gcd(det, adj(M) e_w), from one self-verified
+    tree solve (dual_class_order), and the walk stops as soon as the
+    lcm reaches N. Otherwise the factors are those of
+    discriminant_group, from its certified Smith normal form."""
+    n = abs(require_qhs_tree(g).determinant)
+    if n == 1:
+        return ()
+    exponent = 1
+    for w in g.leaf_ids:
+        exponent = lcm(exponent, dual_class_order(g, w))
+        if exponent == n:
+            return (n,)
+    return discriminant_group(g).invariant_factors
 
 
 @memoized

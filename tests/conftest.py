@@ -7,7 +7,11 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))  # for oracles.py
 
 from sforge.corpus import builtin_corpus
-from sforge.discgroup import discriminant_group, leaf_characters
+from sforge.discgroup import (
+    discriminant_group,
+    invariant_factors,
+    leaf_characters,
+)
 from sforge.graph import (
     ResolutionGraph,
     TreeForm,
@@ -35,6 +39,7 @@ MEMOIZED = {
         SpliceDiagram._walks,
         semigroup_condition,
         discriminant_group,
+        invariant_factors,
         leaf_characters,
     )
 }

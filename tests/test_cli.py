@@ -1,5 +1,6 @@
 """CLI contract: exit codes, stable structured output, report content."""
 
+import io
 import json
 import os
 import subprocess
@@ -321,7 +322,12 @@ def test_invariants_non_qhs_exit_3(capsys, graphs_dir):
     assert "QHS" in err
 
 
-def test_invariants_order_cap_before_characters(capsys, tmp_path, monkeypatch):
+def test_invariants_order_cap_before_characters(
+    capsys, tmp_path, monkeypatch, builds
+):
+    """The cap reads |det| from the tree pass: a group above it is
+    refused before the group (its Smith normal form and generators) or
+    the characters are built."""
     def no_characters(*args):
         raise AssertionError("leaf characters built above the cap")
 
@@ -329,8 +335,9 @@ def test_invariants_order_cap_before_characters(capsys, tmp_path, monkeypatch):
     big = tmp_path / "big.graph"
     big.write_text("vertex a weight=-2001\n")
     code, out, err = run(capsys, "invariants", str(big))
-    assert code == 3
-    assert "group order 2001 above the desk-scale cap 2000" in err
+    assert (code, out) == (3, "")
+    assert err == "sforge: group order 2001 above the desk-scale cap 2000\n"
+    assert "discriminant_group" not in builds
 
 
 def test_invariants_product_cap_exit_3(capsys, tmp_path):
@@ -479,8 +486,9 @@ def test_discriminant_group_built_once_per_call(
 def test_analyze_builds_the_intersection_matrix_once(
     capsys, graphs_dir, monkeypatch
 ):
-    """The matrix is kept by the graph: the report and the discriminant
-    group read the same IntMatrix, built once per analyze call."""
+    """The matrix is kept by the graph: the report, and the Smith normal
+    form of a non-cyclic discriminant group, read the same IntMatrix,
+    built once per analyze call."""
     import sforge.graph
 
     real = sforge.graph.IntMatrix
@@ -503,6 +511,33 @@ def test_analyze_builds_the_intersection_matrix_once(
         else:
             assert built == [7], path.name  # indefinite-star, exit 3
     assert groups >= 20, groups
+
+
+@pytest.mark.parametrize(
+    "graph, groups", [("e7", 0), ("chain-2-3", 0), ("d4", 1)]
+)
+def test_analyze_builds_the_group_only_when_not_cyclic(
+    capsys, graphs_dir, builds, monkeypatch, graph, groups
+):
+    """analyze reads a cyclic group's structure off the leaf dual
+    classes, with no Smith normal form; Z/2 x Z/2 (d4) takes the
+    certified one of discriminant_group, built once."""
+    import sforge.discgroup
+
+    real = sforge.discgroup.smith_normal_form
+    snfs = []
+
+    def recording(m, **kwargs):
+        snfs.append(m)
+        return real(m, **kwargs)
+
+    monkeypatch.setattr(sforge.discgroup, "smith_normal_form", recording)
+    doc = run_json(capsys, "analyze", graph_path(graphs_dir, graph))
+    assert len(builds["invariant_factors"]) == 1
+    assert len(builds["discriminant_group"]) == groups
+    assert len(snfs) == groups
+    factors = doc["result"]["discriminant"]["invariant_factors"]
+    assert len(factors) == 1 + groups
 
 
 def test_conditions_builds_diagram_and_witness_once(
@@ -670,3 +705,48 @@ def test_structured_renderer_deep_nesting_takes_fallback():
     assert json.dumps(doc, indent=2, cls=cli._StructuredEncoder) == (
         json.dumps(doc, indent=2)
     )
+
+
+# -- closed stdout ------------------------------------------------------------
+
+
+class _ClosedPipe(io.StringIO):
+    """A stdout whose reader has gone: every write raises."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("fmt", ["text", "structured"])
+def test_closed_stdout_exits_1_without_a_traceback(
+    capsys, graphs_dir, monkeypatch, fmt
+):
+    """A stdout closed early (sforge ... | head -n 1) ends the call with
+    exit status 1 and nothing on stderr. The stream has no file
+    descriptor, as in perfbench, so none is redirected."""
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    code = main(["analyze", graph_path(graphs_dir, "e7"), "--format", fmt])
+    monkeypatch.undo()
+    assert code == 1
+    assert capsys.readouterr().err == ""
+
+
+def test_closed_stdout_in_a_pipe_prints_nothing_on_stderr(tmp_path):
+    """The analyze document of an 80-vertex (-2)-chain is far larger
+    than a pipe holds, so the writer sees the reader close."""
+    from sforge.corpus import chain
+
+    path = tmp_path / "chain-80.graph"
+    path.write_text(serialize_graph(chain([-2] * 80)))
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "sforge.cli", "analyze", str(path),
+         "--format=structured"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert first == b"{\n" and err == b""

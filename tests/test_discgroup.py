@@ -1,19 +1,21 @@
 """Discriminant group, dual basis, leaf characters."""
 
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 from random import Random
 
 import pytest
 
 from sforge import (
     CharacterAssignment,
+    IntMatrix,
     NotQhsTreeError,
     RatMatrix,
     determinant,
     discriminant_group,
     dual_class_order,
     intersection_matrix,
+    invariant_factors,
     invert_rational,
     leaf_characters,
     smith_normal_form,
@@ -26,11 +28,14 @@ from sforge.corpus import (
     e7,
     e8,
     genus3_cone,
+    quotient_cusp,
     random_negative_definite_tree,
 )
+from sforge.graph import ResolutionGraph
 
 from oracles import (
     group_elements,
+    invariant_factors_minor_gcd,
     invert_rational_fraction_gauss,
     is_faithful_by_enumeration,
 )
@@ -331,10 +336,11 @@ def test_group_snf_is_certified_by_the_tree_determinant(
     fresh_corpus, monkeypatch
 ):
     """discriminant_group hands its Smith normal form the tree pass's
-    determinant, so U and V are not built; is_faithful's stack has no
-    determinant and keeps all four transforms and the full
-    certificate. The graphs are built anew, so that their groups are
-    not memoized already."""
+    determinant, so U and V are not built; is_faithful's stack, built
+    for two or more generators, has no determinant and keeps all four
+    transforms and the full certificate. One generator takes the closed
+    form and builds no stack. The graphs are built anew, so that their
+    groups are not memoized already."""
     corpus = fresh_corpus
     import sforge.discgroup
 
@@ -347,7 +353,7 @@ def test_group_snf_is_certified_by_the_tree_determinant(
         return result
 
     monkeypatch.setattr(sforge.discgroup, "smith_normal_form", recording)
-    faithful = 0
+    stacks = closed = 0
     for name, g in corpus.items():
         if not g.is_qhs_tree():
             continue
@@ -357,14 +363,15 @@ def test_group_snf_is_certified_by_the_tree_determinant(
         assert m is intersection_matrix(g), name
         assert kwargs == {"det": g.tree_form().determinant}, name
         assert group_snf.u is None and group_snf.v is None, name
-        if chars.generator_orders:
+        if len(chars.generator_orders) >= 2:
             ((stack, kwargs, snf),) = rest
             assert not stack.is_square and kwargs == {}, name
             assert snf.u @ stack @ snf.v == snf.d, name
-            faithful += 1
+            stacks += 1
         else:
             assert rest == [], name
-    assert faithful >= 10, faithful
+            closed += len(chars.generator_orders)
+    assert stacks >= 3 and closed >= 8, (stacks, closed)
 
 
 def test_character_orders_are_the_invariant_factors(corpus):
@@ -395,3 +402,117 @@ def test_residues_of_leaf_characters():
     trivial = char_assignment(("x",), (), ())
     assert trivial.modulus == 1
     assert trivial.monomial_residue({"x": 5}) == ()
+
+
+# -- the group's structure from the leaf dual classes ---------------------------
+
+
+def _fresh(g):
+    """g built anew, with an empty memo."""
+    return ResolutionGraph(g.vertices, g.edges)
+
+
+def test_invariant_factors_match_the_smith_normal_form(corpus):
+    """Seeded: 300 random trees at each of 4 sizes, the quotient cusps
+    k = 2..9 and the corpus. invariant_factors, which reads a cyclic
+    group off the leaf dual classes, equals the certified Smith normal
+    form of discriminant_group on the same graph built anew, and, on
+    graphs of at most 5 vertices, the minor-gcd oracle. The sweep must
+    reach both the cyclic shortcut and the fallback."""
+    rng = Random(11)
+    graphs = [
+        random_negative_definite_tree(rng, max_vertices=size)
+        for size in (6, 12, 30, 60)
+        for _ in range(300)
+    ]
+    graphs += [
+        quotient_cusp(k, [rng.randint(2, 5) for _ in range(k - 1)] + [3])
+        for k in range(2, 10)
+    ]
+    graphs += [g for g in corpus.values() if g.is_qhs_tree()]
+    cyclic = non_cyclic = 0
+    for g in graphs:
+        g = _fresh(g)
+        factors = invariant_factors(g)
+        assert factors == discriminant_group(_fresh(g)).invariant_factors
+        if g.n <= 5:
+            rows = intersection_matrix(g).to_lists()
+            expected = tuple(
+                f for f in invariant_factors_minor_gcd(rows) if f > 1
+            )
+            assert factors == expected
+        cyclic += len(factors) == 1
+        non_cyclic += len(factors) >= 2
+    assert cyclic >= 500 and non_cyclic >= 200, (cyclic, non_cyclic)
+
+
+def test_invariant_factors_need_no_group_when_cyclic(fresh_corpus, builds):
+    """On a cyclic group the answer is (|det|,) with no Smith normal
+    form; Z/2 x Z/2 falls back to discriminant_group."""
+    assert invariant_factors(fresh_corpus["e7"]) == (2,)
+    assert invariant_factors(a_n(9)) == (10,)
+    assert invariant_factors(fresh_corpus["e8"]) == ()
+    assert "discriminant_group" not in builds
+    d4 = fresh_corpus["d4"]
+    assert invariant_factors(d4) == (2, 2)
+    assert builds["discriminant_group"] == [d4]
+
+
+def test_invariant_factors_rejects_non_qhs():
+    with pytest.raises(NotQhsTreeError):
+        invariant_factors(genus3_cone())
+
+
+def _faithful_by_stack(ch):
+    """The order of the image from the Smith normal form of the stack
+    [e * phases; e * I_t], as is_faithful computes it for two or more
+    generators."""
+    e, t = ch.modulus, len(ch.leaf_ids)
+    rows = [list(row) for row in zip(*ch.leaf_residues)]
+    rows += [[e if i == j else 0 for j in range(t)] for i in range(t)]
+    diag = smith_normal_form(IntMatrix(rows)).diagonal
+    return e**t == ch.order * prod(diag)
+
+
+def _prime_divisors(n):
+    out, p = [], 2
+    while p * p <= n:
+        if n % p == 0:
+            out.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    return out + [n] if n > 1 else out
+
+
+def test_one_generator_faithfulness_closed_form():
+    """Seeded one-generator characters: the closed form e / gcd(e, r)
+    = |G| agrees with the stack's Smith normal form and with a walk
+    over the group, on the leaf characters, on their projections, and
+    with the phases scaled by a prime p dividing |G|, which makes the
+    action factor through Z/(|G|/p): not faithful."""
+    rng = Random(29)
+    checked = scaled = 0
+    while scaled < 100:
+        g = random_negative_definite_tree(rng, max_vertices=12)
+        factors = invariant_factors(g)
+        if len(factors) != 1 or factors[0] > 500:
+            continue
+        ch = leaf_characters(g)
+        for v in _variants(ch)[:-1]:  # the last one has two generators
+            verdict = v.is_faithful()
+            assert verdict == _faithful_by_stack(v), v
+            assert verdict == is_faithful_by_enumeration(v), v
+            checked += 1
+        for p in _prime_divisors(ch.order):
+            bad = CharacterAssignment(
+                leaf_ids=ch.leaf_ids,
+                generator_orders=ch.generator_orders,
+                phases=tuple(tuple(x * p % 1 for x in row)
+                             for row in ch.phases),
+            )
+            assert not bad.is_faithful(), bad
+            assert not _faithful_by_stack(bad), bad
+            assert not is_faithful_by_enumeration(bad), bad
+            scaled += 1
+    assert checked >= 600, checked

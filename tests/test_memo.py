@@ -22,6 +22,7 @@ from sforge import (
     edge_determinant,
     fundamental_cycle,
     intersection_matrix,
+    invariant_factors,
     is_numerically_gorenstein,
     is_zhs,
     leaf_characters,
@@ -66,6 +67,7 @@ CALLS = (
     lambda g: semigroup_condition(to_splice_diagram(g)),
     is_zhs,
     discriminant_group,
+    invariant_factors,
     leaf_characters,
     lambda g: dual_class_order(g, g.vertex_ids[-1]),
     _diagram_reads,
@@ -141,7 +143,7 @@ def test_no_memo_refers_back_to_its_owner(name):
     owners = [g, g.tree_form(), to_splice_diagram(g)]
     assert {"tree_form", "intersection_matrix", "classify",
             "to_splice_diagram", "discriminant_group",
-            "leaf_characters"} <= set(g._memo)
+            "invariant_factors", "leaf_characters"} <= set(g._memo)
     for owner in owners:
         assert owner._memo, owner
         assert id(owner) not in _reachable(owner._memo), owner
