@@ -52,6 +52,7 @@ from .splice import (
     node_weight,
     semigroup_condition,
     to_splice_diagram,
+    witnesses,
 )
 from .discgroup import (
     CharacterAssignment,

@@ -13,7 +13,7 @@ combinations of the chosen monomials per node.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 
 from .discgroup import (
     CharacterAssignment,
@@ -28,7 +28,12 @@ from .errors import (
 from .graph import ResolutionGraph
 from .intmat import IntMatrix, determinant
 from .poly import Polynomial
-from .splice import SpliceDiagram, semigroup_condition, to_splice_diagram
+from .splice import (
+    SpliceDiagram,
+    semigroup_condition,
+    to_splice_diagram,
+    witnesses,
+)
 
 __all__ = [
     "NodeSystem",
@@ -83,7 +88,9 @@ def admissible_monomials(
     """Exponent maps of the admissible monomials at (v, edge), in the
     lexicographic order the witnesses come in (see SemigroupWitness);
     optionally filtered to a given character, a tuple of phases in
-    [0, 1) (which requires the leaf CharacterAssignment)."""
+    [0, 1) (which requires the leaf CharacterAssignment). These are the
+    lists `conditions` prints, cut at WITNESS_CAP; the congruence reads
+    the uncut stream, witnesses(diagram, v, edge)."""
     sols = semigroup_condition(diagram).solutions[(v, edge.index)]
     if character is not None:
         if chars is None:
@@ -94,18 +101,26 @@ def admissible_monomials(
     return list(sols)
 
 
-def _require_semigroup(diagram, error):
-    """The diagram's semigroup witness; raises NoNodesError without
-    nodes and `error` when the condition fails."""
+def _require_semigroup(diagram):
+    """Each direction's witness stream by (node, edge index), its first
+    witness found and put back; raises NoNodesError without nodes and
+    SemigroupConditionError when some direction has no witness."""
     if not diagram.has_nodes:
         raise NoNodesError("no nodes: cyclic quotient case")
-    witness = semigroup_condition(diagram)
-    if not witness.holds:
-        raise error(
-            "semigroup condition fails at %s"
-            % "; ".join("%s %s" % f for f in witness.failures)
+    streams = {}
+    failures = []
+    for v in diagram.nodes:
+        for e in diagram.incident_edges(v):
+            stream = witnesses(diagram, v, e)
+            first = next(stream, None)
+            if first is None:
+                failures.append("%s %s" % (v, diagram.direction_label(v, e)))
+            streams[(v, e.index)] = chain((first,), stream)
+    if failures:
+        raise SemigroupConditionError(
+            "semigroup condition fails at %s" % "; ".join(failures)
         )
-    return witness
+    return streams
 
 
 def congruence_condition(g: ResolutionGraph) -> CongruenceResult:
@@ -128,10 +143,10 @@ def congruence_condition(g: ResolutionGraph) -> CongruenceResult:
 
     So per direction the monomial kept is the first witness with the
     residue of [e_v*]; the witnesses come in lexicographic order (see
-    SemigroupWitness), so it is the lexicographically first. A node
-    fails when some direction has none."""
+    witnesses), so it is the lexicographically first. A node fails
+    when some direction has none."""
     diagram = to_splice_diagram(g)
-    witness = _require_semigroup(diagram, SemigroupConditionError)
+    streams = _require_semigroup(diagram)
     group = discriminant_group(g)
     chars = leaf_characters(g)
     modulus = chars.modulus
@@ -146,7 +161,7 @@ def congruence_condition(g: ResolutionGraph) -> CongruenceResult:
         )
         chosen = {}
         for e in diagram.incident_edges(v):
-            for a in witness.solutions[(v, e.index)]:
+            for a in streams[(v, e.index)]:
                 if chars.monomial_residue(a) == target:
                     chosen[diagram.direction_label(v, e)] = a
                     break
@@ -190,14 +205,16 @@ def build_splice_equations(g: ResolutionGraph) -> EquationsPackage:
     """Emit the t-2 splice equations for a graph satisfying the
     semigroup and congruence conditions; raises ConditionsNotMetError
     when either fails."""
-    diagram = to_splice_diagram(g)
-    _require_semigroup(diagram, ConditionsNotMetError)
-    cong = congruence_condition(g)
+    try:
+        cong = congruence_condition(g)
+    except SemigroupConditionError as err:
+        raise ConditionsNotMetError(str(err)) from None
     if not cong.holds:
         raise ConditionsNotMetError(
             "congruence condition fails at node%s %s"
             % ("s" if len(cong.failures) > 1 else "", ", ".join(cong.failures))
         )
+    diagram = to_splice_diagram(g)
     variables = diagram.leaves
     systems = []
     equations = []

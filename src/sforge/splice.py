@@ -25,13 +25,14 @@ out of a node v records, for every diagram vertex x, the linking number
 l_vx (the product of the weights adjacent to, but not on, the path from
 v to x; l_vv = d_v) and the edge at v whose branch holds x. Node
 weights, linking numbers, the leaves beyond an edge and edge
-determinants are lookups in it; the ZHS test and the semigroup
-condition with its monomial witnesses build on those.
+determinants are lookups in it; the ZHS test and the lazy stream of
+monomial witnesses per direction (witnesses) build on those.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 from math import gcd, prod
 
 from .graph import (
@@ -52,6 +53,7 @@ __all__ = [
     "node_weight",
     "is_zhs",
     "semigroup_condition",
+    "witnesses",
 ]
 
 WITNESS_CAP = 10_000
@@ -214,11 +216,10 @@ class SemigroupWitness:
     that branch with sum alpha(w) * l_vw = d_v. `truncated` lists the
     directions whose enumeration hit the solution cap.
 
-    Each list is in lexicographic order of the exponent vectors over
-    diagram.leaves (zero for a leaf outside the branch): the enumeration
-    runs over leaves_beyond, which keeps the order of diagram.leaves,
-    with each exponent ascending. A list cut at WITNESS_CAP is a prefix
-    of the full list."""
+    Each list is the first WITNESS_CAP of the direction's witnesses
+    stream, so it is in lexicographic order of the exponent vectors
+    over diagram.leaves (zero for a leaf outside the branch), and a cut
+    list is a prefix of the full one."""
 
     holds: bool
     solutions: dict  # (node_id, edge_index) -> list of {leaf_id: exp}
@@ -245,7 +246,7 @@ def to_splice_diagram(g: ResolutionGraph) -> SpliceDiagram:
     nodes = tuple(v for v in dverts if g.valency(v) >= 3)
 
     edges = []
-    seen_pairs = set()
+    at = {vid: [] for vid in dverts}  # edges by endpoint, in edge order
     for vid in dverts:
         for u in g.neighbors(vid):
             path = [vid, u]
@@ -257,17 +258,14 @@ def to_splice_diagram(g: ResolutionGraph) -> SpliceDiagram:
             a, b = path[0], path[-1]
             if g.index_of(a) > g.index_of(b):
                 continue  # recorded from the other end
-            key = (a, b)
-            if key in seen_pairs:
-                continue
-            seen_pairs.add(key)
-            edges.append(
-                SpliceEdge(index=len(edges), a=a, b=b, path=tuple(path))
-            )
+            e = SpliceEdge(index=len(edges), a=a, b=b, path=tuple(path))
+            edges.append(e)
+            at[a].append(e)
+            at[b].append(e)
 
     weights = {}
     for vid in nodes:
-        for e in (x for x in edges if vid in (x.a, x.b)):
+        for e in at[vid]:
             branch = form.branch_determinant(vid, e.first_step(vid))
             weights[(vid, e.index)] = abs(branch)
     return SpliceDiagram(g.index_of, dverts, leaves, nodes, edges, weights)
@@ -351,9 +349,9 @@ def semigroup_condition(d: SpliceDiagram) -> SemigroupWitness:
     """Does every node weight lie in the numerical semigroup of the
     linking numbers of the leaves beyond each incident edge?
 
-    Witnesses list all representations found by exhaustive bounded
-    enumeration (complete below the WITNESS_CAP cutoff), each as a map
-    leaf id -> exponent.
+    Each direction keeps the first WITNESS_CAP witnesses of its stream
+    (see witnesses), each as a map leaf id -> exponent; the cap bounds
+    what is kept for display, not the verdict.
     """
     if not d.has_nodes:
         raise ValueError("semigroup condition needs at least one node")
@@ -361,15 +359,9 @@ def semigroup_condition(d: SpliceDiagram) -> SemigroupWitness:
     failures = []
     truncated = []
     for v in d.nodes:
-        links = d.walk(v)[0]
         for e in d.incident_edges(v):
-            outer = d.leaves_beyond(v, e)
-            coins = [links[w] for w in outer]
-            sols = _bounded_representations(
-                links[v], outer, coins, WITNESS_CAP
-            )
-            key = (v, e.index)
-            solutions[key] = sols
+            sols = list(islice(witnesses(d, v, e), WITNESS_CAP))
+            solutions[(v, e.index)] = sols
             if len(sols) >= WITNESS_CAP:
                 truncated.append((v, d.direction_label(v, e)))
             if not sols:
@@ -382,37 +374,24 @@ def semigroup_condition(d: SpliceDiagram) -> SemigroupWitness:
     )
 
 
-def _bounded_representations(target, leaves, links, cap):
-    """All alpha >= 0 with sum alpha_i * links_i == target, as dicts
-    keyed by leaf id (zero exponents omitted), lexicographic order."""
-    sols = []
+def witnesses(d: SpliceDiagram, v: str, e: SpliceEdge):
+    """Every alpha >= 0 over d.leaves_beyond(v, e) with
+    sum alpha_w * l_vw = d_v, lazily, as dicts keyed by leaf id (zero
+    exponents omitted) in lexicographic order: leaves in the order of
+    d.leaves, each exponent ascending. The stream has no cap."""
+    links = d.walk(v)[0]
+    leaves = d.leaves_beyond(v, e)
+    coins = [links[w] for w in leaves]
+    last = len(leaves) - 1
 
     def rec(idx, remaining, acc):
-        if len(sols) >= cap:
+        w, l = leaves[idx], coins[idx]
+        if idx == last:  # the last exponent is forced
+            if remaining % l == 0:
+                yield dict(acc + ((w, remaining // l),) if remaining else acc)
             return
-        if idx == len(leaves):
-            if remaining == 0 and acc:
-                sols.append(dict(acc))
-            return
-        if idx == len(leaves) - 1:
-            # last coordinate is forced
-            l = links[idx]
-            if remaining == 0:
-                rec(idx + 1, 0, acc)
-            elif remaining % l == 0:
-                acc.append((leaves[idx], remaining // l))
-                rec(idx + 1, 0, acc)
-                acc.pop()
-            return
-        l = links[idx]
         for a in range(remaining // l + 1):
-            if a:
-                acc.append((leaves[idx], a))
-            rec(idx + 1, remaining - a * l, acc)
-            if a:
-                acc.pop()
-            if len(sols) >= cap:
-                return  # later alpha only extend the list past the cap
+            yield from rec(idx + 1, remaining - a * l,
+                           acc + ((w, a),) if a else acc)
 
-    rec(0, target, [])
-    return sols
+    return rec(0, links[v], ())

@@ -20,6 +20,9 @@ The dense Fraction Gauss-Jordan solve of bounded ideal membership is
 the library's former implementation, kept verbatim: the sparse
 fraction-free solve must return the same solution vector, and fail on
 the same systems.
+The capped recursive witness search is the library's former
+implementation, kept verbatim: a prefix of the lazy witness stream must
+equal its list at every cap.
 """
 
 from fractions import Fraction
@@ -164,6 +167,42 @@ def coin_membership_dp(target, coins):
             if reachable[s - c]:
                 reachable[s] = True
     return reachable[target]
+
+
+def _bounded_representations(target, leaves, links, cap):
+    """All alpha >= 0 with sum alpha_i * links_i == target, as dicts
+    keyed by leaf id (zero exponents omitted), lexicographic order."""
+    sols = []
+
+    def rec(idx, remaining, acc):
+        if len(sols) >= cap:
+            return
+        if idx == len(leaves):
+            if remaining == 0 and acc:
+                sols.append(dict(acc))
+            return
+        if idx == len(leaves) - 1:
+            # last coordinate is forced
+            l = links[idx]
+            if remaining == 0:
+                rec(idx + 1, 0, acc)
+            elif remaining % l == 0:
+                acc.append((leaves[idx], remaining // l))
+                rec(idx + 1, 0, acc)
+                acc.pop()
+            return
+        l = links[idx]
+        for a in range(remaining // l + 1):
+            if a:
+                acc.append((leaves[idx], a))
+            rec(idx + 1, remaining - a * l, acc)
+            if a:
+                acc.pop()
+            if len(sols) >= cap:
+                return  # later alpha only extend the list past the cap
+
+    rec(0, target, [])
+    return sols
 
 
 def invert_rational_fraction_gauss(m: IntMatrix) -> RatMatrix:

@@ -175,6 +175,31 @@ def test_conditions_failing_graph_exit_0_names_direction(capsys, tmp_path):
     assert "FAILS at node n2 toward k" in out
 
 
+def _tree_with_a_late_congruence_witness():
+    """The last of 216 seeded trees, 16 vertices: at v4 toward v1 the
+    first witness with the residue of [e_v*] is at index 23,235 of
+    28,741, past the 10,000 witnesses `conditions` prints."""
+    r = Random(3)
+    for i in range(216):
+        g = random_negative_definite_tree(r, max_vertices=[12, 20, 30][i % 3])
+    return g
+
+
+def test_congruence_reads_past_the_witness_cap(capsys, tmp_path):
+    from sforge import congruence_condition
+
+    g = _tree_with_a_late_congruence_witness()
+    assert len(g.vertices) == 16
+    assert congruence_condition(g).holds
+    p = tmp_path / "late-witness.graph"
+    p.write_text(serialize_graph(g))
+    code, out, err = run(capsys, "equations", str(p))
+    assert code == 0, err
+    res = run_json(capsys, "conditions", str(p))["result"]
+    assert ["v4", "toward v1"] in res["semigroup"]["truncated"]
+    assert res["congruence"]["holds"] is True
+
+
 def test_conditions_chain_no_nodes(capsys, graphs_dir):
     doc = run_json(capsys, "conditions", graph_path(graphs_dir, "a3"))
     assert doc["result"]["no_nodes"] is True

@@ -27,6 +27,7 @@ from sforge import (
 )
 from sforge.corpus import (
     a_n,
+    builtin_corpus,
     chain,
     e7,
     e8,
@@ -174,8 +175,29 @@ def test_refusals():
         build_splice_equations(chain([-2, -3]))
     with pytest.raises(ConditionsNotMetError) as err:
         build_splice_equations(engineered_failing_graph())
+    assert type(err.value) is ConditionsNotMetError
     assert "n2" in str(err.value)
     assert "toward k" in str(err.value)
+
+
+def test_equations_start_one_witness_stream_per_direction(monkeypatch):
+    """The semigroup check and the congruence search share one stream
+    per direction: the first witness is searched for once."""
+    import sforge.equations
+
+    real = sforge.equations.witnesses
+    started = []
+
+    def counting(d, v, e):
+        started.append((v, e.index))
+        return real(d, v, e)
+
+    monkeypatch.setattr(sforge.equations, "witnesses", counting)
+    g = quotient_cusp(3, [3] * 3)
+    build_splice_equations(g)
+    d = to_splice_diagram(g)
+    assert started == [(v, e.index) for v in d.nodes
+                       for e in d.incident_edges(v)]
 
 
 def test_equation_count_is_t_minus_2():
@@ -376,10 +398,16 @@ def test_witnesses_come_in_lexicographic_order(
     fresh_corpus, monkeypatch, cap
 ):
     """Every witness list is strictly increasing in exponent_key order,
-    also when cut at a small WITNESS_CAP; the congruence search relies
-    on it and does not sort. On the cut lists it agrees with the
-    Fraction oracle, which sorts. The graphs are built anew, so that
-    no witness memoized under another cap is reused."""
+    also when cut at a small WITNESS_CAP. The cap trims only those
+    lists: the congruence reads the uncut streams, so it agrees with
+    the Fraction oracle fed the complete lists, which are built on
+    other fresh graphs under the default cap before the cap is patched.
+    The graphs are built anew, so that no witness memoized under
+    another cap is reused."""
+    oracle = {}
+    for name, g, d, witness in _congruence_cases(builtin_corpus()):
+        assert not witness.truncated, name
+        oracle[name] = congruence_by_fractions(d, witness, leaf_characters(g))
     corpus = fresh_corpus
     if cap is not None:
         monkeypatch.setattr("sforge.splice.WITNESS_CAP", cap)
@@ -405,11 +433,9 @@ def test_witnesses_come_in_lexicographic_order(
     seen = 0
     for name, g, d, witness in _congruence_cases(corpus):
         res = congruence_condition(g)
-        characters, monomials, failures = congruence_by_fractions(
-            d, witness, leaf_characters(g)
-        )
+        characters, monomials, failures = oracle[name]
         assert res.node_characters == characters, name
         assert res.node_monomials == monomials, name
         assert res.failures == failures, name
         seen += 1
-    assert seen >= 40, seen
+    assert seen >= 40 and seen == len(oracle), seen

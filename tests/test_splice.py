@@ -1,5 +1,6 @@
 """Splice diagram derivation and the semigroup machinery."""
 
+from itertools import islice
 from random import Random
 
 import pytest
@@ -20,18 +21,20 @@ from sforge import (
     node_weight,
     semigroup_condition,
     to_splice_diagram,
+    witnesses,
 )
 from sforge.corpus import (
     a_n,
     chain,
     e7,
     e8,
+    quotient_cusp,
     random_negative_definite_tree,
     star,
     two_node_example,
 )
 
-from oracles import coin_membership_dp
+from oracles import _bounded_representations, coin_membership_dp
 
 
 def weights_at(d, v):
@@ -389,34 +392,62 @@ def test_witness_support_and_weight_identity_on_corpus(corpus):
                 assert total == dv, (name, v)
 
 
-def test_witness_enumeration_cap_truncates():
-    from sforge.splice import _bounded_representations
+def test_witness_enumeration_cap_truncates(monkeypatch):
+    """A cap cuts the list semigroup_condition keeps, not the stream:
+    on the quotient cusp k = 4, the 27 witnesses across each inner
+    edge are cut to the first 7 of the stream, which are the capped
+    oracle's, and the direction is listed as truncated."""
+    monkeypatch.setattr("sforge.splice.WITNESS_CAP", 7)
+    d = to_splice_diagram(quotient_cusp(4, [3] * 4))
+    wit = semigroup_condition(d)
+    assert wit.holds
+    assert wit.truncated == (("n1", "toward n2"), ("n4", "toward n3"))
+    for v, step in (("n1", "n2"), ("n4", "n3")):
+        (e,) = (e for e in d.incident_edges(v) if e.first_step(v) == step)
+        links = d.walk(v)[0]
+        outer = d.leaves_beyond(v, e)
+        coins = [links[w] for w in outer]
+        sols = wit.solutions[(v, e.index)]
+        assert len(sols) == 7  # cut off at the cap
+        assert sols == list(islice(witnesses(d, v, e), 7))
+        assert sols == _bounded_representations(links[v], outer, coins, 7)
+        full = _bounded_representations(links[v], outer, coins, 10_000)
+        assert len(full) == 27
+        assert list(witnesses(d, v, e)) == full
 
-    sols = _bounded_representations(30, ("a", "b"), [1, 1], cap=7)
-    assert len(sols) == 7  # cut off at the cap
-    full = _bounded_representations(30, ("a", "b"), [1, 1], cap=10_000)
-    assert len(full) == 31  # a + b = 30, a in 0..30
 
-
-def test_capped_witnesses_are_a_prefix_of_the_full_list():
-    """The search stops at the cap; witnesses come in lexicographic
-    order, so the capped list is the first `cap` of the full one."""
-    from sforge.splice import _bounded_representations
-
+def test_capped_witnesses_are_a_prefix_of_the_full_list(corpus):
+    """The first `cap` of a direction's witness stream are the capped
+    oracle's list, at every cap; an empty stream is exactly a node
+    weight outside the semigroup of the links (the coin DP). On the
+    corpus, the quotient cusps k = 3..6 and 100 seeded trees."""
     rng = Random(77)
-    checked = 0
-    for _ in range(60):
-        t = rng.randint(1, 4)
-        leaves = tuple("w%d" % i for i in range(t))
-        links = [rng.randint(1, 6) for _ in range(t)]
-        target = rng.randint(0, 40)
-        full = _bounded_representations(target, leaves, links, 10_000)
-        assert len(full) < 10_000
-        for cap in (1, 2, 3, 5, 8, 13):
-            capped = _bounded_representations(target, leaves, links, cap)
-            assert capped == full[:cap], (target, links, cap)
-            checked += len(full) > cap
-    assert checked > 100
+    graphs = list(corpus.values())
+    graphs += [quotient_cusp(k, [3] * k) for k in range(3, 7)]
+    graphs += [random_negative_definite_tree(rng, max_vertices=12)
+               for _ in range(100)]
+    checked = empty = 0
+    for g in graphs:
+        if not g.is_qhs_tree():
+            continue
+        d = to_splice_diagram(g)
+        for v in d.nodes:
+            links = d.walk(v)[0]
+            for e in d.incident_edges(v):
+                outer = d.leaves_beyond(v, e)
+                coins = [links[w] for w in outer]
+                full = _bounded_representations(links[v], outer, coins,
+                                                10_000)
+                assert len(full) < 10_000
+                for cap in (1, 2, 3, 5, 8, 13):
+                    capped = list(islice(witnesses(d, v, e), cap))
+                    assert capped == _bounded_representations(
+                        links[v], outer, coins, cap), (v, coins, cap)
+                    checked += len(full) > cap
+                none = next(witnesses(d, v, e), None) is None
+                assert none == (not coin_membership_dp(links[v], coins))
+                empty += none
+    assert checked > 100 and empty >= 5, (checked, empty)
 
 
 def test_semigroup_verdicts_match_dp_oracle_on_corpus(corpus):
