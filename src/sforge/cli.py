@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import io
 import json
 import os
 import sys
@@ -80,19 +81,27 @@ def _graph_doc(g):
     }
 
 
+def _group_line(group):
+    """The text line of an {"order", "invariant_factors"} document."""
+    desc = " x ".join("Z/%d" % f for f in group["invariant_factors"])
+    desc = desc or "trivial"
+    return "discriminant group: order %d (%s)" % (group["order"], desc)
+
+
 def _read(path):
-    """The text of the UTF-8 file at path. A file that cannot be read,
-    or is not UTF-8, is malformed input: ParseError."""
+    """The bytes of the file at path, read once, and their UTF-8 text
+    with universal newlines (as text-mode open gives it). A file that
+    cannot be read, or is not UTF-8, is malformed input: ParseError."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
+        with open(path, "rb") as fh:
+            raw = fh.read()
+        text = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8")
+        return raw, text.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError("cannot read %s: %s" % (path, exc)) from None
 
 
-def _envelope(command, path, data):
-    with open(path, "rb") as fh:
-        digest = hashlib.sha256(fh.read()).hexdigest()
+def _envelope(command, path, digest, data):
     return {
         "tool": "sforge",
         "version": __version__,
@@ -106,7 +115,7 @@ def _envelope(command, path, data):
 # -- analyze ----------------------------------------------------------------
 
 
-def _analyze(g):
+def _analyze(g, args):
     m = intersection_matrix(g)
     data = {
         "graph": _graph_doc(g),
@@ -201,14 +210,7 @@ def _render_analyze(data):
             )
         )
     if data["discriminant"] is not None:
-        d = data["discriminant"]
-        desc = (
-            " x ".join("Z/%d" % f for f in d["invariant_factors"])
-            or "trivial"
-        )
-        out.append(
-            "discriminant group: order %d (%s)" % (d["order"], desc)
-        )
+        out.append(_group_line(data["discriminant"]))
     else:
         out.append("discriminant group: n/a (%s)" % data["discriminant_note"])
     return "\n".join(out) + "\n"
@@ -217,7 +219,7 @@ def _render_analyze(data):
 # -- splice -----------------------------------------------------------------
 
 
-def _splice(g):
+def _splice(g, args):
     d = to_splice_diagram(g)
     data = {
         "no_nodes": not d.has_nodes,
@@ -283,7 +285,7 @@ def _monomial_str(exps):
     )
 
 
-def _conditions(g):
+def _conditions(g, args):
     d = to_splice_diagram(g)
     if not d.has_nodes:
         return {
@@ -323,12 +325,10 @@ def _conditions(g):
 
 
 def _render_conditions(data):
-    out = []
     if data["no_nodes"]:
-        out.append(data["note"])
-        return "\n".join(out) + "\n"
+        return data["note"] + "\n"
     sem = data["semigroup"]
-    out.append("semigroup condition: %s" % sem["holds"])
+    out = ["semigroup condition: %s" % sem["holds"]]
     for v, dirs in sem["witnesses"].items():
         for label, sols in dirs.items():
             shown = ", ".join(_monomial_str(a) for a in sols[:8])
@@ -362,33 +362,33 @@ def _render_conditions(data):
 # -- equations ----------------------------------------------------------------
 
 
-def _equations(g):
+def _equations(g, args):
     pkg = build_splice_equations(g)
     chars = pkg.characters
+    nodes = [
+        {
+            "node": ns.node_id,
+            "weight": ns.weight,
+            "variable_weights": ns.variable_weights,
+            "directions": list(ns.directions),
+            "monomials": list(ns.monomials),
+            "coefficients": ns.coefficients.to_lists(),
+            "character": _fracs(ns.character),
+            "equations": [str(eq) for eq in ns.equations],
+        }
+        for ns in pkg.nodes
+    ]
     return {
         "variables": list(pkg.variables),
-        "equations": [str(eq) for eq in pkg.equations],
-        "nodes": [
-            {
-                "node": ns.node_id,
-                "weight": ns.weight,
-                "variable_weights": ns.variable_weights,
-                "directions": list(ns.directions),
-                "monomials": list(ns.monomials),
-                "coefficients": ns.coefficients.to_lists(),
-                "character": _fracs(ns.character),
-                "equations": [str(eq) for eq in ns.equations],
-            }
-            for ns in pkg.nodes
-        ],
+        # pkg.equations is the node equations in node order
+        "equations": [eq for ns in nodes for eq in ns["equations"]],
+        "nodes": nodes,
         "group": {
             "order": chars.order,
             "invariant_factors": list(chars.generator_orders),
         },
         "characters": {
-            w: _fracs(
-                [row[i] for row in chars.phases]
-            )
+            w: _fracs([row[i] for row in chars.phases])
             for i, w in enumerate(chars.leaf_ids)
         },
         "action_table": [
@@ -421,9 +421,7 @@ def _render_equations(data):
         )
         for eq in ns["equations"]:
             out.append("  %s = 0" % eq)
-    g = data["group"]
-    desc = " x ".join("Z/%d" % f for f in g["invariant_factors"]) or "trivial"
-    out.append("discriminant group: order %d (%s)" % (g["order"], desc))
+    out.append(_group_line(data["group"]))
     for row in data["action_table"]:
         out.append(
             "generator %d (order %d) acts by phases: %s"
@@ -441,7 +439,10 @@ def _render_equations(data):
 # -- invariants ---------------------------------------------------------------
 
 
-def _invariants(g, degree_bound, identity_path):
+def _invariants(g, args):
+    degree_bound = args.degree_bound
+    if degree_bound < 1:
+        raise ParseError("--degree-bound must be >= 1")
     order = abs(require_qhs_tree(g).determinant)
     check_order_cap(order)
     chars = leaf_characters(g)
@@ -468,8 +469,9 @@ def _invariants(g, degree_bound, identity_path):
         "relations": relations,
         "certificate": None,
     }
-    if identity_path is not None:
-        target = parse_polynomial(_read(identity_path), basis.variables)
+    if args.verify_identity is not None:
+        text = _read(args.verify_identity)[1]
+        target = parse_polynomial(text, basis.variables)
         pkg = build_splice_equations(g)
         cert = membership_bounded(target, list(pkg.equations), degree_bound)
         data["certificate"] = {
@@ -483,9 +485,7 @@ def _invariants(g, degree_bound, identity_path):
 
 
 def _render_invariants(data):
-    g = data["group"]
-    desc = " x ".join("Z/%d" % f for f in g["invariant_factors"]) or "trivial"
-    out = ["discriminant group: order %d (%s)" % (g["order"], desc)]
+    out = [_group_line(data["group"])]
     out.append("invariant generators:")
     for gen in data["generators"]:
         out.append("  %s = %s" % (gen["name"], gen["monomial"]))
@@ -618,6 +618,21 @@ class _StructuredEncoder(json.JSONEncoder):
 # -- driver -------------------------------------------------------------------
 
 
+# name: (help text, result builder of (graph, args), text renderer)
+_COMMANDS = {
+    "analyze": ("graph invariants, classification, discriminant group",
+                _analyze, _render_analyze),
+    "splice": ("splice diagram, edge determinants, ZHS test",
+               _splice, _render_splice),
+    "conditions": ("semigroup and congruence conditions with witnesses",
+                   _conditions, _render_conditions),
+    "equations": ("splice equations and the group action table",
+                  _equations, _render_equations),
+    "invariants": ("invariant generators, relations, membership checks",
+                   _invariants, _render_invariants),
+}
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="sforge",
@@ -627,13 +642,7 @@ def _build_parser():
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in [
-        ("analyze", "graph invariants, classification, discriminant group"),
-        ("splice", "splice diagram, edge determinants, ZHS test"),
-        ("conditions", "semigroup and congruence conditions with witnesses"),
-        ("equations", "splice equations and the group action table"),
-        ("invariants", "invariant generators, relations, membership checks"),
-    ]:
+    for name, (help_text, _, _) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("file", help="graph file")
         p.add_argument(
@@ -662,49 +671,39 @@ def _build_parser():
 
 def main(argv=None):
     args = _build_parser().parse_args(argv)
+    _, build, render = _COMMANDS[args.command]
     try:
-        text = _read(args.file)
+        raw, text = _read(args.file)
     except ParseError as exc:
         print("sforge: %s" % exc, file=sys.stderr)
         return EXIT_INPUT
+    digest = hashlib.sha256(raw).hexdigest()
     try:
         g = parse_graph(text)
     except ParseError as exc:
         print("sforge: %s: %s" % (args.file, exc), file=sys.stderr)
         return EXIT_INPUT
     try:
-        if args.command == "analyze":
-            data = _analyze(g)
-            render = _render_analyze
-        elif args.command == "splice":
-            data = _splice(g)
-            render = _render_splice
-        elif args.command == "conditions":
-            data = _conditions(g)
-            render = _render_conditions
-        elif args.command == "equations":
-            data = _equations(g)
-            render = _render_equations
+        data = build(g, args)
+        if args.format == "structured":
+            doc = _envelope(args.command, args.file, digest, data)
+            body = json.dumps(
+                doc, indent=2, sort_keys=True, cls=_StructuredEncoder
+            )
+            out = (body, "\n")
         else:
-            if args.degree_bound < 1:
-                print("sforge: --degree-bound must be >= 1", file=sys.stderr)
-                return EXIT_INPUT
-            data = _invariants(g, args.degree_bound, args.verify_identity)
-            render = _render_invariants
-    except ParseError as exc:  # polynomial file errors, unreadable too
+            out = (render(data),)
+    except ParseError as exc:  # bad options and polynomial files
         print("sforge: %s" % exc, file=sys.stderr)
         return EXIT_INPUT
     except (PreconditionError, ValueError) as exc:
+        # ValueError includes an integer of the answer too long to print
         print("sforge: %s" % exc, file=sys.stderr)
         return EXIT_PRECONDITION
-    doc = _envelope(args.command, args.file, data)
     try:
-        if args.format == "structured":
-            print(json.dumps(
-                doc, indent=2, sort_keys=True, cls=_StructuredEncoder
-            ))
-        else:
-            sys.stdout.write(render(data))
+        # io's buffered writer reports a pipe closed mid-write only on the
+        # next write, so the last newline is written apart, as print did.
+        sys.stdout.writelines(out)
         sys.stdout.flush()
     except BrokenPipeError:
         _discard_stdout()

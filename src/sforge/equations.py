@@ -218,10 +218,13 @@ def build_splice_equations(g: ResolutionGraph) -> EquationsPackage:
     variables = diagram.leaves
     systems = []
     equations = []
+    rows_by_valency = {}  # each valency's rows are built and verified once
     for v in diagram.nodes:
         edges = diagram.incident_edges(v)
         delta = len(edges)
-        coeffs = generic_coefficients(delta)
+        if delta not in rows_by_valency:
+            rows_by_valency[delta] = generic_coefficients(delta)
+        coeffs = rows_by_valency[delta]
         links = diagram.walk(v)[0]
         monomials = tuple(
             cong.node_monomials[v][diagram.direction_label(v, e)]

@@ -29,6 +29,7 @@ solves M x = b exactly. Dense Bareiss serves only graphs with cycles.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import wraps
@@ -471,10 +472,22 @@ def parse_graph(text: str) -> ResolutionGraph:
 
 
 def _parse_int(value, lineno):
+    """int(value, 10), or ParseError. A well-formed literal that int()
+    still refuses has more digits than the interpreter converts
+    (sys.get_int_max_str_digits, 4,300 by default); it is reported by
+    its length, not echoed."""
     try:
         return int(value, 10)
     except ValueError:
-        raise ParseError("not an integer: %r" % value, lineno) from None
+        pass
+    groups = (value[1:] if value[:1] in ("+", "-") else value).split("_")
+    if all(group.isdecimal() for group in groups):
+        raise ParseError(
+            "integer has %d digits, more than the limit of %d"
+            % (sum(map(len, groups)), sys.get_int_max_str_digits()),
+            lineno,
+        )
+    raise ParseError("not an integer: %r" % value, lineno)
 
 
 def serialize_graph(g: ResolutionGraph) -> str:

@@ -97,6 +97,68 @@ def test_analyze_indefinite_exit_3(capsys, graphs_dir):
     assert "negative definite" in err
 
 
+@pytest.mark.parametrize("fmt", ["text", "structured"])
+def test_result_integer_too_long_to_print_exits_3(capsys, tmp_path, fmt):
+    """|det| = 10^6000 - 1 has more digits than int() turns into text:
+    rendering fails like any other precondition, with one line and no
+    output."""
+    huge = tmp_path / "huge.graph"
+    w = -(10**3000)
+    huge.write_text(
+        "vertex a weight=%d\nvertex b weight=%d\nedge a b\n" % (w, w)
+    )
+    code, out, err = run(capsys, "analyze", str(huge), "--format", fmt)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("sforge: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("analyze",),
+        ("splice",),
+        ("conditions",),
+        ("equations",),
+        ("invariants", "--verify-identity"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_each_call_reads_the_graph_file_once(
+    capsys, graphs_dir, monkeypatch, tmp_path, argv
+):
+    """The envelope's input_sha256 is the digest of the bytes parsed,
+    from the one open of the graph file."""
+    import builtins
+    import hashlib
+
+    path = graph_path(graphs_dir, "e7")
+    command, *options = argv
+    if options:
+        target = tmp_path / "target.poly"
+        target.write_text("x^2*z^2 + y^3*z^2 + z^6\n")
+        options[-1] += "=%s" % target
+    opened = []
+    real_open = builtins.open
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    monkeypatch.setattr(io, "open", counting_open)
+    code, out, err = run(
+        capsys, command, path, *options, "--format", "structured"
+    )
+    monkeypatch.undo()
+    assert code == 0, err
+    assert opened.count(path) == 1
+    with open(path, "rb") as fh:
+        digest = hashlib.sha256(fh.read()).hexdigest()
+    assert json.loads(out)["input_sha256"] == digest
+
+
 # -- splice ----------------------------------------------------------------
 
 

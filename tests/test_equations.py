@@ -140,6 +140,43 @@ def test_generic_coefficients_rejects_small_valency():
         generic_coefficients(2)
 
 
+def _draw(rng, index, **kwargs):
+    """Draw number index (from 0) of random_negative_definite_tree."""
+    for _ in range(index):
+        random_negative_definite_tree(rng, **kwargs)
+    return random_negative_definite_tree(rng, **kwargs)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        pytest.param(quotient_cusp(6, [3] * 6), id="quotient-cusp-6"),
+        pytest.param(two_node_example(), id="two-node"),
+        # nodes of valencies 3, 3 and 4
+        pytest.param(_draw(Random(0), 19, max_vertices=10), id="random-0-19"),
+    ],
+)
+def test_generic_coefficients_built_once_per_valency(monkeypatch, g):
+    """Nodes of one valency share one generic matrix: each build
+    re-verifies every maximal minor."""
+    import sforge.equations
+
+    built = []
+
+    def counting(delta):
+        built.append(delta)
+        return generic_coefficients(delta)
+
+    monkeypatch.setattr(sforge.equations, "generic_coefficients", counting)
+    pkg = build_splice_equations(g)
+    diagram = to_splice_diagram(g)
+    valencies = [len(diagram.incident_edges(v)) for v in diagram.nodes]
+    assert len(valencies) > len(set(valencies))
+    assert sorted(built) == sorted(set(valencies))
+    for ns, delta in zip(pkg.nodes, valencies):
+        assert ns.coefficients == generic_coefficients(delta)
+
+
 # -- equation emission --------------------------------------------------------------
 
 

@@ -76,6 +76,26 @@ def test_parse_errors_carry_line_numbers():
         assert needle in str(err.value)
 
 
+@pytest.mark.parametrize("sign", ["", "-", "+"])
+def test_parse_reports_an_integer_too_long_to_convert(sign):
+    """A literal of more digits than int() converts is named by its
+    length, with its line number, not echoed in full."""
+    digits = "1" * 5000
+    text = "vertex a weight=-2\nvertex b weight=%s%s\n" % (sign, digits)
+    with pytest.raises(ParseError) as err:
+        parse_graph(text)
+    assert err.value.line == 2
+    message = str(err.value)
+    assert "5000 digits" in message and digits not in message
+    assert len(message) < 100
+
+
+def test_parse_long_non_integer_is_not_called_too_long():
+    for value in ["x" + "1" * 5000, "1__" + "1" * 5000, "\u00b2" * 5000]:
+        with pytest.raises(ParseError, match="not an integer"):
+            parse_graph("vertex a weight=%s\n" % value)
+
+
 def test_parse_rejects_disconnected_and_empty():
     with pytest.raises(ParseError, match="connected"):
         parse_graph("vertex a weight=-2\nvertex b weight=-2\n")
