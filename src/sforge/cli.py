@@ -37,7 +37,7 @@ from .invariants import (
     membership_bounded,
     toric_relations,
 )
-from .poly import parse_polynomial
+from .poly import monomial_text, parse_polynomial
 from .splice import (
     edge_determinant,
     is_zhs,
@@ -213,7 +213,7 @@ def _render_analyze(data):
         out.append(_group_line(data["discriminant"]))
     else:
         out.append("discriminant group: n/a (%s)" % data["discriminant_note"])
-    return "\n".join(out) + "\n"
+    return "\n".join(out)
 
 
 # -- splice -----------------------------------------------------------------
@@ -273,7 +273,7 @@ def _render_splice(data):
             + ", ".join("%s:%d" % (w, links[w]) for w in data["leaves"])
         )
     out.append("integral homology sphere: %s" % data["zhs"])
-    return "\n".join(out) + "\n"
+    return "\n".join(out)
 
 
 # -- conditions ---------------------------------------------------------------
@@ -326,7 +326,7 @@ def _conditions(g, args):
 
 def _render_conditions(data):
     if data["no_nodes"]:
-        return data["note"] + "\n"
+        return data["note"]
     sem = data["semigroup"]
     out = ["semigroup condition: %s" % sem["holds"]]
     for v, dirs in sem["witnesses"].items():
@@ -356,7 +356,7 @@ def _render_conditions(data):
             )
         for v in cong["failures"]:
             out.append("  FAILS at node %s" % v)
-    return "\n".join(out) + "\n"
+    return "\n".join(out)
 
 
 # -- equations ----------------------------------------------------------------
@@ -433,7 +433,7 @@ def _render_equations(data):
                 ),
             )
         )
-    return "\n".join(out) + "\n"
+    return "\n".join(out)
 
 
 # -- invariants ---------------------------------------------------------------
@@ -462,7 +462,9 @@ def _invariants(g, args):
                     for v, e in zip(basis.variables, basis.exponents[i])
                     if e
                 },
-                "monomial": str(basis.monomial(i)),
+                "monomial": monomial_text(
+                    basis.variables, basis.exponents[i]
+                ),
             }
             for i in range(len(basis.exponents))
         ],
@@ -508,7 +510,7 @@ def _render_invariants(data):
                 "  no cofactors of degree <= %d (not a proof of"
                 " non-membership)" % cert["degree_bound"]
             )
-    return "\n".join(out) + "\n"
+    return "\n".join(out)
 
 
 # -- structured rendering -----------------------------------------------------
@@ -618,7 +620,8 @@ class _StructuredEncoder(json.JSONEncoder):
 # -- driver -------------------------------------------------------------------
 
 
-# name: (help text, result builder of (graph, args), text renderer)
+# name: (help text, result builder of (graph, args), text renderer). main
+# writes the last newline of the text, as of the structured document.
 _COMMANDS = {
     "analyze": ("graph invariants, classification, discriminant group",
                 _analyze, _render_analyze),
@@ -685,25 +688,31 @@ def main(argv=None):
         return EXIT_INPUT
     try:
         data = build(g, args)
+    except ParseError as exc:  # bad options and polynomial files
+        print("sforge: %s" % exc, file=sys.stderr)
+        return EXIT_INPUT
+    except (PreconditionError, ValueError) as exc:  # ValueError: the caps
+        print("sforge: %s" % exc, file=sys.stderr)
+        return EXIT_PRECONDITION
+    try:
         if args.format == "structured":
             doc = _envelope(args.command, args.file, digest, data)
             body = json.dumps(
                 doc, indent=2, sort_keys=True, cls=_StructuredEncoder
             )
-            out = (body, "\n")
         else:
-            out = (render(data),)
-    except ParseError as exc:  # bad options and polynomial files
-        print("sforge: %s" % exc, file=sys.stderr)
-        return EXIT_INPUT
-    except (PreconditionError, ValueError) as exc:
-        # ValueError includes an integer of the answer too long to print
-        print("sforge: %s" % exc, file=sys.stderr)
+            body = render(data)
+    except ValueError:  # int refuses to turn an integer this long into text
+        print(
+            "sforge: the answer has an integer of more than %d digits, too "
+            "long to print" % sys.get_int_max_str_digits(),
+            file=sys.stderr,
+        )
         return EXIT_PRECONDITION
     try:
         # io's buffered writer reports a pipe closed mid-write only on the
         # next write, so the last newline is written apart, as print did.
-        sys.stdout.writelines(out)
+        sys.stdout.writelines((body, "\n"))
         sys.stdout.flush()
     except BrokenPipeError:
         _discard_stdout()

@@ -230,15 +230,17 @@ def build_splice_equations(g: ResolutionGraph) -> EquationsPackage:
             cong.node_monomials[v][diagram.direction_label(v, e)]
             for e in edges
         )
-        polys = [
-            Polynomial.monomial(variables, a) for a in monomials
+        # The monomials of the delta directions are in the leaves beyond
+        # distinct edges, so they are distinct, and each coefficient
+        # (pos + 1)^i is a nonzero int: the sums are term maps as they are.
+        keys = [tuple(a.get(w, 0) for w in variables) for a in monomials]
+        node_eqs = [
+            Polynomial._from_terms(
+                variables,
+                {key: coeffs[i, pos] for pos, key in enumerate(keys)},
+            )
+            for i in range(delta - 2)
         ]
-        node_eqs = []
-        for i in range(delta - 2):
-            eq = Polynomial.zero(variables)
-            for pos, p in enumerate(polys):
-                eq = eq + coeffs[i, pos] * p
-            node_eqs.append(eq)
         system = NodeSystem(
             node_id=v,
             weight=links[v],
@@ -266,7 +268,11 @@ def _verify_package(pkg):
         raise AssertionError("expected t-2 equations")
     for node in pkg.nodes:
         for eq in node.equations:
-            if eq.weighted_degree(node.variable_weights) != node.weight:
+            try:
+                degree = eq.weighted_degree(node.variable_weights)
+            except ValueError:  # zero, or monomials of different weights
+                degree = None
+            if degree != node.weight:
                 raise AssertionError(
                     "equation at %r is not homogeneous of the node weight"
                     % node.node_id

@@ -356,8 +356,9 @@ def membership_bounded(target: Polynomial, ideal_gens, bound: int):
         return None
     m = len(cof_monomials)
     cofactors = [
-        Polynomial(variables, {
-            cm: x for cm, x in zip(cof_monomials, solution[gi * m:])
+        Polynomial._from_terms(variables, {
+            cm: x.numerator if x.denominator == 1 else x
+            for cm, x in zip(cof_monomials, solution[gi * m:])
             if x
         })
         for gi in range(len(ideal_gens))

@@ -1,8 +1,22 @@
 """Sparse multivariate polynomials over exact rationals.
 
-Terms are a map from exponent tuples (aligned with a fixed, ordered
-variable tuple) to nonzero Fractions. Polynomials are immutable; all
-arithmetic is exact.
+A Polynomial is a fixed, ordered tuple of distinct variable names and
+a term map `terms` from exponent tuples to coefficients. Every
+Polynomial keeps one invariant for its terms:
+
+- each key is a tuple of len(variables) nonnegative ints;
+- each value is nonzero, and an int when integral, otherwise a Fraction
+  in lowest terms.
+
+Validation happens where input enters: the public constructor
+Polynomial(variables, terms) checks its arguments, converts every
+coefficient with Fraction and normalises the result to the invariant;
+constant, variable and monomial check their names, exponents and
+coefficient. The ring operations build their term maps under the
+invariant and hand them to Polynomial._from_terms, which does not
+validate again; so do parse_polynomial and the sforge modules that
+build equations and certificates as term maps. Polynomials are
+immutable; all arithmetic is exact.
 """
 
 from __future__ import annotations
@@ -10,19 +24,48 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from itertools import compress
+from operator import add
 
 from .errors import ParseError
 
-__all__ = ["Polynomial", "parse_polynomial"]
+__all__ = ["Polynomial", "monomial_text", "parse_polynomial"]
+
+
+def _canonical(c):
+    """An int or Fraction as the invariant stores it: an int when
+    integral."""
+    if type(c) is int or c.denominator != 1:
+        return c
+    return c.numerator
+
+
+def _checked_variables(variables):
+    variables = tuple(variables)
+    if len(set(variables)) != len(variables):
+        raise ValueError("duplicate variable names")
+    return variables
+
+
+def _checked_coefficient(value):
+    """An outside coefficient as the invariant stores it (0 for zero)."""
+    return value if type(value) is int else _canonical(Fraction(value))
+
+
+def monomial_text(names, exponents):
+    """The monomial with these exponents over these variable names, as
+    Polynomial prints it: x^2*y; the empty string for exponents all
+    zero."""
+    return "*".join(
+        names[i] if exponents[i] == 1 else "%s^%d" % (names[i], exponents[i])
+        for i in compress(range(len(names)), exponents)
+    )
 
 
 class Polynomial:
     __slots__ = ("variables", "terms")
 
     def __init__(self, variables, terms=None):
-        self.variables = tuple(variables)
-        if len(set(self.variables)) != len(self.variables):
-            raise ValueError("duplicate variable names")
+        self.variables = _checked_variables(variables)
         clean = {}
         for exps, coeff in (terms or {}).items():
             exps = tuple(int(e) for e in exps)
@@ -32,37 +75,52 @@ class Polynomial:
                 raise ValueError("negative exponent")
             coeff = Fraction(coeff)
             if coeff:
-                clean[exps] = clean.get(exps, Fraction(0)) + coeff
-        self.terms = {e: c for e, c in clean.items() if c}
+                clean[exps] = clean.get(exps, 0) + coeff
+        self.terms = {e: _canonical(c) for e, c in clean.items() if c}
+
+    @classmethod
+    def _from_terms(cls, variables, terms):
+        """The Polynomial with these terms, taken as they are: variables
+        a tuple of distinct names and terms a dict that keeps the term
+        invariant of the module docstring. Nothing is checked."""
+        p = object.__new__(cls)
+        p.variables = variables
+        p.terms = terms
+        return p
 
     # -- constructors ---------------------------------------------------
 
     @classmethod
     def zero(cls, variables):
-        return cls(variables)
+        return cls._from_terms(_checked_variables(variables), {})
 
     @classmethod
     def constant(cls, variables, value):
-        value = Fraction(value)
-        if not value:
-            return cls(variables)
-        return cls(variables, {(0,) * len(tuple(variables)): value})
+        variables = _checked_variables(variables)
+        value = _checked_coefficient(value)
+        terms = {(0,) * len(variables): value} if value else {}
+        return cls._from_terms(variables, terms)
 
     @classmethod
     def variable(cls, variables, name):
-        variables = tuple(variables)
+        variables = _checked_variables(variables)
         exps = [0] * len(variables)
         exps[variables.index(name)] = 1
-        return cls(variables, {tuple(exps): Fraction(1)})
+        return cls._from_terms(variables, {tuple(exps): 1})
 
     @classmethod
     def monomial(cls, variables, exponents, coeff=1):
         """exponents: map variable name -> exponent (zeros omitted)."""
-        variables = tuple(variables)
+        variables = _checked_variables(variables)
         exps = [0] * len(variables)
         for name, e in exponents.items():
-            exps[variables.index(name)] = int(e)
-        return cls(variables, {tuple(exps): Fraction(coeff)})
+            e = int(e)
+            if e < 0:
+                raise ValueError("negative exponent")
+            exps[variables.index(name)] = e
+        coeff = _checked_coefficient(coeff)
+        terms = {tuple(exps): coeff} if coeff else {}
+        return cls._from_terms(variables, terms)
 
     # -- ring operations ------------------------------------------------
 
@@ -77,13 +135,17 @@ class Polynomial:
         other = self._coerce(other)
         terms = dict(self.terms)
         for e, c in other.terms.items():
-            terms[e] = terms.get(e, Fraction(0)) + c
-        return Polynomial(self.variables, terms)
+            c += terms.get(e, 0)
+            if c:
+                terms[e] = _canonical(c)
+            else:
+                del terms[e]  # c cancelled a term of self
+        return Polynomial._from_terms(self.variables, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial(
+        return Polynomial._from_terms(
             self.variables, {e: -c for e, c in self.terms.items()}
         )
 
@@ -98,9 +160,12 @@ class Polynomial:
         terms = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                terms[e] = terms.get(e, Fraction(0)) + c1 * c2
-        return Polynomial(self.variables, terms)
+                e = tuple(map(add, e1, e2))
+                terms[e] = terms.get(e, 0) + c1 * c2
+        return Polynomial._from_terms(
+            self.variables,
+            {e: _canonical(c) for e, c in terms.items() if c},
+        )
 
     __rmul__ = __mul__
 
@@ -197,21 +262,20 @@ class Polynomial:
         if not self.terms:
             return "0"
         names = self.variables
-        positions = range(len(names))
         out = []
         for exps in self.monomials():
             coeff = self.terms[exps]
             num, den = coeff.numerator, coeff.denominator
-            factors = [
-                names[i] if exps[i] == 1 else "%s^%d" % (names[i], exps[i])
-                for i in compress(positions, exps)
-            ]
+            factors = monomial_text(names, exps)
             if den != 1:
-                factors.insert(0, "%d/%d" % (abs(num), den))
+                scale = "%d/%d" % (abs(num), den)
             elif abs(num) != 1 or not factors:
-                factors.insert(0, str(abs(num)))
+                scale = str(abs(num))
+            else:
+                scale = ""
             out.append(" - " if num < 0 else " + ")
-            out.append("*".join(factors))
+            out.append(scale + "*" + factors if scale and factors
+                       else scale or factors)
         out[0] = "-" if out[0] == " - " else ""
         return "".join(out)
 
@@ -260,53 +324,63 @@ def parse_polynomial(text, variables):
     exponent a nonnegative integer, and a name one of the variables.
     Anything else (juxtaposed factors, a stray or doubled operator,
     parentheses, a zero denominator, an empty text) raises ParseError."""
-    variables = tuple(variables)
+    variables = _checked_variables(variables)
+    position = {name: j for j, name in enumerate(variables)}
     tokens = _tokens(text)
+    terms = {}  # exponent tuple -> summed coefficient, zeros not yet dropped
     i = 0
 
-    def factor():
+    def term(sign):
+        """Read one term and add it to terms with the given sign."""
         nonlocal i
-        kind, value = tokens[i]
-        i += 1
-        if kind == "num":
-            try:
-                return Polynomial.constant(variables, Fraction(value))
-            except ZeroDivisionError:
-                raise ParseError("zero denominator in %r" % value) from None
-        if kind != "name":
-            raise _unexpected((kind, value))
-        if value not in variables:
-            raise ParseError("unknown variable %r" % value)
-        exp = 1
-        if tokens[i] == ("op", "^"):
-            kind, digits = tokens[i + 1]
-            if kind != "num":
-                raise ParseError("expected exponent after '^'")
-            if "/" in digits:
-                raise ParseError(
-                    "exponent %r is not a nonnegative integer" % digits
-                )
-            exp = int(digits)
-            i += 2
-        return Polynomial.variable(variables, value) ** exp
-
-    def term():
-        nonlocal i
-        out = factor()
-        while tokens[i] == ("op", "*"):
+        coeff = sign
+        exps = [0] * len(variables)
+        while True:
+            kind, value = tokens[i]
             i += 1
-            out = out * factor()
-        return out
+            if kind == "num":
+                if "/" in value:
+                    try:
+                        coeff *= Fraction(value)
+                    except ZeroDivisionError:
+                        raise ParseError(
+                            "zero denominator in %r" % value
+                        ) from None
+                else:
+                    coeff *= int(value)
+            elif kind != "name":
+                raise _unexpected((kind, value))
+            elif value not in position:
+                raise ParseError("unknown variable %r" % value)
+            elif tokens[i] == ("op", "^"):
+                kind, digits = tokens[i + 1]
+                if kind != "num":
+                    raise ParseError("expected exponent after '^'")
+                if "/" in digits:
+                    raise ParseError(
+                        "exponent %r is not a nonnegative integer" % digits
+                    )
+                exps[position[value]] += int(digits)
+                i += 2
+            else:
+                exps[position[value]] += 1
+            if tokens[i] != ("op", "*"):
+                break
+            i += 1
+        key = tuple(exps)
+        terms[key] = terms.get(key, 0) + coeff
 
-    sign = 1
     if tokens[0] == ("op", "-"):
-        sign = -1
         i = 1
-    result = sign * term()
+        term(-1)
+    else:
+        term(1)
     while tokens[i] in (("op", "+"), ("op", "-")):
         sign = 1 if tokens[i][1] == "+" else -1
         i += 1
-        result = result + sign * term()
+        term(sign)
     if tokens[i] != (None, None):
         raise _unexpected(tokens[i])
-    return result
+    return Polynomial._from_terms(
+        variables, {e: _canonical(c) for e, c in terms.items() if c}
+    )

@@ -23,6 +23,10 @@ the same systems.
 The capped recursive witness search is the library's former
 implementation, kept verbatim: a prefix of the lazy witness stream must
 equal its list at every cap.
+The polynomial parser that builds its result by Polynomial arithmetic
+(a constant or a variable power per factor, products and sums) is the
+library's former implementation, kept verbatim: the term-map parser
+must return the same Polynomial, or raise the same ParseError.
 """
 
 from fractions import Fraction
@@ -40,7 +44,9 @@ from sforge import (
     determinant,
 )
 from sforge.graph import intersection_matrix
+from sforge.errors import ParseError
 from sforge.invariants import InvariantBasis, _names, check_order_cap
+from sforge.poly import _tokens, _unexpected
 
 
 def det_cofactor(rows):
@@ -578,3 +584,58 @@ def _check_snf_dense(m, result):
             raise AssertionError("divisibility chain broken")
     if any(x < 0 for x in diag):
         raise AssertionError("negative diagonal in SNF")
+
+
+def parse_polynomial_by_arithmetic(text, variables):
+    """Parse ASCII math like '2*x^2*y - 3/2*z + 1' over the given
+    variables, one Polynomial per factor, multiplied and added."""
+    variables = tuple(variables)
+    tokens = _tokens(text)
+    i = 0
+
+    def factor():
+        nonlocal i
+        kind, value = tokens[i]
+        i += 1
+        if kind == "num":
+            try:
+                return Polynomial.constant(variables, Fraction(value))
+            except ZeroDivisionError:
+                raise ParseError("zero denominator in %r" % value) from None
+        if kind != "name":
+            raise _unexpected((kind, value))
+        if value not in variables:
+            raise ParseError("unknown variable %r" % value)
+        exp = 1
+        if tokens[i] == ("op", "^"):
+            kind, digits = tokens[i + 1]
+            if kind != "num":
+                raise ParseError("expected exponent after '^'")
+            if "/" in digits:
+                raise ParseError(
+                    "exponent %r is not a nonnegative integer" % digits
+                )
+            exp = int(digits)
+            i += 2
+        return Polynomial.variable(variables, value) ** exp
+
+    def term():
+        nonlocal i
+        out = factor()
+        while tokens[i] == ("op", "*"):
+            i += 1
+            out = out * factor()
+        return out
+
+    sign = 1
+    if tokens[0] == ("op", "-"):
+        sign = -1
+        i = 1
+    result = sign * term()
+    while tokens[i] in (("op", "+"), ("op", "-")):
+        sign = 1 if tokens[i][1] == "+" else -1
+        i += 1
+        result = result + sign * term()
+    if tokens[i] != (None, None):
+        raise _unexpected(tokens[i])
+    return result

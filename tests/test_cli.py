@@ -100,8 +100,8 @@ def test_analyze_indefinite_exit_3(capsys, graphs_dir):
 @pytest.mark.parametrize("fmt", ["text", "structured"])
 def test_result_integer_too_long_to_print_exits_3(capsys, tmp_path, fmt):
     """|det| = 10^6000 - 1 has more digits than int() turns into text:
-    rendering fails like any other precondition, with one line and no
-    output."""
+    rendering fails like any other precondition, with no output and one
+    line that says so in the user's terms, not the interpreter's."""
     huge = tmp_path / "huge.graph"
     w = -(10**3000)
     huge.write_text(
@@ -110,8 +110,10 @@ def test_result_integer_too_long_to_print_exits_3(capsys, tmp_path, fmt):
     code, out, err = run(capsys, "analyze", str(huge), "--format", fmt)
     assert code == 3
     assert out == ""
-    assert err.startswith("sforge: ") and err.count("\n") == 1
-    assert "Traceback" not in err
+    assert err == (
+        "sforge: the answer has an integer of more than %d digits, too "
+        "long to print\n" % sys.get_int_max_str_digits()
+    )
 
 
 @pytest.mark.parametrize(
@@ -818,6 +820,21 @@ def test_closed_stdout_exits_1_without_a_traceback(
     assert capsys.readouterr().err == ""
 
 
+def _read_first_line_and_close(argv):
+    """Run sforge with argv in a subprocess, read one line of its stdout,
+    close the pipe, and return (first line, stderr bytes, exit status)."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "sforge.cli", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    return first, err, proc.wait(timeout=60)
+
+
 def test_closed_stdout_in_a_pipe_prints_nothing_on_stderr(tmp_path):
     """The analyze document of an 80-vertex (-2)-chain is far larger
     than a pipe holds, so the writer sees the reader close."""
@@ -825,15 +842,23 @@ def test_closed_stdout_in_a_pipe_prints_nothing_on_stderr(tmp_path):
 
     path = tmp_path / "chain-80.graph"
     path.write_text(serialize_graph(chain([-2] * 80)))
-    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "sforge.cli", "analyze", str(path),
-         "--format=structured"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    first, err, code = _read_first_line_and_close(
+        ["analyze", str(path), "--format=structured"]
     )
-    first = proc.stdout.readline()
-    proc.stdout.close()
-    err = proc.stderr.read()
-    proc.stderr.close()
-    assert proc.wait(timeout=60) == 1
+    assert code == 1
     assert first == b"{\n" and err == b""
+
+
+def test_closed_stdout_in_a_pipe_exits_1_for_text_output(tmp_path):
+    """The text rendering of invariants on the seed-17 random tree is
+    megabytes long. Written in one piece, the pipe's close went
+    unreported and the call exited 0 with its output cut; the last
+    newline, written apart, sees it."""
+    path = tmp_path / "random-17.graph"
+    tree = random_negative_definite_tree(Random(17), max_vertices=12)
+    path.write_text(serialize_graph(tree))
+    first, err, code = _read_first_line_and_close(
+        ["invariants", str(path), "--format=text"]
+    )
+    assert code == 1
+    assert first.startswith(b"discriminant group: ") and err == b""

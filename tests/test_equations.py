@@ -25,6 +25,8 @@ from sforge import (
     semigroup_condition,
     to_splice_diagram,
 )
+from sforge.equations import _verify_package
+from sforge.poly import Polynomial
 from sforge.corpus import (
     a_n,
     builtin_corpus,
@@ -43,6 +45,7 @@ from oracles import (
     exponent_key,
     monomial_character_by_fractions,
 )
+from test_poly import assert_term_invariant
 from test_splice import engineered_failing_graph
 
 
@@ -299,6 +302,57 @@ def test_tampered_e7_equation_fails():
     node = replace(pkg.nodes[0], equations=(bad,))
     tampered = replace(pkg, nodes=(node,), equations=(bad,))
     assert not check_equivariance(tampered)
+
+
+@pytest.mark.parametrize("shift", ["one monomial", "every monomial"])
+def test_verify_package_catches_a_monomial_of_the_wrong_weight(shift):
+    """Raising an exponent of one monomial, or of every monomial, takes
+    the equation off the node weight; either is an AssertionError."""
+    pkg = build_splice_equations(e7())
+    node = pkg.nodes[0]
+    (eq,) = node.equations
+    monomials = eq.monomials()
+    moved = monomials[:1] if shift == "one monomial" else monomials
+    bad = Polynomial(pkg.variables, {
+        (exps[0] + 1,) + exps[1:] if exps in moved else exps: c
+        for exps, c in eq.terms.items()
+    })
+    tampered = replace(
+        pkg, nodes=(replace(node, equations=(bad,)),), equations=(bad,)
+    )
+    with pytest.raises(AssertionError, match="node weight"):
+        _verify_package(tampered)
+
+
+def test_node_equations_match_sums_of_scaled_monomials():
+    """On 200 seeded random trees with splice equations, each node
+    equation equals the sum, built by Polynomial arithmetic, of its
+    coefficients times its monomials, with int coefficients."""
+    rng = Random(31)
+    checked = 0
+    while checked < 200:
+        g = random_negative_definite_tree(rng, max_vertices=12)
+        try:
+            pkg = build_splice_equations(g)
+        except (NotQhsTreeError, NoNodesError, ConditionsNotMetError):
+            continue
+        for ns in pkg.nodes:
+            expected = []
+            for i in range(len(ns.directions) - 2):
+                eq = Polynomial.zero(pkg.variables)
+                for pos, a in enumerate(ns.monomials):
+                    eq = eq + ns.coefficients[i, pos] * Polynomial.monomial(
+                        pkg.variables, a
+                    )
+                expected.append(eq)
+            assert ns.equations == tuple(expected)
+            for eq in ns.equations:
+                assert_term_invariant(eq)
+                assert all(type(c) is int for c in eq.terms.values())
+        assert pkg.equations == tuple(
+            eq for ns in pkg.nodes for eq in ns.equations
+        )
+        checked += 1
 
 
 def test_hand_built_equivariant_equation_passes():

@@ -1,5 +1,6 @@
 """Grammar fuzzing of polynomial files: `invariants --verify-identity`
-on any target text exits 0, 2 or 3 and never raises."""
+on any target text exits 0, 2 or 3 and never raises, and the term-map
+parser agrees with the arithmetic one on every text."""
 
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
@@ -9,7 +10,10 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from sforge import ParseError, parse_polynomial  # noqa: E402
 from sforge.cli import main  # noqa: E402
+
+from oracles import parse_polynomial_by_arithmetic  # noqa: E402
 
 # The polynomial token grammar: numbers, fractions (zero denominators
 # included), the leaf names of e7, names that are not variables, the
@@ -46,5 +50,26 @@ def test_fuzz_verify_identity_targets(graphs_dir, tmp_path):
                 "--verify-identity=%s" % target, "--format=structured",
             ])
         assert code in (0, 2, 3), (text, code)
+
+    run()
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text, ("x", "y", "z"))
+    except ParseError as exc:
+        return "ParseError: %s" % exc
+
+
+def test_fuzz_parser_agrees_with_the_arithmetic_parser():
+    """The same Polynomial, or a ParseError with the same text."""
+
+    @settings(max_examples=500, deadline=None, database=None,
+              derandomize=True)
+    @given(st.one_of(GRAMMAR_TEXTS, ANY_TEXTS))
+    def run(text):
+        assert _outcome(parse_polynomial, text) == _outcome(
+            parse_polynomial_by_arithmetic, text
+        ), text
 
     run()

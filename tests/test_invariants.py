@@ -25,6 +25,7 @@ from sforge.corpus import (
     random_negative_definite_tree,
 )
 from sforge.errors import PreconditionError
+from sforge.intmat import solve_sparse
 from sforge.invariants import ORDER_CAP, PRODUCT_CAP, _monomials_up_to
 
 from oracles import (
@@ -333,6 +334,22 @@ def test_membership_via_splice_ideal_of_e7():
     cert = membership_bounded(target, list(pkg.equations), 2)
     assert cert is not None
     assert [str(q) for q in cert.cofactors] == ["z^2"]
+
+
+def test_corrupted_cofactor_fails_verification(monkeypatch):
+    """A solve that returns a wrong cofactor coefficient must not give
+    a certificate: the Polynomial check raises."""
+    import sforge.invariants as inv
+
+    def corrupted(rows, ncols):
+        x = solve_sparse(rows, ncols)
+        return [x[0] + 1] + x[1:]
+
+    monkeypatch.setattr(inv, "solve_sparse", corrupted)
+    target = parse_polynomial("x^2*z^2 + y^3*z^2 + z^6", XYZ)
+    gen = parse_polynomial("x^2 + y^3 + z^4", XYZ)
+    with pytest.raises(AssertionError, match="failed verification"):
+        membership_bounded(target, [gen], 2)
 
 
 def test_negative_degree_bound_raises():

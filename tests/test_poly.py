@@ -1,10 +1,15 @@
 """Exact sparse polynomial arithmetic and the tiny ASCII parser."""
 
 from fractions import Fraction
+from math import gcd
+from random import Random
 
 import pytest
 
 from sforge import ParseError, Polynomial, parse_polynomial
+from sforge.poly import monomial_text
+
+from oracles import parse_polynomial_by_arithmetic
 
 XY = ("x", "y")
 XYZ = ("x", "y", "z")
@@ -134,3 +139,125 @@ def test_parser_grammar_accepts():
     assert P("0").is_zero()
     assert P("x^0") == P("1")
     assert P("x - y + z") == P("x") - P("y") + P("z")
+
+
+def test_monomial_text():
+    assert monomial_text(XYZ, (2, 0, 1)) == "x^2*z"
+    assert monomial_text(XYZ, (0, 1, 0)) == "y"
+    assert monomial_text(XYZ, (0, 0, 0)) == ""
+
+
+def test_constructors_validate_outside_input():
+    with pytest.raises(ValueError, match="duplicate"):
+        Polynomial.variable(("x", "x"), "x")
+    with pytest.raises(ValueError, match="duplicate"):
+        Polynomial.constant(("x", "x"), 1)
+    with pytest.raises(ValueError, match="negative exponent"):
+        Polynomial.monomial(XY, {"x": -1})
+    with pytest.raises(ValueError, match="negative exponent"):
+        Polynomial(XY, {(0, -1): 1})
+    with pytest.raises(ValueError, match="wrong length"):
+        Polynomial(XY, {(1,): 1})
+    with pytest.raises(ValueError, match="duplicate"):
+        parse_polynomial("x", ("x", "x"))
+    assert Polynomial.monomial(XY, {"x": 2}, 0).is_zero()
+    p = Polynomial(XY, {(1.0, 0): Fraction(4, 2), (0, 1): 0.5, (2, 2): 0})
+    assert p.terms == {(1, 0): 2, (0, 1): Fraction(1, 2)}
+    assert_term_invariant(p)
+
+
+# -- the term invariant, against sympy and the arithmetic parser ----------------
+
+
+def assert_term_invariant(p):
+    """Each key a tuple of len(variables) nonnegative ints; each value
+    nonzero, an int when integral and otherwise a Fraction in lowest
+    terms."""
+    n = len(p.variables)
+    for exps, c in p.terms.items():
+        assert type(exps) is tuple and len(exps) == n, exps
+        assert all(type(e) is int and e >= 0 for e in exps), exps
+        assert c != 0
+        if type(c) is Fraction:
+            assert c.denominator > 1 and gcd(c.numerator, c.denominator) == 1
+        else:
+            assert type(c) is int, c
+
+
+def _random_coefficient(rng):
+    if rng.random() < 0.5:
+        return rng.randint(-6, 6)
+    return Fraction(rng.randint(-6, 6), rng.randint(1, 4))  # 4/2 included
+
+
+def _random_polynomial(rng, variables, cancel=None):
+    """Up to five terms of degree <= 3 in each variable; with cancel
+    given, about half its terms negated as well, so that a sum with it
+    cancels."""
+    terms = {}
+    for _ in range(rng.randint(0, 5)):
+        exps = tuple(rng.randint(0, 3) for _ in variables)
+        terms[exps] = _random_coefficient(rng)
+    if cancel is not None:
+        for exps, c in cancel.terms.items():
+            if rng.random() < 0.5:
+                terms[exps] = -c
+    return Polynomial(variables, terms)
+
+
+def _random_pairs(seed, count):
+    rng = Random(seed)
+    for _ in range(count):
+        variables = ("x", "y", "z", "u", "v")[: rng.randint(1, 5)]
+        a = _random_polynomial(rng, variables)
+        yield rng, a, _random_polynomial(rng, variables, cancel=a)
+
+
+def test_ring_operations_agree_with_sympy():
+    sympy = pytest.importorskip("sympy")
+
+    def to_sympy(p, syms):
+        return sum(
+            (
+                sympy.Rational(c.numerator, c.denominator)
+                * sympy.Mul(*(s ** e for s, e in zip(syms, exps)))
+                for exps, c in p.terms.items()
+            ),
+            sympy.Integer(0),
+        )
+
+    def terms_of(expr, syms):
+        return {
+            exps: Fraction(int(c.p), int(c.q))
+            for exps, c in sympy.Poly(expr, *syms).as_dict().items()
+        }
+
+    cancelled = 0
+    for rng, a, b in _random_pairs(41, 150):
+        syms = sympy.symbols(a.variables)
+        sa, sb = to_sympy(a, syms), to_sympy(b, syms)
+        k = rng.randint(0, 3)
+        c = _random_coefficient(rng)
+        cases = [
+            (a + b, sa + sb),
+            (a - b, sa - sb),
+            (-a, -sa),
+            (a * b, sa * sb),
+            (a ** k, sa ** k),
+            (c * a + c, sympy.Rational(c.numerator, c.denominator) * (sa + 1)),
+        ]
+        for ours, theirs in cases:
+            assert_term_invariant(ours)
+            assert ours.terms == terms_of(theirs, syms), (a, b)
+        cancelled += len(a.terms) + len(b.terms) > len((a + b).terms)
+    assert cancelled >= 50, cancelled
+
+
+def test_parse_of_str_round_trips_and_agrees_with_the_arithmetic_parser():
+    for rng, a, b in _random_pairs(43, 300):
+        for p in (a, b, a * b, a - b):
+            text = str(p)
+            parsed = parse_polynomial(text, p.variables)
+            assert parsed == p, text
+            assert_term_invariant(parsed)
+            assert parse_polynomial_by_arithmetic(text, p.variables) == p
