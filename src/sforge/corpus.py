@@ -11,7 +11,7 @@ from __future__ import annotations
 import os
 from random import Random
 
-from .graph import ResolutionGraph, Vertex, serialize_graph
+from .graph import ResolutionGraph, TreeForm, Vertex, serialize_graph
 
 __all__ = [
     "chain",
@@ -131,7 +131,7 @@ def quotient_cusp(k, es):
     edges = [("a", ids[0]), ("b", ids[0])]
     edges += [(ids[i], ids[i + 1]) for i in range(k - 1)]
     edges += [(ids[-1], "c"), (ids[-1], "d")]
-    return ResolutionGraph(vertices, edges)
+    return ResolutionGraph._from_parts(vertices, edges)
 
 
 def genus3_cone():
@@ -194,41 +194,43 @@ def random_negative_definite_tree(rng: Random, max_vertices=10):
     Starts from a diagonally dominant weighting (weight = -valency -
     extra, dominance strict somewhere), which is always negative
     definite, then greedily raises some weights toward -1 while the
-    form stays negative definite (by the tree pass), so that
-    non-dominant shapes (like -1 star centers) also occur.
+    form stays negative definite, so that non-dominant shapes (like -1
+    star centers) also occur. The tree's adjacency is built once; each
+    weighting is tested by the tree pass (TreeForm) on its weight list,
+    and one graph is built at the end. The draws from rng, and so the
+    trees, do not depend on how the weightings are tested.
     """
     n = rng.randint(1, max_vertices)
     ids = ["v%d" % i for i in range(n)]
-    edges = [(ids[rng.randrange(i)], ids[i]) for i in range(1, n)]
-    valency = {i: 0 for i in ids}
-    for a, b in edges:
-        valency[a] += 1
-        valency[b] += 1
-    weights = {
-        i: -valency[i] - rng.choice([0, 1, 1, 2, 3]) for i in ids
-    }
-    worst = min(weights, key=lambda i: weights[i])
-    if weights[worst] == -valency[worst]:
+    parents = [rng.randrange(i) for i in range(1, n)]
+    edges = [(ids[p], ids[i]) for i, p in enumerate(parents, start=1)]
+    adj = [[] for _ in ids]
+    for i, p in enumerate(parents, start=1):
+        adj[p].append(i)
+        adj[i].append(p)
+    adj = tuple(tuple(sorted(x)) for x in adj)
+    index = {v: i for i, v in enumerate(ids)}
+    weights = [
+        -len(nbrs) - rng.choice([0, 1, 1, 2, 3]) for nbrs in adj
+    ]
+    worst = min(range(n), key=weights.__getitem__)
+    if weights[worst] == -len(adj[worst]):
         weights[worst] -= 1
-    if any(w > -1 for w in weights.values()):  # isolated vertex, valency 0
-        for i in ids:
-            weights[i] = min(weights[i], -1)
+    if any(w > -1 for w in weights):  # isolated vertex, valency 0
+        weights = [min(w, -1) for w in weights]
 
-    def graph():
-        return ResolutionGraph(
-            [Vertex(i, weights[i]) for i in ids], edges
-        )
+    def definite():
+        return TreeForm(adj, weights, index).negative_definite
 
-    g = graph()
-    assert g.is_negative_definite()
+    assert definite()
     for _ in range(n):
-        i = rng.choice(ids)
-        if weights[i] >= -1:
+        i = index[rng.choice(ids)]
+        old = weights[i]
+        if old >= -1:
             continue
-        weights[i] += rng.randint(1, -weights[i] - 1) if weights[i] < -2 else 1
-        candidate = graph()
-        if candidate.is_negative_definite():
-            g = candidate
-        else:
-            weights[i] = g.vertex(i).weight
-    return g
+        weights[i] += rng.randint(1, -old - 1) if old < -2 else 1
+        if not definite():
+            weights[i] = old
+    return ResolutionGraph._from_parts(
+        [Vertex(v, w) for v, w in zip(ids, weights)], edges
+    )

@@ -98,39 +98,59 @@ class ResolutionGraph:
     """Immutable resolution dual graph.
 
     Vertices keep declaration order; edges keep declaration order with
-    endpoints as written. Construction validates: nonempty, unique ids,
-    edge endpoints declared, no self-loops, connected. Weights must be
-    <= -1 unless allow_nonnegative_weights is set (used only for
-    blow-down outputs, which may degenerate).
+    endpoints as written. The constructor validates caller input:
+    nonempty, unique ids, integer weights <= -1, nonnegative genera,
+    edge endpoints declared, no self-loops, connected. Graphs the
+    package makes itself (parsed files, generated trees, blow-downs,
+    subgraphs) come from _from_parts, which checks connectivity only.
     """
 
     __slots__ = ("vertices", "edges", "_index", "_adj", "_memo")
 
-    def __init__(self, vertices, edges, allow_nonnegative_weights=False):
+    def __init__(self, vertices, edges):
         vs = tuple(
             v if isinstance(v, Vertex) else Vertex(*v) for v in vertices
         )
         es = tuple((str(a), str(b)) for a, b in edges)
         if not vs:
             raise ValueError("graph must have at least one vertex")
-        index = {}
+        ids = set()
         for v in vs:
-            if v.id in index:
+            if v.id in ids:
                 raise ValueError("duplicate vertex id %r" % v.id)
             if v.genus < 0:
                 raise ValueError("vertex %r has negative genus" % v.id)
-            if not allow_nonnegative_weights and v.weight > -1:
+            if not isinstance(v.weight, int) or isinstance(v.weight, bool):
+                raise ValueError(
+                    "vertex %r has non-integer weight %r" % (v.id, v.weight)
+                )
+            if v.weight > -1:
                 raise ValueError(
                     "vertex %r has weight %d >= 0" % (v.id, v.weight)
                 )
-            index[v.id] = len(index)
-        adj = [[] for _ in vs]
+            ids.add(v.id)
         for a, b in es:
             for end in (a, b):
-                if end not in index:
+                if end not in ids:
                     raise ValueError("edge endpoint %r is not declared" % end)
             if a == b:
                 raise ValueError("self-loop at %r" % a)
+        self._build(vs, es)
+
+    @classmethod
+    def _from_parts(cls, vertices, edges):
+        """The graph on Vertex objects with unique ids and integer
+        weights (any sign) and (id, id) edges between distinct declared
+        vertices, as the package's own builders make them; only
+        connectivity is checked."""
+        g = cls.__new__(cls)
+        g._build(tuple(vertices), tuple(edges))
+        return g
+
+    def _build(self, vs, es):
+        index = {v.id: i for i, v in enumerate(vs)}
+        adj = [[] for _ in vs]
+        for a, b in es:
             i, j = index[a], index[b]
             adj[i].append(j)
             adj[j].append(i)
@@ -193,7 +213,9 @@ class ResolutionGraph:
         """The TreeForm of a tree's intersection form."""
         if not self.is_tree():
             raise ValueError("the tree pass needs a tree")
-        return TreeForm(self)
+        return TreeForm(
+            self._adj, [v.weight for v in self.vertices], self._index
+        )
 
     def determinant(self):
         """det of the intersection matrix: the tree pass on a tree,
@@ -212,10 +234,9 @@ class ResolutionGraph:
     def induced_subgraph(self, vertex_ids):
         """Subgraph on the given vertex ids (must stay connected)."""
         keep = set(vertex_ids)
-        return ResolutionGraph(
+        return ResolutionGraph._from_parts(
             [v for v in self.vertices if v.id in keep],
             [(a, b) for a, b in self.edges if a in keep and b in keep],
-            allow_nonnegative_weights=True,
         )
 
     def __eq__(self, other):
@@ -235,8 +256,15 @@ class ResolutionGraph:
 class TreeForm:
     """The intersection form of a tree, from one leaf-first pass.
 
-    Rooted at the first declared vertex and walked breadth-first, with
-    no recursion. Per vertex v it keeps D(v), the determinant of the
+    Built from the parts of a tree, not from a ResolutionGraph: adj
+    holds the neighbour indices of each vertex (as
+    ResolutionGraph._adj), weights the self-intersections and index the
+    map id -> position, all in declaration order. So
+    ResolutionGraph.tree_form and the random-tree generator, which
+    tries weight lists on one fixed tree, share this one recurrence.
+
+    Rooted at the first vertex and walked breadth-first, with no
+    recursion. Per vertex v it keeps D(v), the determinant of the
     subtree of v, and prod_i D(c_i) over the children c_i (see the
     module docstring). `determinant` is D(root); `negative_definite`
     applies the sign rule. Branch determinants and solves are computed
@@ -249,14 +277,13 @@ class TreeForm:
         "_down", "_below", "_memo", "determinant", "negative_definite",
     )
 
-    def __init__(self, g):
-        weights = [v.weight for v in g.vertices]
+    def __init__(self, adj, weights, index):
         n = len(weights)
         parent = [-1] * n
         children = [()] * n
         order = [0]  # breadth-first: every parent before its children
         for v in order:
-            kids = tuple(u for u in g._adj[v] if u != parent[v])
+            kids = tuple(u for u in adj[v] if u != parent[v])
             for u in kids:
                 parent[u] = v
             children[v] = kids
@@ -272,7 +299,7 @@ class TreeForm:
                 odd[v] ^= odd[c]
             down[v] = weights[v] * p - s
             below[v] = p
-        self._index = g._index
+        self._index = index
         self._weights = weights
         self._order = order
         self._parent = parent
@@ -465,8 +492,8 @@ def parse_graph(text: str) -> ResolutionGraph:
             raise ParseError("unknown directive %r" % parts[0], lineno)
     if not vertices:
         raise ParseError("no vertices declared")
-    try:
-        return ResolutionGraph(vertices, edges)
+    try:  # every other check is made above, with its line number
+        return ResolutionGraph._from_parts(vertices, edges)
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
 
@@ -511,15 +538,11 @@ def serialize_graph(g: ResolutionGraph) -> str:
 def intersection_matrix(g: ResolutionGraph) -> IntMatrix:
     """Symmetric matrix: diagonal = weights, off-diagonal = edge
     multiplicities, vertex order = declaration order."""
-    n = g.n
-    m = [[0] * n for _ in range(n)]
-    for i, (v, row) in enumerate(zip(g.vertices, m)):
-        row[i] = v.weight
-    for a, b in g.edges:
-        i, j = g.index_of(a), g.index_of(b)
-        m[i][j] += 1
-        m[j][i] += 1
-    return IntMatrix(m)
+    rows = [{i: v.weight} for i, v in enumerate(g.vertices)]
+    for row, nbrs in zip(rows, g._adj):
+        for j in nbrs:
+            row[j] = row.get(j, 0) + 1
+    return IntMatrix._from_sparse_rows(rows, g.n)
 
 
 def _require_negative_definite(g):
@@ -695,8 +718,7 @@ def blow_down_minimal(g: ResolutionGraph) -> ResolutionGraph:
         )
     if len(verts) == g.n:
         return g  # nothing contracted: g keeps its memoized stages
-    return ResolutionGraph(
+    return ResolutionGraph._from_parts(
         [Vertex(v["id"], v["weight"], v["genus"]) for v in verts],
         [tuple(e) for e in edges],
-        allow_nonnegative_weights=True,
     )

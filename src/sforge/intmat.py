@@ -264,24 +264,48 @@ def _bareiss(rows, pivoting):
     below with a nonzero lead, negated, which keeps every minor's sign:
     the pivot of the last step of a square matrix is its determinant.
     A zero pivot (no row left to swap in) ends the pass.
+
+    A step maps a row with lead a to (p * x - a * y) / prev over the
+    pivot row's entries y, p its pivot and prev the one before. A row
+    with a zero lead has no cross term, so the step only scales it by
+    p / prev. Such an idle row (most rows of a sparse matrix) is not
+    touched: a[i] keeps the entries row i had when last written, and
+    since[i] the pivot of that step, so its working entries are a[i] *
+    prev / since[i], exact divisions since they are minors. They are
+    formed only when the row is next written or becomes the pivot row:
+    the same minors as scaling every row at every step.
     """
     a = [list(row) for row in rows]
+    since = [1] * len(a)
+    width = len(a[0]) if a else 0
     prev = 1
-    while a:
-        if pivoting and a[0][0] == 0:
-            i = next((i for i, row in enumerate(a) if row[0] != 0), None)
+    for k in range(len(a)):
+        m = width - k  # columns k.. are the last m entries of every row
+        if pivoting and a[k][-m] == 0:
+            i = next((i for i in range(k + 1, len(a)) if a[i][-m]), None)
             if i is not None:
-                a[0], a[i] = [-x for x in a[i]], a[0]
-        top = a[0]
+                a[k], a[i] = [-x for x in a[i]], a[k]
+                since[k], since[i] = since[i], since[k]
+        top = a[k][-m:]
+        if since[k] != prev:
+            top = [x * prev // since[k] for x in top]
         yield top
         p = top[0]
         if p == 0:
             return
         rest = top[1:]
-        a = [
-            [(p * x - row[0] * y) // prev for x, y in zip(row[1:], rest)]
-            for row in a[1:]
-        ]
+        for i in range(k + 1, len(a)):
+            row = a[i]
+            lead = row[-m]
+            if not lead:
+                continue
+            s = since[i]
+            if s != prev:
+                row = [x * prev // s for x in row[-m:]]
+                lead = row[0]
+            a[i] = [(p * x - lead * y) // prev
+                    for x, y in zip(row[1 - m:], rest)]
+            since[i] = p
         prev = p
 
 

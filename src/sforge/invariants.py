@@ -30,6 +30,7 @@ computation: relations are checked, not derived by elimination.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from math import comb, lcm
@@ -61,10 +62,15 @@ PRODUCT_CAP = 200_000
 
 def check_order_cap(order: int) -> None:
     """Refuse a group order above ORDER_CAP with a ValueError, before any
-    work that grows with the order."""
+    work that grows with the order. The refusal names the cap, and the
+    order when int can turn it into text (sys.get_int_max_str_digits)."""
     if order > ORDER_CAP:
+        try:
+            shown = str(order)
+        except ValueError:
+            shown = "with more than %d digits" % sys.get_int_max_str_digits()
         raise ValueError(
-            "group order %d above the desk-scale cap %d" % (order, ORDER_CAP)
+            "group order %s above the desk-scale cap %d" % (shown, ORDER_CAP)
         )
 
 

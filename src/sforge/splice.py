@@ -311,13 +311,18 @@ def linking_numbers(d: SpliceDiagram, v: str) -> dict:
     return {w: links[w] for w in d.leaves}
 
 
+@memoized
 def is_zhs(g: ResolutionGraph) -> bool:
     """|det| = 1 test, plus the three weight conditions asserted as a
     cross-check when it holds: pairwise coprime weights at each node,
     leaf-edge weights > 1, positive edge determinants. These hold for
     the minimal good resolution only (a (-1)-leaf has weight 1 at its
     node), so they are checked on the diagram of blow_down_minimal(g),
-    which is g's own diagram when the blow-down changes nothing."""
+    which is g's own diagram when the blow-down changes nothing.
+
+    Memoized, so the blown-down graph and its diagram are built once
+    per g. blow_down_minimal itself is not: it may return g, which its
+    own memo would then hold."""
     if abs(g.determinant()) != 1:
         return False
     require_qhs_tree(g)

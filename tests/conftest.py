@@ -20,7 +20,12 @@ from sforge.graph import (
     fundamental_cycle,
     intersection_matrix,
 )
-from sforge.splice import SpliceDiagram, semigroup_condition, to_splice_diagram
+from sforge.splice import (
+    SpliceDiagram,
+    is_zhs,
+    semigroup_condition,
+    to_splice_diagram,
+)
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 GRAPHS_DIR = REPO_ROOT / "graphs"
@@ -38,6 +43,7 @@ MEMOIZED = {
         to_splice_diagram,
         SpliceDiagram._walks,
         semigroup_condition,
+        is_zhs,
         discriminant_group,
         invariant_factors,
         leaf_characters,

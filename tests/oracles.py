@@ -27,11 +27,16 @@ The polynomial parser that builds its result by Polynomial arithmetic
 (a constant or a variable power per factor, products and sums) is the
 library's former implementation, kept verbatim: the term-map parser
 must return the same Polynomial, or raise the same ParseError.
+The random-tree generator that builds and validates a ResolutionGraph
+for every weighting it tries is the library's former implementation,
+kept verbatim: the generator that tries weight lists on one adjacency
+must draw the same trees with the same calls on its Random.
 """
 
 from fractions import Fraction
 from math import gcd
 from itertools import combinations, combinations_with_replacement, product
+from random import Random
 from typing import NamedTuple
 
 import numpy as np
@@ -40,7 +45,9 @@ from sforge import (
     IntMatrix,
     Polynomial,
     RatMatrix,
+    ResolutionGraph,
     SingularMatrixError,
+    Vertex,
     determinant,
 )
 from sforge.graph import intersection_matrix
@@ -639,3 +646,49 @@ def parse_polynomial_by_arithmetic(text, variables):
     if tokens[i] != (None, None):
         raise _unexpected(tokens[i])
     return result
+
+
+def random_negative_definite_tree_by_graphs(rng: Random, max_vertices=10):
+    """Random negative-definite tree with 1..max_vertices vertices.
+
+    Starts from a diagonally dominant weighting (weight = -valency -
+    extra, dominance strict somewhere), which is always negative
+    definite, then greedily raises some weights toward -1 while the
+    form stays negative definite (by the tree pass), so that
+    non-dominant shapes (like -1 star centers) also occur.
+    """
+    n = rng.randint(1, max_vertices)
+    ids = ["v%d" % i for i in range(n)]
+    edges = [(ids[rng.randrange(i)], ids[i]) for i in range(1, n)]
+    valency = {i: 0 for i in ids}
+    for a, b in edges:
+        valency[a] += 1
+        valency[b] += 1
+    weights = {
+        i: -valency[i] - rng.choice([0, 1, 1, 2, 3]) for i in ids
+    }
+    worst = min(weights, key=lambda i: weights[i])
+    if weights[worst] == -valency[worst]:
+        weights[worst] -= 1
+    if any(w > -1 for w in weights.values()):  # isolated vertex, valency 0
+        for i in ids:
+            weights[i] = min(weights[i], -1)
+
+    def graph():
+        return ResolutionGraph(
+            [Vertex(i, weights[i]) for i in ids], edges
+        )
+
+    g = graph()
+    assert g.is_negative_definite()
+    for _ in range(n):
+        i = rng.choice(ids)
+        if weights[i] >= -1:
+            continue
+        weights[i] += rng.randint(1, -weights[i] - 1) if weights[i] < -2 else 1
+        candidate = graph()
+        if candidate.is_negative_definite():
+            g = candidate
+        else:
+            weights[i] = g.vertex(i).weight
+    return g

@@ -429,6 +429,26 @@ def test_invariants_order_cap_before_characters(
     assert "discriminant_group" not in builds
 
 
+@pytest.mark.parametrize("fmt", ["text", "structured"])
+@pytest.mark.parametrize("w", [-2001, -(10**3000)], ids=["short", "huge"])
+def test_invariants_order_cap_refusal_names_the_cap(capsys, tmp_path, fmt, w):
+    """|G| = w^2 - 1 is refused by the order cap, whose message names
+    the cap and prints the order, or its length when the order has more
+    digits than int() turns into text."""
+    path = tmp_path / "two.graph"
+    path.write_text("vertex a weight=%d\nvertex b weight=%d\nedge a b\n"
+                    % (w, w))
+    code, out, err = run(capsys, "invariants", str(path), "--format", fmt)
+    assert (code, out) == (3, "")
+    if w == -2001:
+        shown = "4004000"
+    else:
+        shown = "with more than %d digits" % sys.get_int_max_str_digits()
+    assert err == (
+        "sforge: group order %s above the desk-scale cap 2000\n" % shown
+    )
+
+
 def test_invariants_product_cap_exit_3(capsys, tmp_path):
     """Seed 81 has 4,780 generators, so 11,431,370 products of degree <=
     2: refused before they are built."""
@@ -583,11 +603,17 @@ def test_analyze_builds_the_intersection_matrix_once(
     real = sforge.graph.IntMatrix
     built = []
 
-    def counting(rows):
-        built.append(len(rows))
-        return real(rows)
+    class Counting(real):  # counts the matrices graph builds, either way
+        def __init__(self, rows):
+            built.append(len(rows))
+            super().__init__(rows)
 
-    monkeypatch.setattr(sforge.graph, "IntMatrix", counting)
+        @classmethod
+        def _from_sparse_rows(cls, rows, ncols):
+            built.append(len(rows))
+            return real._from_sparse_rows(rows, ncols)
+
+    monkeypatch.setattr(sforge.graph, "IntMatrix", Counting)
     groups = 0
     for path in sorted(graphs_dir.glob("*.graph")):
         built.clear()

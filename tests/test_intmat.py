@@ -21,7 +21,7 @@ from sforge import (
 )
 from sforge.corpus import chain, e7, random_negative_definite_tree, star
 from sforge.graph import intersection_matrix, parse_graph
-from sforge.intmat import _check_snf, solve_sparse
+from sforge.intmat import _bareiss, _check_snf, solve_sparse
 from sforge.invariants import _integer_row
 
 from oracles import (
@@ -99,6 +99,96 @@ def test_determinant_no_overflow_on_larger_matrices():
     d = determinant(m)
     assert isinstance(d, int)
     assert Fraction(d) == _det_fraction_gauss(m.to_lists())
+
+
+def _leading_minors(rows, det):
+    return [det([row[:k] for row in rows[:k]])
+            for k in range(1, len(rows) + 1)]
+
+
+def _assert_kernel_matches_oracles(rows, rng, det=det_cofactor, minors=None):
+    """determinant, is_negative_definite (on a symmetric matrix) and
+    solve_rational against the determinant oracle det, the leading
+    minors it gives (or minors, when given) and the Fraction
+    Gauss-Jordan solve; the pivots of the pass without pivoting are the
+    leading minors up to the first zero. Returns (det, minors)."""
+    m = IntMatrix(rows)
+    d = det(rows)
+    assert determinant(m) == d
+    if minors is None:
+        minors = _leading_minors(rows, det)
+    cut = next((k + 1 for k, x in enumerate(minors) if x == 0), len(minors))
+    assert [s[0] for s in _bareiss(m.entries, pivoting=False)] == minors[:cut]
+    if m.is_symmetric():
+        assert is_negative_definite(m) == all(
+            (-1) ** k * x > 0 for k, x in enumerate(minors, start=1))
+    b = [rng.randint(-5, 5) for _ in rows]
+    if d:
+        assert solve_rational(m, b) == solve_rational_fraction_gauss(m, b)
+    else:
+        for f in (solve_rational, solve_rational_fraction_gauss):
+            with pytest.raises(SingularMatrixError):
+                f(m, b)
+    return d, minors
+
+
+def test_kernel_on_sparse_tree_matrices():
+    """Intersection matrices of seeded trees, declared in shuffled order
+    with weights -4..1: most rows have a zero lead at every step."""
+    rng = Random(77)
+    seen = {"definite": 0, "indefinite": 0, "singular": 0}
+    for _ in range(300):
+        n = rng.randint(1, 10)
+        ids = ["v%d" % i for i in range(n)]
+        edges = [(ids[rng.randrange(i)], ids[i]) for i in range(1, n)]
+        rng.shuffle(ids)
+        weights = range(-4, 2) if rng.random() < 0.5 else range(-4, -1)
+        g = ResolutionGraph._from_parts(
+            [Vertex(i, rng.choice(weights)) for i in ids], edges)
+        rows = intersection_matrix(g).to_lists()
+        d, minors = _assert_kernel_matches_oracles(rows, rng)
+        assert d == g.tree_form().determinant
+        definite = all((-1) ** k * x > 0 for k, x in enumerate(minors, 1))
+        seen["singular" if d == 0 else
+             "definite" if definite else "indefinite"] += 1
+    assert min(seen.values()) >= 10, seen
+
+
+@pytest.mark.parametrize("n", [40, 80])
+def test_kernel_on_minus_two_chains(n):
+    """det of the (-2)-chain on k vertices is (-1)^k (k + 1); the
+    Fraction elimination agrees, and so does the tree pass."""
+    rows = intersection_matrix(chain([-2] * n)).to_lists()
+    minors = [(-1) ** k * (k + 1) for k in range(1, n + 1)]
+    assert Fraction(minors[-1]) == _det_fraction_gauss(rows)
+    d, _ = _assert_kernel_matches_oracles(
+        rows, Random(n), det=lambda r: minors[len(r) - 1], minors=minors)
+    assert d == chain([-2] * n).tree_form().determinant
+    assert is_negative_definite(IntMatrix(rows))
+
+
+def test_kernel_on_dense_matrices_with_zero_leads_and_pivots():
+    """Seeded matrices up to 7 x 7 with many zeros, half of them
+    symmetric: rows with a zero lead at the first step, leading minors
+    that vanish (a zero pivot: a row swap with pivoting, the end of the
+    pass without), and singular matrices."""
+    rng = Random(515)
+    zero_pivots = singular = symmetric = 0
+    for trial in range(600):
+        n = rng.randint(2, 7)
+        rows = [[rng.choice((0, 0, 0, 0, 1, -1, 2, -3)) for _ in range(n)]
+                for _ in range(n)]
+        if trial % 2:
+            rows = [[rows[min(i, j)][max(i, j)] for j in range(n)]
+                    for i in range(n)]
+            symmetric += 1
+        if trial % 3 == 0:
+            rows[0][0] = 0
+        d, minors = _assert_kernel_matches_oracles(rows, rng)
+        zero_pivots += 0 in minors[:-1]
+        singular += d == 0
+    assert zero_pivots >= 300 and 100 <= singular <= 400, (
+        zero_pivots, singular)
 
 
 # -- smith normal form -------------------------------------------------------

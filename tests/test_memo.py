@@ -35,6 +35,7 @@ from sforge.corpus import (
     quotient_cusp,
     random_negative_definite_tree,
 )
+from sforge.graph import parse_graph
 
 from conftest import MEMOIZED
 
@@ -147,3 +148,18 @@ def test_no_memo_refers_back_to_its_owner(name):
     for owner in owners:
         assert owner._memo, owner
         assert id(owner) not in _reachable(owner._memo), owner
+
+
+@pytest.mark.parametrize("name", ["random-04", "random-07", "random-08"])
+def test_is_zhs_blows_down_once_per_graph(builds, graphs_dir, name):
+    """On these graphs the blow-down contracts something, so is_zhs
+    checks the diagram of a new graph: a second and third call build
+    no further diagram, as the verdict is kept in g's memo."""
+    g = parse_graph((graphs_dir / (name + ".graph")).read_text())
+    assert blow_down_minimal(g) is not g
+    assert is_zhs(g) is True
+    diagrams = list(builds["to_splice_diagram"])
+    assert len(diagrams) == 1 and diagrams[0] is not g
+    assert is_zhs(g) is True and is_zhs(g) is True
+    assert builds["to_splice_diagram"] == diagrams
+    assert builds["is_zhs"] == [g]

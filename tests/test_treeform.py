@@ -38,10 +38,8 @@ def random_tree(rng, n, weights):
     edges = [(b, a) if rng.random() < 0.5 else (a, b) for a, b in edges]
     rng.shuffle(edges)
     rng.shuffle(ids)
-    return ResolutionGraph(
-        [Vertex(i, rng.choice(weights)) for i in ids],
-        edges,
-        allow_nonnegative_weights=True,
+    return ResolutionGraph._from_parts(
+        [Vertex(i, rng.choice(weights)) for i in ids], edges
     )
 
 
