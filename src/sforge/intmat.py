@@ -48,8 +48,8 @@ Resolution graphs that are trees do not come here for anything but
 their Smith normal form: sforge.graph's TreeForm gives their
 determinant, definiteness, branch determinants and solves in one
 leaf-first pass. Dense elimination serves only graphs with cycles (in
-`analyze`), the generic-coefficient minors of sforge.equations and the
-dual basis of sforge.discgroup, which is built only when read.
+`analyze`) and the generic-coefficient minors of sforge.equations;
+sforge.discgroup uses the tree pass and the sparse Smith normal form.
 """
 
 from __future__ import annotations

@@ -6,6 +6,8 @@ import os
 import subprocess
 import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from itertools import count
 from math import comb
 from pathlib import Path
@@ -629,14 +631,15 @@ def test_analyze_builds_the_intersection_matrix_once(
 
 
 @pytest.mark.parametrize(
-    "graph, groups", [("e7", 0), ("chain-2-3", 0), ("d4", 1)]
+    "graph, snf_count", [("e7", 0), ("chain-2-3", 0), ("d4", 1)]
 )
 def test_analyze_builds_the_group_only_when_not_cyclic(
-    capsys, graphs_dir, builds, monkeypatch, graph, groups
+    capsys, graphs_dir, builds, monkeypatch, graph, snf_count
 ):
     """analyze reads a cyclic group's structure off the leaf dual
-    classes, with no Smith normal form; Z/2 x Z/2 (d4) takes the
-    certified one of discriminant_group, built once."""
+    classes, with no Smith normal form; Z/2 x Z/2 (d4) reads the
+    diagonal of one certified Smith normal form. Neither builds
+    discriminant_group's generators."""
     import sforge.discgroup
 
     real = sforge.discgroup.smith_normal_form
@@ -649,10 +652,41 @@ def test_analyze_builds_the_group_only_when_not_cyclic(
     monkeypatch.setattr(sforge.discgroup, "smith_normal_form", recording)
     doc = run_json(capsys, "analyze", graph_path(graphs_dir, graph))
     assert len(builds["invariant_factors"]) == 1
-    assert len(builds["discriminant_group"]) == groups
-    assert len(snfs) == groups
+    assert "discriminant_group" not in builds
+    assert len(snfs) == snf_count
     factors = doc["result"]["discriminant"]["invariant_factors"]
-    assert len(factors) == 1 + groups
+    assert len(factors) == 1 + snf_count
+
+
+def test_analyze_on_non_cyclic_groups_builds_no_discriminant_group(
+    capsys, graphs_dir, tmp_path, builds
+):
+    """d4 and seeded random trees with a non-cyclic group: analyze
+    prints the invariant factors of discriminant_group without building
+    it."""
+    from sforge.discgroup import discriminant_group
+    from sforge.graph import parse_graph
+
+    def factors(path):
+        doc = run_json(capsys, "analyze", str(path))
+        return doc["result"]["discriminant"]["invariant_factors"]
+
+    d4 = graph_path(graphs_dir, "d4")
+    seen = [(d4, factors(d4))]
+    rng = Random(11)
+    while len(seen) < 6:
+        path = tmp_path / ("tree-%d.graph" % len(seen))
+        path.write_text(
+            serialize_graph(random_negative_definite_tree(rng, max_vertices=12))
+        )
+        printed = factors(path)
+        if len(printed) >= 2:
+            seen.append((path, printed))
+    assert "discriminant_group" not in builds
+    for path, printed in seen:
+        g = parse_graph(Path(path).read_text())
+        assert printed == list(discriminant_group(g).invariant_factors)
+        assert len(printed) >= 2
 
 
 def test_conditions_builds_diagram_and_witness_once(
@@ -699,38 +733,116 @@ class _CaptureJson:
         return getattr(json, name)
 
 
-def _fast_path_takes(doc):
-    """Whether _StructuredEncoder writes doc itself, without the
-    json.JSONEncoder fallback."""
-    try:
-        cli._StructuredEncoder(indent=2, sort_keys=True)._write(
-            doc, [], "\n", "  ", 0
-        )
-    except cli._Fallback:
-        return False
-    return True
+@pytest.fixture(scope="module")
+def golden_documents(tmp_path_factory):
+    """(document, json.dumps keyword arguments) of every golden call, the
+    document as the CLI builders made it, not read back through
+    json.loads."""
+    capture = _CaptureJson()
+    workdir = tmp_path_factory.mktemp("golden")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "json", capture)
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            for key, argv in _golden_cases(workdir):
+                main(argv + ["--format=structured"])
+    assert len(capture.calls) >= 100
+    return capture.calls
+
+
+WRITER_TYPES = {dict, list, str, int, bool, type(None)}
+
+
+def _other_types(doc):
+    """The types in doc that the structured writer does not take: any
+    but its six, by exact type, and dict keys that are not str."""
+    other, stack = set(), [doc]
+    while stack:
+        x = stack.pop()
+        if type(x) is dict:
+            other.update(type(k) for k in x if type(k) is not str)
+            stack.extend(x.values())
+        elif type(x) is list:
+            stack.extend(x)
+        elif type(x) not in WRITER_TYPES:
+            other.add(type(x))
+    return other
 
 
 def test_structured_renderer_matches_json_on_golden_documents(
-    capsys, tmp_path, monkeypatch
+    golden_documents,
 ):
-    """Every golden call's document, as the CLI builders made it (not
-    read back through json.loads), renders to the bytes the standard
-    library writes, through the renderer's own path."""
-    capture = _CaptureJson()
-    monkeypatch.setattr(cli, "json", capture)
-    for key, argv in _golden_cases(tmp_path):
-        main(argv + ["--format=structured"])
-    capsys.readouterr()
-    assert len(capture.calls) >= 100
-    for doc, kwargs in capture.calls:
+    """Every golden document renders through the writer to the bytes
+    the standard library writes."""
+    for doc, kwargs in golden_documents:
         assert kwargs == {
-            "indent": 2, "sort_keys": True, "cls": cli._StructuredEncoder
+            "indent": 2, "sort_keys": True, "cls": cli._StructuredWriter
         }
         assert json.dumps(doc, **kwargs) == json.dumps(
             doc, indent=2, sort_keys=True
         )
-        assert _fast_path_takes(doc)
+
+
+def test_golden_documents_hold_only_the_writers_types(golden_documents):
+    """A builder that emits a tuple, a float or a non-str key fails here
+    rather than in a user's run."""
+    for doc, _ in golden_documents:
+        assert not _other_types(doc), doc["command"]
+
+
+def test_structured_renderer_matches_json_on_generated_documents():
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    scalars = st.one_of(
+        st.none(), st.booleans(), st.integers(), st.text(max_size=12)
+    )
+    documents = st.recursive(
+        scalars,
+        lambda inner: st.one_of(
+            st.lists(inner, max_size=5),
+            st.dictionaries(st.text(max_size=6), inner, max_size=5),
+        ),
+        max_leaves=30,
+    )
+    # lists of one scalar type take the writer's str.join path
+    documents |= st.one_of(
+        st.lists(st.integers()), st.lists(st.text()), st.lists(st.booleans())
+    )
+
+    @settings(max_examples=400, deadline=None, database=None,
+              derandomize=True)
+    @given(documents)
+    def run(doc):
+        assert json.dumps(
+            doc, indent=2, sort_keys=True, cls=cli._StructuredWriter
+        ) == json.dumps(doc, indent=2, sort_keys=True)
+
+    run()
+
+
+class _Str(str):
+    pass
+
+
+class _Int(int):
+    pass
+
+
+def test_structured_renderer_refuses_other_types():
+    """Any type but the six raises TypeError: alone, in a list, as a
+    dict value, and (a str subclass apart, written as the str it is) as
+    a dict key."""
+    for value in [(1, 2), 1.5, float("nan"), {1}, b"x", Fraction(1, 2),
+                  object(), _Str("a"), _Int(3)]:
+        docs = [value, [value], [1, value], {"a": value},
+                {"a": [{"b": value}]}]
+        if not isinstance(value, (str, set)):
+            docs += [{value: 2}, {"a": 1, value: 2}]
+        for doc in docs:
+            with pytest.raises(TypeError):
+                json.dumps(
+                    doc, indent=2, sort_keys=True, cls=cli._StructuredWriter
+                )
 
 
 EDGE_DOCUMENTS = [
@@ -755,7 +867,7 @@ EDGE_DOCUMENTS = [
     [1, "a"],
     [["a", "b"], [1, 2], [[True]]],
     {"b": 1, "a": 2, "aa": 3, "B": 4, "": 5},
-    # these take the json.JSONEncoder fallback
+    # these hold other types
     (1, 2),
     {"t": (1, "a"), "l": [(), ()]},
     {1: "a", 2: "b"},
@@ -778,48 +890,27 @@ EDGE_DOCUMENTS = [
     ],
 )
 def test_structured_renderer_edge_cases(doc, settings):
-    assert json.dumps(doc, cls=cli._StructuredEncoder, **settings) == (
-        json.dumps(doc, **settings)
-    )
+    """The writer has one format, whatever settings json.dumps passes
+    on: a document of its six types comes out as json.dumps(doc,
+    indent=2, sort_keys=True) writes it, and any other raises
+    TypeError."""
+    if _other_types(doc):
+        with pytest.raises(TypeError):
+            json.dumps(doc, cls=cli._StructuredWriter, **settings)
+    else:
+        assert json.dumps(doc, cls=cli._StructuredWriter, **settings) == (
+            json.dumps(doc, indent=2, sort_keys=True)
+        )
 
 
-def test_structured_renderer_fallback_only_for_other_types():
-    assert _fast_path_takes({"a": [1, "b", None, {"c": [True]}]})
-    assert _fast_path_takes({"big": 10 ** 100, "s": "☃"})
-    for doc in ((1,), {1: 2}, [1.0], {"a": [object()]}, [1, True, 2.0]):
-        assert not _fast_path_takes(doc)
-
-
-def _same_error(doc, **settings):
-    with pytest.raises(Exception) as expected:
-        json.dumps(doc, **settings)
-    with pytest.raises(Exception) as got:
-        json.dumps(doc, cls=cli._StructuredEncoder, **settings)
-    assert type(got.value) is type(expected.value)
-    assert str(got.value) == str(expected.value)
-
-
-def test_structured_renderer_errors_match_json():
-    circular = {"a": []}
-    circular["a"].append(circular)
-    _same_error(circular, indent=2, sort_keys=True)
-    loop = []
-    loop.append(loop)
-    _same_error(loop, indent=2)
-    _same_error({"a": object()}, indent=2, sort_keys=True)
-    _same_error({"a": 1, 2: 3}, indent=2, sort_keys=True)
-    _same_error([float("nan")], indent=2, allow_nan=False)
-
-
-def test_structured_renderer_deep_nesting_takes_fallback():
+def test_structured_renderer_deep_nesting():
     doc = leaf = []
     for _ in range(100):
-        leaf.append([])
-        leaf = leaf[0]
-    assert not _fast_path_takes(doc)
-    assert json.dumps(doc, indent=2, cls=cli._StructuredEncoder) == (
-        json.dumps(doc, indent=2)
-    )
+        leaf.append({"a": []})
+        leaf = leaf[0]["a"]
+    assert json.dumps(
+        doc, indent=2, sort_keys=True, cls=cli._StructuredWriter
+    ) == json.dumps(doc, indent=2, sort_keys=True)
 
 
 # -- closed stdout ------------------------------------------------------------

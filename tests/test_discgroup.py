@@ -448,14 +448,13 @@ def test_invariant_factors_match_the_smith_normal_form(corpus):
 
 def test_invariant_factors_need_no_group_when_cyclic(fresh_corpus, builds):
     """On a cyclic group the answer is (|det|,) with no Smith normal
-    form; Z/2 x Z/2 falls back to discriminant_group."""
+    form; Z/2 x Z/2 reads the diagonal of one, and neither builds
+    discriminant_group."""
     assert invariant_factors(fresh_corpus["e7"]) == (2,)
     assert invariant_factors(a_n(9)) == (10,)
     assert invariant_factors(fresh_corpus["e8"]) == ()
+    assert invariant_factors(fresh_corpus["d4"]) == (2, 2)
     assert "discriminant_group" not in builds
-    d4 = fresh_corpus["d4"]
-    assert invariant_factors(d4) == (2, 2)
-    assert builds["discriminant_group"] == [d4]
 
 
 def test_invariant_factors_rejects_non_qhs():
