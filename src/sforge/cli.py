@@ -4,9 +4,9 @@
 
 Exit codes: 0 success (negative mathematical verdicts included), 1
 stdout closed before the output was written (a pipe into head, say), 2
-malformed input, 3 precondition violation. Structured output is
-byte-stable for a fixed input and version; the text rendering is
-derived from the same document, never recomputed.
+malformed input, 3 precondition violation, 4 a failed self-check.
+Structured output is byte-stable for a fixed input and version; the
+text rendering is derived from the same document, never recomputed.
 """
 
 from __future__ import annotations
@@ -51,6 +51,7 @@ EXIT_OK = 0
 EXIT_CLOSED_STDOUT = 1
 EXIT_INPUT = 2
 EXIT_PRECONDITION = 3
+EXIT_INTERNAL = 4
 
 
 def _frac(x):
@@ -634,30 +635,36 @@ def main(argv=None):
     except ParseError as exc:
         print("sforge: %s: %s" % (args.file, exc), file=sys.stderr)
         return EXIT_INPUT
-    try:
-        data = build(g, args)
-    except ParseError as exc:  # bad options and polynomial files
-        print("sforge: %s" % exc, file=sys.stderr)
-        return EXIT_INPUT
-    except (PreconditionError, ValueError) as exc:  # ValueError: the caps
-        print("sforge: %s" % exc, file=sys.stderr)
-        return EXIT_PRECONDITION
-    try:
-        if args.format == "structured":
-            doc = _envelope(args.command, args.file, digest, data)
-            # a json.dumps call, which perfbench's tracer times as cli.render
-            body = json.dumps(
-                doc, indent=2, sort_keys=True, cls=_StructuredWriter
+    try:  # exit 4 for a failed self-check while building or rendering
+        try:
+            data = build(g, args)
+        except ParseError as exc:  # bad options and polynomial files
+            print("sforge: %s" % exc, file=sys.stderr)
+            return EXIT_INPUT
+        except (PreconditionError, ValueError) as exc:  # ValueError: the caps
+            print("sforge: %s" % exc, file=sys.stderr)
+            return EXIT_PRECONDITION
+        try:
+            if args.format == "structured":
+                doc = _envelope(args.command, args.file, digest, data)
+                # a json.dumps call: perfbench's tracer times it as cli.render
+                body = json.dumps(
+                    doc, indent=2, sort_keys=True, cls=_StructuredWriter
+                )
+            else:
+                body = render(data)
+        except ValueError:  # int refuses to turn so long an integer into text
+            print(
+                "sforge: the answer has an integer of more than %d digits, "
+                "too long to print" % sys.get_int_max_str_digits(),
+                file=sys.stderr,
             )
-        else:
-            body = render(data)
-    except ValueError:  # int refuses to turn an integer this long into text
-        print(
-            "sforge: the answer has an integer of more than %d digits, too "
-            "long to print" % sys.get_int_max_str_digits(),
-            file=sys.stderr,
-        )
-        return EXIT_PRECONDITION
+            return EXIT_PRECONDITION
+    except AssertionError as exc:  # named by a memoized stage's note
+        stage = (getattr(exc, "__notes__", None) or ["in " + args.command])[0]
+        print("sforge: internal check failed %s: %s (input sha256 %s)"
+              % (stage, exc, digest), file=sys.stderr)
+        return EXIT_INTERNAL
     try:
         # io's buffered writer reports a pipe closed mid-write only on the
         # next write, so the last newline is written apart, as print did.

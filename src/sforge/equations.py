@@ -13,7 +13,7 @@ combinations of the chosen monomials per node.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, combinations
+from itertools import combinations
 
 from .discgroup import (
     CharacterAssignment,
@@ -89,8 +89,8 @@ def admissible_monomials(
     lexicographic order the witnesses come in (see SemigroupWitness);
     optionally filtered to a given character, a tuple of phases in
     [0, 1) (which requires the leaf CharacterAssignment). These are the
-    lists `conditions` prints, cut at WITNESS_CAP; the congruence reads
-    the uncut stream, witnesses(diagram, v, edge)."""
+    lists `conditions` prints, cut at WITNESS_CAP: the start of the
+    stream witnesses(diagram, v, edge) that the congruence reads on."""
     sols = semigroup_condition(diagram).solutions[(v, edge.index)]
     if character is not None:
         if chars is None:
@@ -99,28 +99,6 @@ def admissible_monomials(
         target = tuple(x * chars.modulus for x in character)
         return [a for a in sols if chars.monomial_residue(a) == target]
     return list(sols)
-
-
-def _require_semigroup(diagram):
-    """Each direction's witness stream by (node, edge index), its first
-    witness found and put back; raises NoNodesError without nodes and
-    SemigroupConditionError when some direction has no witness."""
-    if not diagram.has_nodes:
-        raise NoNodesError("no nodes: cyclic quotient case")
-    streams = {}
-    failures = []
-    for v in diagram.nodes:
-        for e in diagram.incident_edges(v):
-            stream = witnesses(diagram, v, e)
-            first = next(stream, None)
-            if first is None:
-                failures.append("%s %s" % (v, diagram.direction_label(v, e)))
-            streams[(v, e.index)] = chain((first,), stream)
-    if failures:
-        raise SemigroupConditionError(
-            "semigroup condition fails at %s" % "; ".join(failures)
-        )
-    return streams
 
 
 def congruence_condition(g: ResolutionGraph) -> CongruenceResult:
@@ -144,9 +122,18 @@ def congruence_condition(g: ResolutionGraph) -> CongruenceResult:
     So per direction the monomial kept is the first witness with the
     residue of [e_v*]; the witnesses come in lexicographic order (see
     witnesses), so it is the lexicographically first. A node fails
-    when some direction has none."""
+    when some direction has none. Each direction's one search (see
+    witnesses) serves this and semigroup_condition alike."""
     diagram = to_splice_diagram(g)
-    streams = _require_semigroup(diagram)
+    if not diagram.has_nodes:
+        raise NoNodesError("no nodes: cyclic quotient case")
+    empty = ["%s %s" % (v, diagram.direction_label(v, e))
+             for v in diagram.nodes for e in diagram.incident_edges(v)
+             if next(witnesses(diagram, v, e), None) is None]
+    if empty:
+        raise SemigroupConditionError(
+            "semigroup condition fails at %s" % "; ".join(empty)
+        )
     group = discriminant_group(g)
     chars = leaf_characters(g)
     modulus = chars.modulus
@@ -161,7 +148,7 @@ def congruence_condition(g: ResolutionGraph) -> CongruenceResult:
         )
         chosen = {}
         for e in diagram.incident_edges(v):
-            for a in streams[(v, e.index)]:
+            for a in witnesses(diagram, v, e):
                 if chars.monomial_residue(a) == target:
                     chosen[diagram.direction_label(v, e)] = a
                     break

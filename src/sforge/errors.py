@@ -1,7 +1,7 @@
 """Exception hierarchy shared across the library and the CLI.
 
-The CLI maps ParseError to exit code 2 and PreconditionError (and its
-subclasses) to exit code 3; everything else is a bug.
+The CLI maps ParseError to exit 2, PreconditionError (and subclasses)
+to exit 3, a failed self-check (AssertionError) to exit 4; else a bug.
 """
 
 

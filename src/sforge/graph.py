@@ -72,16 +72,22 @@ __all__ = [
 def memoized(fn):
     """Compute fn(x) once per x: the result is kept in x._memo under
     fn's name and returned as is on every later call, so it is shared
-    and must not be mutated. A raised exception is not kept. A result
-    must not refer back to x, or x and its memo would form a reference
-    cycle that only the cyclic garbage collector frees."""
+    and must not be mutated. A raised exception is not kept; a failed
+    self-check (AssertionError) is noted "in <name>" by the innermost
+    stage. A result must not refer back to x, or x and its memo would
+    form a reference cycle that only the cyclic garbage collector frees."""
     name = fn.__name__
 
     @wraps(fn)
     def wrapper(x):
         memo = x._memo
         if name not in memo:
-            memo[name] = fn(x)
+            try:
+                memo[name] = fn(x)
+            except AssertionError as exc:
+                if not getattr(exc, "__notes__", None):  # add_note is 3.11+
+                    exc.__notes__ = ["in " + name]
+                raise
         return memo[name]
 
     return wrapper

@@ -25,14 +25,15 @@ out of a node v records, for every diagram vertex x, the linking number
 l_vx (the product of the weights adjacent to, but not on, the path from
 v to x; l_vv = d_v) and the edge at v whose branch holds x. Node
 weights, linking numbers, the leaves beyond an edge and edge
-determinants are lookups in it; the ZHS test and the lazy stream of
-monomial witnesses per direction (witnesses) build on those.
+determinants are lookups in it; the ZHS test and the lazy streams of
+monomial witnesses (witnesses: every stream of a direction reads its
+one kept, residue-stepped search) build on those.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import accumulate, islice
 from math import gcd, prod
 
 from .graph import (
@@ -365,7 +366,7 @@ def semigroup_condition(d: SpliceDiagram) -> SemigroupWitness:
     truncated = []
     for v in d.nodes:
         for e in d.incident_edges(v):
-            sols = list(islice(witnesses(d, v, e), WITNESS_CAP))
+            sols = _search_at(d, v, e).prefix()  # final: see prefix
             solutions[(v, e.index)] = sols
             if len(sols) >= WITNESS_CAP:
                 truncated.append((v, d.direction_label(v, e)))
@@ -383,20 +384,68 @@ def witnesses(d: SpliceDiagram, v: str, e: SpliceEdge):
     """Every alpha >= 0 over d.leaves_beyond(v, e) with
     sum alpha_w * l_vw = d_v, lazily, as dicts keyed by leaf id (zero
     exponents omitted) in lexicographic order: leaves in the order of
-    d.leaves, each exponent ascending. The stream has no cap."""
-    links = d.walk(v)[0]
-    leaves = d.leaves_beyond(v, e)
-    coins = [links[w] for w in leaves]
-    last = len(leaves) - 1
+    d.leaves, each exponent ascending. The stream has no cap. It reads
+    the direction's one search, kept in d's memo (see _Search), which
+    holds plain lists only; the dicts are shared: do not mutate them."""
+    return _search_at(d, v, e).read()
 
-    def rec(idx, remaining, acc):
-        w, l = leaves[idx], coins[idx]
-        if idx == last:  # the last exponent is forced
-            if remaining % l == 0:
-                yield dict(acc + ((w, remaining // l),) if remaining else acc)
-            return
-        for a in range(remaining // l + 1):
-            yield from rec(idx + 1, remaining - a * l,
+
+def _search_at(d, v, e):
+    """The direction's one witness search, kept in d's memo."""
+    key, searches = (v, e.index), d._memo.setdefault("witnesses", {})
+    if key not in searches:
+        links, leaves = d.walk(v)[0], d.leaves_beyond(v, e)
+        searches[key] = _Search(leaves, [links[w] for w in leaves], links[v])
+    return searches[key]
+
+
+class _Search:
+    """A direction's witness search and the first WITNESS_CAP witnesses
+    it found. Streams read those, then the search at its front; the
+    first stream past the cap takes it, a later one searches anew.
+
+    Residue stepping (Ramirez Alfonsin, The Diophantine Frobenius
+    Problem, 2005): the exponents from i on can meet what remains only
+    if h_i = gcd(coins[i:]) divides it, so alpha_i steps through the one
+    class mod m_i = h_{i+1}/h_i (0 at the last, forced exponent) that
+    leaves a multiple of h_{i+1}, skipping only dead branches."""
+
+    __slots__ = ("args", "live", "kept")
+
+    def __init__(self, leaves, coins, target):
+        h = [*accumulate(reversed(coins), gcd)][::-1] + [0]
+        plan = [(w, l, a, b // a, pow(l // a, -1, b // a) if b else 0)
+                for w, l, a, b in zip(leaves, coins, h, h[1:])]
+        self.args, self.kept = (plan, 0, target, ()), []
+        self.live = _search(*self.args)
+
+    def prefix(self):
+        """The kept witnesses, the search first read on to the cap; the
+        list is final then, as the cap is reached or the search over."""
+        if len(self.kept) < WITNESS_CAP:
+            self.kept += islice(self.live, WITNESS_CAP - len(self.kept))
+        return self.kept
+
+    def read(self):
+        kept, i = self.kept, 0
+        while i < len(kept) or len(kept) < WITNESS_CAP:
+            if i == len(kept):
+                if (a := next(self.live, None)) is None:
+                    return
+                kept.append(a)
+            yield kept[i]
+            i += 1
+        live, self.live = self.live, None
+        yield from live or islice(_search(*self.args), i, None)
+
+
+def _search(plan, idx, remaining, acc):
+    w, l, h, m, inverse = plan[idx]
+    if remaining % h:  # only at idx 0: stepping keeps the rest divisible
+        return
+    if not m:
+        yield dict(acc + ((w, remaining // l),) if remaining else acc)
+        return
+    for a in range(remaining // h * inverse % m, remaining // l + 1, m):
+        yield from _search(plan, idx + 1, remaining - a * l,
                            acc + ((w, a),) if a else acc)
-
-    return rec(0, links[v], ())

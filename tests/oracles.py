@@ -31,6 +31,9 @@ The random-tree generator that builds and validates a ResolutionGraph
 for every weighting it tries is the library's former implementation,
 kept verbatim: the generator that tries weight lists on one adjacency
 must draw the same trees with the same calls on its Random.
+The rational-tree generator draws inputs whose answer is known without
+sforge: every weight at most -max(2, valency) makes a rational, minimal
+tree, so by Okuma's theorem its splice equations exist.
 """
 
 from fractions import Fraction
@@ -692,3 +695,22 @@ def random_negative_definite_tree_by_graphs(rng: Random, max_vertices=10):
         else:
             weights[i] = g.vertex(i).weight
     return g
+
+
+def random_rational_tree(rng: Random, min_vertices, max_vertices):
+    """Random tree of min_vertices..max_vertices vertices, each of
+    weight -max(2, valency) - rng.choice([0, 0, 1]). A tree with every
+    weight at most -max(2, valency) is rational (Artin's criterion;
+    Laufer, Amer. J. Math. 94, 1972) and minimal, with no (-1)-curve."""
+    n = rng.randint(min_vertices, max_vertices)
+    ids = ["v%d" % i for i in range(n)]
+    edges = [(ids[rng.randrange(i)], ids[i]) for i in range(1, n)]
+    valency = {i: 0 for i in ids}
+    for a, b in edges:
+        valency[a] += 1
+        valency[b] += 1
+    return ResolutionGraph(
+        [Vertex(i, -max(2, valency[i]) - rng.choice([0, 0, 1]))
+         for i in ids],
+        edges,
+    )

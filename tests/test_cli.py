@@ -118,6 +118,77 @@ def test_result_integer_too_long_to_print_exits_3(capsys, tmp_path, fmt):
     )
 
 
+def _fail(*args):
+    raise AssertionError("emitted equations are not equivariant")
+
+
+@pytest.mark.parametrize("command, fmt, stage, message", [
+    ("equations", "text", "equations", "emitted equations are not equivariant"),
+    ("equations", "structured", "equations",
+     "emitted equations are not equivariant"),
+    ("splice", "text", "to_splice_diagram", "splice weight 0 < 1 at node 'c'"),
+    ("splice", "structured", "to_splice_diagram",
+     "splice weight 0 < 1 at node 'c'"),
+    ("conditions", "text", "conditions",
+     "emitted equations are not equivariant"),
+], ids=["equations-text", "equations-structured", "splice-text",
+        "splice-structured", "conditions-render"])
+def test_failed_self_check_exits_4(capsys, graphs_dir, monkeypatch, command,
+                                   fmt, stage, message):
+    """A failed self-check (an AssertionError) while building or
+    rendering exits 4 with nothing on stdout and one stderr line naming
+    the innermost memoized stage it ran in, else the command, and the
+    input's sha256. Here _verify_package fails outside every memoized
+    stage; zero branch determinants fail the splice weight check inside
+    to_splice_diagram; and the text renderer of conditions fails."""
+    import hashlib
+
+    if command == "equations":
+        monkeypatch.setattr("sforge.equations._verify_package", _fail)
+    elif command == "splice":
+        monkeypatch.setattr("sforge.graph.TreeForm.branch_determinant",
+                            lambda *args: 0)
+    else:
+        help_text, build, _ = cli._COMMANDS[command]
+        monkeypatch.setitem(cli._COMMANDS, command, (help_text, build, _fail))
+    path = graph_path(graphs_dir, "e7")
+    with open(path, "rb") as fh:
+        digest = hashlib.sha256(fh.read()).hexdigest()
+    code, out, err = run(capsys, command, path, "--format", fmt)
+    assert (code, out) == (4, "")
+    assert err == ("sforge: internal check failed in %s: %s (input sha256 "
+                   "%s)\n" % (stage, message, digest))
+
+
+def test_memoized_notes_the_innermost_stage_of_a_failed_check():
+    """A failed check that passes through nested memoized stages is
+    noted once, by the stage it was raised in; other errors get no
+    note, and nothing is kept."""
+    from sforge.graph import memoized
+
+    class Box:
+        def __init__(self, error):
+            self._memo = {}
+            self.error = error
+
+    @memoized
+    def inner(box):
+        raise box.error
+
+    @memoized
+    def outer(box):
+        return inner(box)
+
+    box = Box(AssertionError("inner check"))
+    with pytest.raises(AssertionError) as info:
+        outer(box)
+    assert info.value.__notes__ == ["in inner"]
+    box = Box(ValueError("not a check"))
+    with pytest.raises(ValueError) as info:
+        outer(box)
+    assert not hasattr(info.value, "__notes__") and box._memo == {}
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -220,24 +220,47 @@ def test_refusals():
     assert "toward k" in str(err.value)
 
 
-def test_equations_start_one_witness_stream_per_direction(monkeypatch):
-    """The semigroup check and the congruence search share one stream
-    per direction: the first witness is searched for once."""
-    import sforge.equations
+def late_witness_tree():
+    """Draw 215 of Random(3), as CI draws it: 16 vertices, and the
+    congruence witness at v4 lies past the witness cap."""
+    rng = Random(3)
+    for i in range(216):
+        g = random_negative_definite_tree(
+            rng, max_vertices=[12, 20, 30][i % 3])
+    return g
 
-    real = sforge.equations.witnesses
+
+@pytest.mark.parametrize("make", [lambda: quotient_cusp(3, [3] * 3),
+                                  lambda: quotient_cusp(4, [3] * 4),
+                                  late_witness_tree],
+                         ids=["cusp-3", "cusp-4", "late-witness"])
+def test_one_witness_search_per_direction(monkeypatch, make):
+    """The conditions path (semigroup_condition, then
+    congruence_condition) and build_splice_equations each start exactly
+    one witness search per direction: the congruence reads on from the
+    searches the semigroup check started, past the kept prefix too."""
+    import sforge.splice
+
+    real = sforge.splice._search
     started = []
 
-    def counting(d, v, e):
-        started.append((v, e.index))
-        return real(d, v, e)
+    def counting(plan, idx, remaining, acc):
+        if idx == 0:  # a search starts; deeper calls are its recursion
+            started.append(tuple(step[0] for step in plan))
+        return real(plan, idx, remaining, acc)
 
-    monkeypatch.setattr(sforge.equations, "witnesses", counting)
-    g = quotient_cusp(3, [3] * 3)
-    build_splice_equations(g)
-    d = to_splice_diagram(g)
-    assert started == [(v, e.index) for v in d.nodes
-                       for e in d.incident_edges(v)]
+    monkeypatch.setattr(sforge.splice, "_search", counting)
+    for run in ("conditions", "equations"):
+        g = make()
+        d = to_splice_diagram(g)
+        if run == "conditions":
+            assert semigroup_condition(d).holds
+            assert congruence_condition(g).holds
+        else:
+            build_splice_equations(g)
+        assert started == [d.leaves_beyond(v, e) for v in d.nodes
+                           for e in d.incident_edges(v)], run
+        started.clear()
 
 
 def test_equation_count_is_t_minus_2():

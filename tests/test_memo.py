@@ -4,6 +4,7 @@ owner."""
 
 import gc
 import types
+from itertools import islice
 from random import Random
 
 import pytest
@@ -29,6 +30,7 @@ from sforge import (
     linking_numbers,
     semigroup_condition,
     to_splice_diagram,
+    witnesses,
 )
 from sforge.corpus import (
     builtin_corpus,
@@ -163,3 +165,31 @@ def test_is_zhs_blows_down_once_per_graph(builds, graphs_dir, name):
     assert is_zhs(g) is True and is_zhs(g) is True
     assert builds["to_splice_diagram"] == diagrams
     assert builds["is_zhs"] == [g]
+
+
+def test_witness_streams_leave_no_cyclic_garbage():
+    """Reading witness streams and dropping them frees everything by
+    reference counting: neither a stream nor the search kept in the
+    diagram's memo is in a reference cycle. On the quotient cusp k = 4,
+    every direction is read for one, two and 30 witnesses (past the
+    27 of an inner edge, so a stream also ends), then again after
+    semigroup_condition has read every search on to the cap."""
+    d = to_splice_diagram(quotient_cusp(4, [3] * 4))
+    for v in d.nodes:
+        d.walk(v)
+
+    def read(count):
+        for v in d.nodes:
+            for e in d.incident_edges(v):
+                assert list(islice(witnesses(d, v, e), count))
+
+    gc.collect()
+    gc.disable()
+    try:
+        for count in (1, 2, 30):
+            read(count)
+        semigroup_condition(d)
+        read(30)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

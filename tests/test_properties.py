@@ -24,7 +24,11 @@ from sforge import (
 )
 from sforge.corpus import random_negative_definite_tree
 
-from oracles import coin_membership_dp, fundamental_cycle_bruteforce
+from oracles import (
+    coin_membership_dp,
+    fundamental_cycle_bruteforce,
+    random_rational_tree,
+)
 
 TREE_COUNT = 200
 
@@ -123,6 +127,28 @@ def test_okuma_rational_and_minimally_elliptic_trees_have_splice_equations():
             other_fails["congruence"] += 1
     assert kinds["rational"] >= 100 and kinds["minimally_elliptic"] >= 1
     assert other_fails["semigroup"] >= 1 and other_fails["congruence"] >= 1
+
+
+def test_okuma_on_seeded_rational_trees():
+    """Okuma at the size the witness search reaches: 40 seeded rational
+    trees of 4-14 vertices with a node (random_rational_tree) classify
+    as rational, are minimal, pass both conditions and have splice
+    equations. Larger trees wait for exact membership from the splice
+    structure: of five 20-vertex trees drawn from Random(5), 4 have
+    their equations within 5 s (2 without residue stepping), and of
+    five 40-vertex trees none does."""
+    rng = Random(2024)
+    trees = 0
+    while trees < 40:
+        g = random_rational_tree(rng, 4, 14)
+        if not any(g.valency(v) >= 3 for v in g.vertex_ids):
+            continue  # a chain: no node, no equations
+        trees += 1
+        assert classify(g).kind == "rational"
+        assert blow_down_minimal(g) is g
+        assert semigroup_condition(to_splice_diagram(g)).holds
+        assert congruence_condition(g).holds
+        build_splice_equations(g)
 
 
 def test_generator_is_reproducible():
