@@ -62,22 +62,9 @@ def _fracs(xs):
     return [_frac(x) for x in xs]
 
 
-def _classification_doc(c):
-    return {
-        "kind": c.kind,
-        "zsq": c.zsq,
-        "multiplicity": c.multiplicity,
-        "embedding_dimension": c.embedding_dimension,
-        "numerically_gorenstein": c.numerically_gorenstein,
-    }
-
-
 def _graph_doc(g):
     return {
-        "vertices": [
-            {"id": v.id, "weight": v.weight, "genus": v.genus}
-            for v in g.vertices
-        ],
+        "vertices": [v._asdict() for v in g.vertices],
         "edges": [[a, b] for a, b in g.edges],
     }
 
@@ -136,13 +123,13 @@ def _analyze(g, args):
         zip(k.vertex_ids, _fracs(k.coefficients))
     )
     data["numerically_gorenstein"] = k.is_integral()
-    data["classification"] = _classification_doc(classify(g))
+    data["classification"] = classify(g)._asdict()
     blown = None
     if g.is_tree():
         try:
             h = blow_down_minimal(g)
             if h.is_negative_definite():
-                classification = _classification_doc(classify(h))
+                classification = classify(h)._asdict()
             else:
                 classification = None
             blown = {

@@ -38,10 +38,10 @@ group is cyclic: the leaf classes generate it, so an element of order
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm, prod
+from typing import NamedTuple
 
 from .graph import (
     ResolutionGraph,
@@ -61,8 +61,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class DiscriminantData:
+class DiscriminantData(NamedTuple):
     """Finite abelian group data for D(Gamma) = coker(E -> E*)."""
 
     order: int
@@ -75,17 +74,42 @@ class DiscriminantData:
         return self.order == 1
 
 
-@dataclass(frozen=True)
 class CharacterAssignment:
     """Diagonal action on the leaf variables: generator j multiplies
     z_w by exp(2*pi*i*phases[j][w]).
 
     Internally every character is an integer residue vector modulo one
-    common modulus e: phase p becomes the integer p * e in [0, e)."""
+    common modulus e: phase p becomes the integer p * e in [0, e).
+    Frozen, but no tuple: the cached properties need an instance
+    __dict__, which they write directly."""
 
-    leaf_ids: tuple
-    generator_orders: tuple
-    phases: tuple  # phases[j] = tuple of Fractions in [0,1), one per leaf
+    def __init__(self, leaf_ids, generator_orders, phases):
+        # phases[j] = tuple of Fractions in [0,1), one per leaf
+        vars(self).update(leaf_ids=leaf_ids, phases=phases,
+                          generator_orders=generator_orders)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r" % name)
+
+    def _key(self):
+        return self.leaf_ids, self.generator_orders, self.phases
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return (
+            "CharacterAssignment(leaf_ids=%r, generator_orders=%r, phases=%r)"
+            % self._key()
+        )
 
     @property
     def order(self):

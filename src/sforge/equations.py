@@ -12,8 +12,8 @@ combinations of the chosen monomials per node.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 from .discgroup import (
     CharacterAssignment,
@@ -48,8 +48,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class NodeSystem:
+class NodeSystem(NamedTuple):
     """Equations attached to one node."""
 
     node_id: str
@@ -62,16 +61,14 @@ class NodeSystem:
     equations: tuple  # the delta-2 Polynomials
 
 
-@dataclass(frozen=True)
-class EquationsPackage:
+class EquationsPackage(NamedTuple):
     variables: tuple  # leaf ids, declaration order
     equations: tuple  # all t-2 equations, grouped by node
     nodes: tuple  # NodeSystem per node, declaration order
     characters: CharacterAssignment
 
 
-@dataclass(frozen=True)
-class CongruenceResult:
+class CongruenceResult(NamedTuple):
     holds: bool
     node_characters: dict  # node id -> chosen character vector
     node_monomials: dict  # node id -> {direction label: exponent map}

@@ -30,10 +30,9 @@ solves M x = b exactly. Dense Bareiss serves only graphs with cycles.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import wraps
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import (
     NonMinimalRepresentableError,
@@ -93,8 +92,7 @@ def memoized(fn):
     return wrapper
 
 
-@dataclass(frozen=True)
-class Vertex:
+class Vertex(NamedTuple):
     id: str
     weight: int
     genus: int = 0
@@ -401,8 +399,7 @@ class TreeForm:
         return out
 
 
-@dataclass(frozen=True)
-class Cycle:
+class Cycle(NamedTuple):
     """Integer divisor supported on the exceptional curves."""
 
     vertex_ids: tuple
@@ -412,8 +409,7 @@ class Cycle:
         return self.coefficients[self.vertex_ids.index(vid)]
 
 
-@dataclass(frozen=True)
-class RationalCycle:
+class RationalCycle(NamedTuple):
     """Rational divisor supported on the exceptional curves."""
 
     vertex_ids: tuple
@@ -426,8 +422,7 @@ class RationalCycle:
         return all(c.denominator == 1 for c in self.coefficients)
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(NamedTuple):
     kind: str  # 'rational' | 'minimally_elliptic' | 'other'
     zsq: int
     multiplicity: Optional[int]

@@ -54,10 +54,10 @@ sforge.discgroup uses the tree pass and the sparse Smith normal form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm, prod
 from operator import mul
+from typing import NamedTuple
 
 from .errors import SingularMatrixError
 
@@ -224,8 +224,7 @@ class RatMatrix(_Matrix):
         )
 
 
-@dataclass(frozen=True)
-class SnfResult:
+class SnfResult(NamedTuple):
     """Smith normal form U @ m @ V = D.
 
     U, V are unimodular, u_inv is the inverse of U and v_inv that of V;

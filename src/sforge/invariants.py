@@ -31,10 +31,10 @@ computation: relations are checked, not derived by elimination.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from math import comb, lcm
 from operator import add
+from typing import NamedTuple
 
 from .discgroup import CharacterAssignment
 from .intmat import solve_sparse
@@ -48,6 +48,7 @@ __all__ = [
     "membership_bounded",
     "ORDER_CAP",
     "PRODUCT_CAP",
+    "RELATION_CAP",
     "check_order_cap",
 ]
 
@@ -58,6 +59,10 @@ ORDER_CAP = 2000
 # seed-17 random tree's 453 generators give 103,284 at bound 2 (about a
 # second); seed 56's give 300,699 and 8.7M relations.
 PRODUCT_CAP = 200_000
+# Most relations toric_relations writes. Under PRODUCT_CAP one fiber can
+# still hold most products: a 5-vertex tree with |G| = 56 has 165,024
+# products and 9,224,016 relations (183 MB of text).
+RELATION_CAP = 1_000_000
 
 
 def check_order_cap(order: int) -> None:
@@ -74,8 +79,7 @@ def check_order_cap(order: int) -> None:
         )
 
 
-@dataclass(frozen=True)
-class InvariantBasis:
+class InvariantBasis(NamedTuple):
     variables: tuple  # the leaf variables
     exponents: tuple  # generator exponent tuples, lexicographic order
     names: tuple  # fresh names A, B, C, ... matching `exponents`
@@ -92,8 +96,7 @@ class InvariantBasis:
         return self.names[self.exponents.index(key)]
 
 
-@dataclass(frozen=True)
-class MembershipCertificate:
+class MembershipCertificate(NamedTuple):
     cofactors: tuple  # q_i with target = sum q_i * g_i
     degree_bound: int
 
@@ -244,7 +247,13 @@ def toric_relations(basis: InvariantBasis, degree_bound: int) -> list:
 
     Raises ValueError, before any product is built, when the products
     of the k generators up to degree d = degree_bound, C(k + d, d) - 1
-    of them, exceed PRODUCT_CAP.
+    of them, exceed PRODUCT_CAP; and, before any text is built, when
+    the pairs of products of one image, the sum of C(|fiber|, 2) over
+    the fibers, exceed RELATION_CAP. Up to degree 2 that sum is the
+    number of relations: two distinct products of one image share no
+    generator, for cancelling a shared one would leave two equal
+    generators or a zero one, which a minimal generating set excludes.
+    Above degree 2 it is an upper bound.
 
     A product of generators is a nondecreasing tuple of generator
     indices. Its image is packed into one integer whose base-B digits
@@ -285,6 +294,14 @@ def toric_relations(basis: InvariantBasis, degree_bound: int) -> list:
                 (combo + (j,), image + packed[j], mask | 1 << j)
                 for j in range(combo[-1], k)
             )
+    pairs = sum(n * (n - 1) // 2 for n in map(len, fibers.values()))
+    if pairs > RELATION_CAP:
+        raise ValueError(
+            "%s%d relations of %d invariant generators up to degree %d "
+            "above the desk-scale relation cap %d"
+            % ("" if degree_bound <= 2 else "at most ", pairs, k,
+               degree_bound, RELATION_CAP)
+        )
     names = tuple(basis.names)
     relations = []
     for image in sorted(img for img, grp in fibers.items() if len(grp) > 1):

@@ -32,9 +32,9 @@ one kept, residue-stepped search) build on those.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import accumulate, islice
 from math import gcd, prod
+from typing import NamedTuple
 
 from .graph import (
     ResolutionGraph,
@@ -60,8 +60,7 @@ __all__ = [
 WITNESS_CAP = 10_000
 
 
-@dataclass(frozen=True)
-class SpliceEdge:
+class SpliceEdge(NamedTuple):
     index: int
     a: str  # endpoint with the lower declaration index
     b: str
@@ -211,8 +210,7 @@ class SpliceDiagram:
         return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class SemigroupWitness:
+class SemigroupWitness(NamedTuple):
     """Per (node, direction) exponent vectors alpha over the leaves in
     that branch with sum alpha(w) * l_vw = d_v. `truncated` lists the
     directions whose enumeration hit the solution cap.
@@ -225,7 +223,7 @@ class SemigroupWitness:
     holds: bool
     solutions: dict  # (node_id, edge_index) -> list of {leaf_id: exp}
     failures: tuple  # (node_id, direction label) pairs with no solution
-    truncated: tuple = field(default_factory=tuple)
+    truncated: tuple = ()
 
     def at(self, diagram, node_id, first_step):
         """Solutions for the direction of `node_id` whose edge starts

@@ -19,7 +19,7 @@ from sforge import cli
 from sforge.cli import main
 from sforge.corpus import random_negative_definite_tree
 from sforge.graph import serialize_graph
-from sforge.invariants import PRODUCT_CAP
+from sforge.invariants import PRODUCT_CAP, RELATION_CAP
 
 from test_golden import _cases as _golden_cases
 
@@ -550,6 +550,33 @@ def test_invariants_product_cap_stops_the_generator_search(capsys, tmp_path):
     assert took < 10, took
 
 
+def test_invariants_relation_cap_exit_3(capsys, tmp_path, monkeypatch):
+    """A 5-vertex tree with |G| = 56 has 573 generators and 165,024
+    products of degree <= 2, under the product cap, but 9,224,016
+    relations: refused by the relation cap, counted before any relation
+    text is built."""
+    def no_text(*args):
+        raise AssertionError("relation text built above the cap")
+
+    monkeypatch.setattr("sforge.invariants._product_text", no_text)
+    path = tmp_path / "relations.graph"
+    path.write_text(
+        "vertex v0 weight=-2\nvertex v1 weight=-1\nvertex v2 weight=-59\n"
+        "vertex v3 weight=-2\nvertex v4 weight=-2\n"
+        "edge v0 v1\nedge v0 v2\nedge v0 v3\nedge v3 v4\n"
+    )
+    for fmt in ("text", "structured"):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "invariants", str(path), "--format", fmt)
+        took = time.perf_counter() - start
+        assert (code, out) == (3, "")
+        assert err == (
+            "sforge: 9224016 relations of 573 invariant generators up to "
+            "degree 2 above the desk-scale relation cap %d\n" % RELATION_CAP
+        )
+        assert took < 5, took
+
+
 def test_invariants_bound_1_no_relations(capsys, graphs_dir):
     doc = run_json(
         capsys,
@@ -592,15 +619,21 @@ def test_every_command_runs_on_corpus_members(capsys, graphs_dir, name):
 
 
 def test_seeded_random_trees_exit_cleanly(capsys, tmp_path):
-    """100 seeded random trees x four commands: every call returns 0, 2
-    or 3; an exception escaping main fails the test."""
+    """100 seeded random trees x five commands: every call returns 0, 2
+    or 3 within 5 s; an exception escaping main fails the test. The
+    slowest are invariants on seeds 40 and 99, with 700,912 and 991,668
+    relations (about 1 s each); seeds 74 and 95 meet the product cap."""
     path = tmp_path / "t.graph"
     for seed in range(100):
         g = random_negative_definite_tree(Random(seed))
         path.write_text(serialize_graph(g))
-        for cmd in ("analyze", "splice", "conditions", "equations"):
+        for cmd in ("analyze", "splice", "conditions", "equations",
+                    "invariants"):
+            start = time.perf_counter()
             code, out, err = run(capsys, cmd, str(path))
+            took = time.perf_counter() - start
             assert code in (0, 2, 3), (seed, cmd, code, err)
+            assert took < 5, (seed, cmd, took)
 
 
 def test_calls_in_one_process_match_separate_processes(

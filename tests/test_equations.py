@@ -1,6 +1,5 @@
 """Splice equation emission, congruence condition, genericity."""
 
-from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 from random import Random
@@ -322,8 +321,8 @@ def test_built_packages_are_equivariant_by_independent_check():
 def test_tampered_e7_equation_fails():
     pkg = build_splice_equations(e7())
     bad = parse_polynomial("x^2 + y^2 + z^4", pkg.variables)
-    node = replace(pkg.nodes[0], equations=(bad,))
-    tampered = replace(pkg, nodes=(node,), equations=(bad,))
+    node = pkg.nodes[0]._replace(equations=(bad,))
+    tampered = pkg._replace(nodes=(node,), equations=(bad,))
     assert not check_equivariance(tampered)
 
 
@@ -340,8 +339,8 @@ def test_verify_package_catches_a_monomial_of_the_wrong_weight(shift):
         (exps[0] + 1,) + exps[1:] if exps in moved else exps: c
         for exps, c in eq.terms.items()
     })
-    tampered = replace(
-        pkg, nodes=(replace(node, equations=(bad,)),), equations=(bad,)
+    tampered = pkg._replace(
+        nodes=(node._replace(equations=(bad,)),), equations=(bad,)
     )
     with pytest.raises(AssertionError, match="node weight"):
         _verify_package(tampered)
@@ -381,8 +380,8 @@ def test_node_equations_match_sums_of_scaled_monomials():
 def test_hand_built_equivariant_equation_passes():
     pkg = build_splice_equations(e7())
     ok = parse_polynomial("x^2 - z^4", pkg.variables)
-    node = replace(pkg.nodes[0], equations=(ok,))
-    assert check_equivariance(replace(pkg, nodes=(node,), equations=(ok,)))
+    node = pkg.nodes[0]._replace(equations=(ok,))
+    assert check_equivariance(pkg._replace(nodes=(node,), equations=(ok,)))
 
 
 def test_equivariance_and_homogeneity_across_corpus(corpus):

@@ -1,7 +1,10 @@
 """Grammar fuzzing of polynomial files: `invariants --verify-identity`
 on any target text exits 0, 2 or 3 and never raises, and the term-map
-parser agrees with the arithmetic one on every text."""
+parser agrees with the arithmetic one on every text. Graph files are
+fuzzed likewise: every command on any graph file exits 0, 2 or 3,
+never raises, and ends within a per-call alarm."""
 
+import signal
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
 
@@ -73,3 +76,108 @@ def test_fuzz_parser_agrees_with_the_arithmetic_parser():
         ), text
 
     run()
+
+
+# -- graph files ------------------------------------------------------------------
+
+COMMANDS = ("analyze", "splice", "conditions", "equations", "invariants")
+CALL_SECONDS = 5
+
+
+@st.composite
+def tree_texts(draw):
+    """A tree of 1-8 vertices with weights -1..-60, now and then a
+    genus, and 0-2 extra edges (which may close a cycle, repeat an edge
+    or be a self-loop)."""
+    n = draw(st.integers(min_value=1, max_value=8))
+    lines = []
+    for i in range(n):
+        line = "vertex v%d weight=%d" % (
+            i, draw(st.integers(min_value=-60, max_value=-1)))
+        genus = draw(st.sampled_from([0] * 6 + [1, 2]))
+        if genus:
+            line += " genus=%d" % genus
+        lines.append(line)
+    ends = st.integers(min_value=0, max_value=n - 1)
+    edges = [(draw(st.integers(min_value=0, max_value=i - 1)), i)
+             for i in range(1, n)]
+    edges += draw(st.lists(st.tuples(ends, ends), max_size=2))
+    lines += ["edge v%d v%d" % e for e in edges]
+    return "\n".join(lines) + "\n"
+
+
+IDS = st.sampled_from(["a", "b", "c", "v0", "a#b"])
+INTEGERS = st.one_of(
+    st.integers(min_value=-70, max_value=3).map(str),
+    st.sampled_from(["", "-", "abc", "1e5", "-2.0", "0x10", "-1_0", "--3"]),
+    st.sampled_from(["-" + "9" * 5000, "9" * 4301, "-1_" + "0" * 4300,
+                     "-" + "1" * 40]),
+)
+FIELDS = st.one_of(
+    INTEGERS.map("weight=".__add__),
+    INTEGERS.map("genus=".__add__),
+    st.sampled_from(["weight", "colour=red", "=", "genus=1=2"]),
+)
+LINES = st.one_of(
+    st.tuples(IDS, st.lists(FIELDS, min_size=1, max_size=3)).map(
+        lambda x: " ".join(("vertex", x[0], *x[1]))),
+    st.lists(IDS, max_size=4).map(lambda ids: " ".join(["edge", *ids])),
+    st.sampled_from(["vertex", "node a", "Vertex a weight=-2", "# note",
+                     "", "   ", "\t", "edge"]),
+)
+
+
+@st.composite
+def line_soups(draw):
+    """Malformed graph files: a well-formed tree with 1-3 of its lines
+    replaced by, or joined by, known and unknown directives with
+    missing, duplicate, unknown or junk fields and huge integers; joined
+    by LF or CRLF, and now and then with a byte that is not UTF-8."""
+    lines = draw(tree_texts()).splitlines()
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        at = draw(st.integers(min_value=0, max_value=len(lines)))
+        lines[at:at + draw(st.integers(min_value=0, max_value=1))] = [
+            draw(LINES)
+        ]
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    data = newline.join(lines).encode()
+    if draw(st.sampled_from([False] * 7 + [True])):
+        at = draw(st.integers(min_value=0, max_value=len(data)))
+        data = data[:at] + b"\xff" + data[at:]
+    return data
+
+
+class _Slow(Exception):
+    pass
+
+
+def _alarm(signum, frame):
+    raise _Slow
+
+
+def test_fuzz_graph_files(tmp_path):
+    """Every command, structured, on well-formed trees and on malformed
+    line soups: each call returns 0, 2 or 3, and within CALL_SECONDS."""
+    path = tmp_path / "fuzz.graph"
+
+    @settings(max_examples=300, deadline=None, database=None,
+              derandomize=True)
+    @given(st.one_of(tree_texts().map(str.encode), line_soups()))
+    def run(data):
+        path.write_bytes(data)
+        for command in COMMANDS:
+            signal.setitimer(signal.ITIMER_REAL, CALL_SECONDS)
+            try:
+                with redirect_stdout(StringIO()), redirect_stderr(StringIO()):
+                    code = main([command, str(path), "--format=structured"])
+            except _Slow:
+                code = "over %d s" % CALL_SECONDS
+            finally:
+                signal.setitimer(signal.ITIMER_REAL, 0)
+            assert code in (0, 2, 3), (data, command, code)
+
+    previous = signal.signal(signal.SIGALRM, _alarm)
+    try:
+        run()
+    finally:
+        signal.signal(signal.SIGALRM, previous)

@@ -26,7 +26,12 @@ from sforge.corpus import (
 )
 from sforge.errors import PreconditionError
 from sforge.intmat import solve_sparse
-from sforge.invariants import ORDER_CAP, PRODUCT_CAP, _monomials_up_to
+from sforge.invariants import (
+    ORDER_CAP,
+    PRODUCT_CAP,
+    RELATION_CAP,
+    _monomials_up_to,
+)
 
 from oracles import (
     invariant_generators_by_search,
@@ -276,6 +281,51 @@ def test_generator_search_refuses_at_the_product_cap(monkeypatch):
         invariant_generators(ch, 3, degree_bound=1)
     for bound in (None, 0, -1):
         assert invariant_generators(ch, 3, degree_bound=bound) == full
+
+
+def test_relation_cap_counts_the_relations(corpus, monkeypatch):
+    """Up to degree 2 the pairs of products of one image are exactly the
+    relations: a cap one below their number refuses with that number, a
+    cap at it lets them through. Above degree 2 the pairs bound the
+    relations from above, and the refusal says "at most"."""
+    cap = "sforge.invariants.RELATION_CAP"
+    graphs = list(corpus.values()) + [
+        random_negative_definite_tree(Random(seed)) for seed in range(30)
+    ]
+    checked = 0
+    for g in graphs:
+        try:
+            order = discriminant_group(g).order
+        except PreconditionError:
+            continue
+        ch = leaf_characters(g)
+        if order > 200 or order ** max(len(ch.leaf_ids) - 2, 0) > 36:
+            continue
+        basis = invariant_generators(ch, order)
+        k = len(basis.exponents)
+        for bound in (1, 2):
+            monkeypatch.setattr(cap, RELATION_CAP)
+            n = len(toric_relations(basis, bound))
+            monkeypatch.setattr(cap, n)
+            assert len(toric_relations(basis, bound)) == n
+            if n:
+                monkeypatch.setattr(cap, n - 1)
+                with pytest.raises(ValueError) as info:
+                    toric_relations(basis, bound)
+                assert str(info.value) == (
+                    "%d relations of %d invariant generators up to degree "
+                    "%d above the desk-scale relation cap %d"
+                    % (n, k, bound, n - 1)
+                )
+                checked += 1
+        monkeypatch.setattr(cap, RELATION_CAP)
+        n = len(toric_relations(basis, 3))
+        monkeypatch.setattr(cap, 0)
+        if n:
+            with pytest.raises(ValueError, match="^at most ") as info:
+                toric_relations(basis, 3)
+            assert int(str(info.value).split()[2]) >= n
+    assert checked >= 10, checked
 
 
 def test_bound_one_gives_no_relations():
