@@ -24,12 +24,15 @@ then all negative. A second pass from the root (prefix and suffix folds
 over each vertex's neighbours) gives the determinant of every branch,
 the component of the tree minus v that contains a neighbour u; the
 splice weights are these. Back substitution through the same pass
-solves M x = b exactly. Dense Bareiss serves only graphs with cycles.
+solves M x = b exactly. A graph with cycles goes to sforge.intmat:
+Bareiss for its determinant and definiteness, solve_sparse for its
+canonical cycle.
 """
 
 from __future__ import annotations
 
 import sys
+from collections import Counter
 from fractions import Fraction
 from functools import wraps
 from typing import NamedTuple, Optional
@@ -98,6 +101,30 @@ class Vertex(NamedTuple):
     genus: int = 0
 
 
+def _check_vertex(v, ids):
+    """Add v's id to ids if it is new, with a nonnegative genus and an
+    integer weight <= -1; raise ValueError if not."""
+    if v.id in ids:
+        raise ValueError("duplicate vertex id %r" % v.id)
+    if v.genus < 0:
+        raise ValueError("vertex %r has negative genus" % v.id)
+    if not isinstance(v.weight, int) or isinstance(v.weight, bool):
+        raise ValueError("vertex %r has non-integer weight %r"
+                         % (v.id, v.weight))
+    if v.weight > -1:
+        raise ValueError("vertex %r has weight %d >= 0" % (v.id, v.weight))
+    ids.add(v.id)
+
+
+def _check_edge(a, b, ids):
+    """Raise ValueError unless a--b joins two distinct declared ids."""
+    for end in (a, b):
+        if end not in ids:
+            raise ValueError("edge endpoint %r is not declared" % end)
+    if a == b:
+        raise ValueError("self-loop at %r" % a)
+
+
 class ResolutionGraph:
     """Immutable resolution dual graph.
 
@@ -120,25 +147,9 @@ class ResolutionGraph:
             raise ValueError("graph must have at least one vertex")
         ids = set()
         for v in vs:
-            if v.id in ids:
-                raise ValueError("duplicate vertex id %r" % v.id)
-            if v.genus < 0:
-                raise ValueError("vertex %r has negative genus" % v.id)
-            if not isinstance(v.weight, int) or isinstance(v.weight, bool):
-                raise ValueError(
-                    "vertex %r has non-integer weight %r" % (v.id, v.weight)
-                )
-            if v.weight > -1:
-                raise ValueError(
-                    "vertex %r has weight %d >= 0" % (v.id, v.weight)
-                )
-            ids.add(v.id)
+            _check_vertex(v, ids)
         for a, b in es:
-            for end in (a, b):
-                if end not in ids:
-                    raise ValueError("edge endpoint %r is not declared" % end)
-            if a == b:
-                raise ValueError("self-loop at %r" % a)
+            _check_edge(a, b, ids)
         self._build(vs, es)
 
     @classmethod
@@ -221,6 +232,7 @@ class ResolutionGraph:
             self._adj, [v.weight for v in self.vertices], self._index
         )
 
+    @memoized
     def determinant(self):
         """det of the intersection matrix: the tree pass on a tree,
         dense Bareiss on a graph with cycles."""
@@ -228,6 +240,7 @@ class ResolutionGraph:
             return self.tree_form().determinant
         return determinant(intersection_matrix(self))
 
+    @memoized
     def is_negative_definite(self):
         """Is the intersection form negative definite? The tree pass on
         a tree, dense Bareiss on a graph with cycles."""
@@ -453,8 +466,6 @@ def parse_graph(text: str) -> ResolutionGraph:
             if len(parts) < 3:
                 raise ParseError("vertex needs an id and a weight", lineno)
             vid = parts[1]
-            if vid in ids:
-                raise ParseError("duplicate vertex id %r" % vid, lineno)
             weight = None
             genus = 0
             for field in parts[2:]:
@@ -465,35 +476,28 @@ def parse_graph(text: str) -> ResolutionGraph:
                     weight = _parse_int(value, lineno)
                 elif key == "genus":
                     genus = _parse_int(value, lineno)
-                    if genus < 0:
-                        raise ParseError("genus must be nonnegative", lineno)
                 else:
                     raise ParseError("unknown field %r" % key, lineno)
             if weight is None:
                 raise ParseError("vertex %r has no weight" % vid, lineno)
-            if weight > -1:
-                raise ParseError(
-                    "vertex %r has weight %d >= 0" % (vid, weight), lineno
-                )
-            ids.add(vid)
             vertices.append(Vertex(vid, weight, genus))
+            try:  # the constructor's checks, with the line number
+                _check_vertex(vertices[-1], ids)
+            except ValueError as exc:
+                raise ParseError(str(exc), lineno) from exc
         elif parts[0] == "edge":
             if len(parts) != 3:
                 raise ParseError("edge needs exactly two endpoints", lineno)
-            a, b = parts[1], parts[2]
-            for end in (a, b):
-                if end not in ids:
-                    raise ParseError(
-                        "edge endpoint %r is not declared" % end, lineno
-                    )
-            if a == b:
-                raise ParseError("self-loop at %r" % a, lineno)
-            edges.append((a, b))
+            edges.append((parts[1], parts[2]))
+            try:
+                _check_edge(*edges[-1], ids)
+            except ValueError as exc:
+                raise ParseError(str(exc), lineno) from exc
         else:
             raise ParseError("unknown directive %r" % parts[0], lineno)
     if not vertices:
         raise ParseError("no vertices declared")
-    try:  # every other check is made above, with its line number
+    try:  # connectivity is the one check left
         return ResolutionGraph._from_parts(vertices, edges)
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
@@ -577,7 +581,7 @@ def _adjunction_rhs(g):
 @memoized
 def canonical_cycle(g: ResolutionGraph) -> RationalCycle:
     """Solve the adjunction system for the canonical cycle K, exactly:
-    by the tree pass on a tree, by dense elimination otherwise."""
+    by the tree pass on a tree, by intmat.solve_rational otherwise."""
     _require_negative_definite(g)
     rhs = _adjunction_rhs(g)
     if g.is_tree():
@@ -638,33 +642,16 @@ def classify(g: ResolutionGraph) -> Classification:
     # Z.K = sum z_i (K.E_i); the adjunction right-hand side keeps this exact
     # and integral without touching K itself.
     zk = sum(zi * ri for zi, ri in zip(z.coefficients, _adjunction_rhs(g)))
-    gorenstein = k.is_integral()
     if zsq + zk == -2:
-        mult = -zsq
-        return Classification(
-            kind="rational",
-            zsq=zsq,
-            multiplicity=mult,
-            embedding_dimension=max(3, mult + 1),
-            numerically_gorenstein=gorenstein,
-        )
-    if all(Fraction(zi) == -ki for zi, ki in zip(z.coefficients, k.coefficients)):
-        mzo = -zsq
+        kind, mult = "rational", -zsq
+        embdim = max(3, mult + 1)
+    elif all(zi == -ki for zi, ki in zip(z.coefficients, k.coefficients)):
+        kind, mzo = "minimally_elliptic", -zsq
         mult = mzo if mzo >= 4 else (2 if mzo <= 2 else 3)
-        return Classification(
-            kind="minimally_elliptic",
-            zsq=zsq,
-            multiplicity=mult,
-            embedding_dimension=max(3, mzo),
-            numerically_gorenstein=gorenstein,
-        )
-    return Classification(
-        kind="other",
-        zsq=zsq,
-        multiplicity=None,
-        embedding_dimension=None,
-        numerically_gorenstein=gorenstein,
-    )
+        embdim = max(3, mzo)
+    else:
+        kind, mult, embdim = "other", None, None
+    return Classification(kind, zsq, mult, embdim, k.is_integral())
 
 
 # -- blow-down ------------------------------------------------------------
@@ -684,42 +671,31 @@ def blow_down_minimal(g: ResolutionGraph) -> ResolutionGraph:
     """
     if not g.is_tree():
         raise ValueError("blow-down is implemented for trees only")
-    verts = [
-        {"id": v.id, "weight": v.weight, "genus": v.genus} for v in g.vertices
-    ]
-    edges = [list(e) for e in g.edges]
-
-    def valency(vid):
-        return sum(1 for a, b in edges if vid in (a, b))
-
-    while len(verts) > 1:
-        target = next(
-            (
-                v
-                for v in verts
-                if v["genus"] == 0 and v["weight"] == -1 and valency(v["id"]) <= 2
-            ),
-            None,
-        )
-        if target is None:
+    weights = {v.id: v.weight for v in g.vertices}  # the vertices left
+    edges = list(g.edges)
+    while len(weights) > 1:
+        valency = Counter(end for edge in edges for end in edge)
+        vid = next((v.id for v in g.vertices if v.genus == 0
+                    and weights.get(v.id) == -1 and valency[v.id] <= 2),
+                   None)
+        if vid is None:
             break
-        vid = target["id"]
+        del weights[vid]
         nbrs = [b if a == vid else a for a, b in edges if vid in (a, b)]
-        verts = [v for v in verts if v["id"] != vid]
         edges = [e for e in edges if vid not in e]
-        for v in verts:
-            if v["id"] in nbrs:
-                v["weight"] += 1
+        for u in nbrs:
+            weights[u] += 1
         if len(nbrs) == 2:
-            edges.append(nbrs)
-    if len(verts) > 1 and any(v["weight"] >= 0 for v in verts):
+            edges.append(tuple(nbrs))
+    if len(weights) > 1 and any(w >= 0 for w in weights.values()):
         raise NonMinimalRepresentableError(
             "blow-down left a weight >= 0 vertex; graph has no minimal "
             "representative under (-1)-contractions"
         )
-    if len(verts) == g.n:
+    if len(weights) == g.n:
         return g  # nothing contracted: g keeps its memoized stages
     return ResolutionGraph._from_parts(
-        [Vertex(v["id"], v["weight"], v["genus"]) for v in verts],
-        [tuple(e) for e in edges],
+        [v._replace(weight=weights[v.id]) for v in g.vertices
+         if v.id in weights],
+        edges,
     )

@@ -5,7 +5,7 @@ ints, RatMatrix holds fractions.Fraction in lowest terms. No floating
 point is used anywhere in the package. Matrices are immutable after
 construction and safe to share between threads.
 
-Determinants, definiteness and solves run in integers through one
+Determinants and definiteness run in integers through one
 fraction-free kernel, Bareiss forward elimination (Math. Comp. 22,
 1968): every intermediate entry is a minor of the input, so each
 division is exact and entries grow only as fast as the minors do.
@@ -13,9 +13,6 @@ division is exact and entries grow only as fast as the minors do.
 - determinant: the last pivot of a pass with row pivoting.
 - is_negative_definite: the pivots of a pass without pivoting, which
   are the leading principal minors.
-- adjugate, invert_rational, solve_rational: a pass over [M | RHS] and
-  an exact back substitution give det(M) and R with
-  M @ R = det(M) * RHS; fractions are formed only at the end.
 
 Two routines work on sparse rows:
 
@@ -34,22 +31,23 @@ Two routines work on sparse rows:
     V^-1 and prod(d_i) = |det| != 0: then det U^-1 * det V^-1 = +-1,
     so both are unimodular and U @ m @ V = D, without U or V ever
     being built (they fill in on long (-2)-chains).
-- solve_sparse: the sparse, often underdetermined, rational systems
-  of bounded ideal membership (sforge.invariants), from integer dict
-  rows. Fraction-free elimination of the columns in order, each
-  updated row divided by its content, then back substitution over the
-  pivot unknowns. It returns the solution that reduced row echelon
-  form gives, with the free unknowns zero; its caller verifies it.
-
-Every other result is verified by an exact integer multiplication
-before it is returned.
+- solve_sparse: every exact solve, from integer dict rows: the often
+  underdetermined systems of bounded ideal membership
+  (sforge.invariants), and the nonsingular square ones of
+  solve_rational and adjugate, once determinant has found det != 0.
+  Fraction-free elimination of the columns in order, each updated row
+  divided by its content, then back substitution over the pivot
+  unknowns give the solution of the reduced row echelon form, free
+  unknowns zero. Each caller verifies it: m @ x = b, m @ adj = det * I.
 
 Resolution graphs that are trees do not come here for anything but
 their Smith normal form: sforge.graph's TreeForm gives their
 determinant, definiteness, branch determinants and solves in one
-leaf-first pass. Dense elimination serves only graphs with cycles (in
-`analyze`) and the generic-coefficient minors of sforge.equations;
-sforge.discgroup uses the tree pass and the sparse Smith normal form.
+leaf-first pass. Bareiss serves only the determinant and definiteness
+of graphs with cycles (in `analyze`), whose canonical cycle
+solve_sparse solves, and the generic-coefficient minors of
+sforge.equations; sforge.discgroup uses the tree pass and the sparse
+Smith normal form.
 """
 
 from __future__ import annotations
@@ -76,15 +74,21 @@ __all__ = [
 
 
 class _Matrix:
+    """Dense rows, each entry checked by the subclass's _cast."""
+
     __slots__ = ("entries",)
 
-    def __init__(self, entries, cast):
-        rows = tuple(tuple(map(cast, row)) for row in entries)
+    def __init__(self, entries):
+        rows = tuple(tuple(map(self._cast, row)) for row in entries)
         if not rows or not rows[0]:
             raise ValueError("matrix must have at least one row and column")
         if any(len(r) != len(rows[0]) for r in rows):
             raise ValueError("ragged rows")
         self.entries = rows
+
+    @classmethod
+    def identity(cls, n):
+        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
     @property
     def rows(self):
@@ -122,9 +126,6 @@ class _Matrix:
 class IntMatrix(_Matrix):
     """Immutable dense matrix of arbitrary-precision integers."""
 
-    def __init__(self, entries):
-        super().__init__(entries, self._cast)
-
     @staticmethod
     def _cast(x):
         if type(x) is int:
@@ -136,10 +137,6 @@ class IntMatrix(_Matrix):
         if not isinstance(x, int) or isinstance(x, bool):
             raise ValueError("non-integer entry %r" % (x,))
         return x
-
-    @classmethod
-    def identity(cls, n):
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
     @classmethod
     def _from_sparse_rows(cls, rows, ncols):
@@ -188,9 +185,6 @@ class IntMatrix(_Matrix):
 class RatMatrix(_Matrix):
     """Immutable dense matrix of exact rationals (lowest terms)."""
 
-    def __init__(self, entries):
-        super().__init__(entries, self._cast)
-
     @staticmethod
     def _cast(x):
         if type(x) is Fraction:
@@ -198,10 +192,6 @@ class RatMatrix(_Matrix):
         if isinstance(x, float):
             raise ValueError("floating point entry %r rejected" % x)
         return Fraction(x)
-
-    @classmethod
-    def identity(cls, n):
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
     def __matmul__(self, other):
         if isinstance(other, (RatMatrix, IntMatrix)):
@@ -353,6 +343,9 @@ def solve_sparse(rows, ncols):
     reduced row echelon form of [A | b] reads off. The system is
     inconsistent iff a row left over keeps an entry of b. Only the back
     substitution over the pivot unknowns uses Fractions.
+
+    Every exact solve in sforge, square or underdetermined, comes here:
+    solve_rational and adjugate solve through it too.
     """
     work = {i: dict(row) for i, row in enumerate(rows) if row}
     index = {}  # column -> rows, not yet pivot rows, with an entry there
@@ -663,30 +656,19 @@ def _check_snf(m, result, det=None):
     _verify_snf(*rows, det=det)
 
 
-def _solve_scaled(m, rhs):
-    """(det(m), y) with m @ y = det(m) * rhs, all in integers.
-
-    rhs is a sequence of integer rows, one per row of m. Bareiss
-    elimination of [m | rhs] followed by back substitution: y = adj(m) @
-    rhs is integral, so each back-substitution division is exact.
-    Raises SingularMatrixError when det(m) = 0.
-    """
-    n = m.rows
-    steps = list(
-        _bareiss([row + tuple(b) for row, b in zip(m.entries, rhs)], True)
-    )
-    det = steps[-1][0]
-    if det == 0:  # a zero pivot ends the pass
+def _adjugate_times(m, columns):
+    """(det(m), [adj(m) @ b for each integer column b]): det(m) * x for
+    the x that solve_sparse gives for m @ x = b. Unverified."""
+    det = determinant(m)
+    if det == 0:
         raise SingularMatrixError("matrix is singular")
-    y = []  # rows k+1.. of the solution, nearest first
-    for k in range(n - 1, -1, -1):
-        step = steps[k]
-        acc = [det * c for c in step[n - k:]]
-        for u, yj in zip(step[1:n - k], y):
-            if u:
-                acc = [s - u * t for s, t in zip(acc, yj)]
-        y.insert(0, [s // step[0] for s in acc])
-    return det, y
+    rows, n = _sparse_rows(m), m.rows
+    out = []
+    for b in columns:
+        x = solve_sparse([{**row, n: c} if c else row
+                          for row, c in zip(rows, b)], n)
+        out.append([det * c.numerator // c.denominator for c in x])
+    return det, out
 
 
 def adjugate(m: IntMatrix) -> tuple:
@@ -694,13 +676,11 @@ def adjugate(m: IntMatrix) -> tuple:
     m @ adj(m) = det(m) * I, verified by that product."""
     if not m.is_square:
         raise ValueError("adjugate requires a square matrix")
-    n = m.rows
-    identity = IntMatrix.identity(n)
-    det, adj = _solve_scaled(m, identity.entries)
-    adj = IntMatrix(adj)
-    if (m @ adj).entries != tuple(
-        tuple(det * x for x in row) for row in identity.entries
-    ):
+    identity = IntMatrix.identity(m.rows)
+    det, columns = _adjugate_times(m, identity.entries)
+    adj = IntMatrix(zip(*columns))
+    if (m @ adj).entries != tuple(tuple(det * x for x in row)
+                                  for row in identity.entries):
         raise AssertionError("inverse verification failed")
     return det, adj
 
@@ -742,8 +722,7 @@ def solve_rational(m: IntMatrix, b) -> tuple:
     b = [Fraction(c) for c in b]
     scale = lcm(*(c.denominator for c in b))
     rhs = [c.numerator * (scale // c.denominator) for c in b]
-    det, y = _solve_scaled(m, [(c,) for c in rhs])
-    y = [row[0] for row in y]
+    det, (y,) = _adjugate_times(m, [rhs])
     if m.mul_vector(y) != tuple(det * c for c in rhs):
         raise AssertionError("solve verification failed")
     return tuple(Fraction(c, det * scale) for c in y)

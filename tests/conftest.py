@@ -35,6 +35,8 @@ MEMOIZED = {
     f.__name__: f
     for f in (
         ResolutionGraph.tree_form,
+        ResolutionGraph.determinant,
+        ResolutionGraph.is_negative_definite,
         TreeForm._branches_up,
         intersection_matrix,
         fundamental_cycle,

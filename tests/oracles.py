@@ -31,6 +31,10 @@ The random-tree generator that builds and validates a ResolutionGraph
 for every weighting it tries is the library's former implementation,
 kept verbatim: the generator that tries weight lists on one adjacency
 must draw the same trees with the same calls on its Random.
+The (-1)-blow-down that rescans every edge for the valency of every
+candidate is the library's former implementation, kept verbatim: the
+one that counts valencies once per contraction must return the same
+graph, or raise the same error.
 The rational-tree generator draws inputs whose answer is known without
 sforge: every weight at most -max(2, valency) makes a rational, minimal
 tree, so by Okuma's theorem its splice equations exist.
@@ -46,6 +50,7 @@ import numpy as np
 
 from sforge import (
     IntMatrix,
+    NonMinimalRepresentableError,
     Polynomial,
     RatMatrix,
     ResolutionGraph,
@@ -713,4 +718,59 @@ def random_rational_tree(rng: Random, min_vertices, max_vertices):
         [Vertex(i, -max(2, valency[i]) - rng.choice([0, 0, 1]))
          for i in ids],
         edges,
+    )
+
+
+def blow_down_minimal_by_rescans(g: ResolutionGraph) -> ResolutionGraph:
+    """Contract genus-0 (-1)-vertices of valency <= 2 until none remain.
+
+    Plumbing rules: valency 0 -> delete; valency 1 -> delete and add +1
+    to the neighbor; valency 2 -> delete, join the neighbors, add +1 to
+    each. Each step preserves |det| of the intersection matrix and
+    negative definiteness. A lone final vertex is never deleted. If a
+    weight >= 0 vertex survives in a multi-vertex end state (possible
+    only for inputs that were not negative definite), the graph has no
+    minimal representative under these moves alone. When nothing
+    contracts, the result is g itself.
+    """
+    if not g.is_tree():
+        raise ValueError("blow-down is implemented for trees only")
+    verts = [
+        {"id": v.id, "weight": v.weight, "genus": v.genus} for v in g.vertices
+    ]
+    edges = [list(e) for e in g.edges]
+
+    def valency(vid):
+        return sum(1 for a, b in edges if vid in (a, b))
+
+    while len(verts) > 1:
+        target = next(
+            (
+                v
+                for v in verts
+                if v["genus"] == 0 and v["weight"] == -1 and valency(v["id"]) <= 2
+            ),
+            None,
+        )
+        if target is None:
+            break
+        vid = target["id"]
+        nbrs = [b if a == vid else a for a, b in edges if vid in (a, b)]
+        verts = [v for v in verts if v["id"] != vid]
+        edges = [e for e in edges if vid not in e]
+        for v in verts:
+            if v["id"] in nbrs:
+                v["weight"] += 1
+        if len(nbrs) == 2:
+            edges.append(nbrs)
+    if len(verts) > 1 and any(v["weight"] >= 0 for v in verts):
+        raise NonMinimalRepresentableError(
+            "blow-down left a weight >= 0 vertex; graph has no minimal "
+            "representative under (-1)-contractions"
+        )
+    if len(verts) == g.n:
+        return g  # nothing contracted: g keeps its memoized stages
+    return ResolutionGraph._from_parts(
+        [Vertex(v["id"], v["weight"], v["genus"]) for v in verts],
+        [tuple(e) for e in edges],
     )

@@ -91,6 +91,53 @@ def test_analyze_graph_file_not_utf8_exit_2(capsys, tmp_path):
     assert "utf-8" in err and out == ""
 
 
+CUSP_CYCLE = ("vertex a weight=-3\nvertex b weight=-3\nvertex c weight=-3\n"
+              "edge a b\nedge b c\nedge c a\n")
+
+
+def test_analyze_cusp_cycle(capsys, tmp_path):
+    """The (-3, -3, -3) cusp cycle, minimally elliptic (Laufer, Amer. J.
+    Math. 99, 1977): no graph file has a cycle, so this pins what
+    analyze reports through the dense path."""
+    path = tmp_path / "cusp.graph"
+    path.write_text(CUSP_CYCLE)
+    res = run_json(capsys, "analyze", str(path))["result"]
+    assert res["negative_definite"] is True
+    assert res["abs_det"] == 16
+    assert res["fundamental_cycle"] == {"a": 1, "b": 1, "c": 1}
+    assert res["canonical_cycle"] == {"a": "-1/1", "b": "-1/1", "c": "-1/1"}
+    assert res["numerically_gorenstein"] is True
+    assert res["classification"] == {
+        "kind": "minimally_elliptic", "zsq": -3, "multiplicity": 3,
+        "embedding_dimension": 3, "numerically_gorenstein": True}
+    assert res["discriminant"] is None
+    assert res["discriminant_note"] == (
+        "discriminant data needs a QHS tree (genus-0 tree)")
+    assert res["blown_down"] is None
+
+
+def test_analyze_tests_definiteness_of_a_cycle_once(capsys, tmp_path,
+                                                    monkeypatch):
+    """The report, the fundamental cycle and the canonical cycle all
+    read the graph's one verdict: the dense test runs once."""
+    import sforge.graph
+
+    real = sforge.graph.is_negative_definite
+    calls = []
+
+    def counting(m):
+        calls.append(m)
+        return real(m)
+
+    monkeypatch.setattr(sforge.graph, "is_negative_definite", counting)
+    path = tmp_path / "cusp.graph"
+    path.write_text(CUSP_CYCLE)
+    code, out, err = run(capsys, "analyze", str(path))
+    assert (code, err) == (0, "")
+    assert "minimally_elliptic" in out
+    assert len(calls) == 1
+
+
 def test_analyze_indefinite_exit_3(capsys, graphs_dir):
     code, out, err = run(
         capsys, "analyze", graph_path(graphs_dir, "indefinite-star")

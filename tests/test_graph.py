@@ -33,7 +33,12 @@ from sforge.corpus import (
     star,
 )
 
-from oracles import fundamental_cycle_bruteforce
+from oracles import (
+    blow_down_minimal_by_rescans,
+    det_cofactor,
+    fundamental_cycle_bruteforce,
+    solve_rational_fraction_gauss,
+)
 
 
 # -- parsing ------------------------------------------------------------------
@@ -74,6 +79,45 @@ def test_parse_errors_carry_line_numbers():
             parse_graph(text)
         assert err.value.line == line
         assert needle in str(err.value)
+
+
+_A, _B = Vertex("a", -2), Vertex("b", -3)
+
+# (vertices, edges, message, line of the file text), line None for an
+# input no graph file can hold
+BAD_INPUTS = [
+    ([_A, Vertex("a", -3)], [], "duplicate vertex id 'a'", 2),
+    ([_A, Vertex("b", -3, -1)], [("a", "b")],
+     "vertex 'b' has negative genus", 2),
+    ([_A, Vertex("b", 0)], [("a", "b")], "vertex 'b' has weight 0 >= 0", 2),
+    ([_A, _B], [("a", "b"), ("b", "z")], "edge endpoint 'z' is not declared",
+     4),
+    ([_A, _B], [("a", "b"), ("b", "b")], "self-loop at 'b'", 4),
+    ([_A, Vertex("b", -2.5)], [("a", "b")],
+     "vertex 'b' has non-integer weight -2.5", None),
+]
+
+
+@pytest.mark.parametrize(
+    "vertices, edges, message, line", BAD_INPUTS,
+    ids=["duplicate-id", "negative-genus", "weight-0", "undeclared-endpoint",
+         "self-loop", "non-integer-weight"])
+def test_both_entry_points_refuse_bad_input_alike(vertices, edges, message,
+                                                  line):
+    """The constructor raises ValueError, and parse_graph, on the same
+    graph written as text, ParseError with the same message and the
+    line of the offending declaration."""
+    with pytest.raises(ValueError) as err:
+        ResolutionGraph(vertices, edges)
+    assert str(err.value) == message
+    if line is None:
+        return
+    text = "".join("vertex %s weight=%d genus=%d\n" % v for v in vertices)
+    text += "".join("edge %s %s\n" % e for e in edges)
+    with pytest.raises(ParseError) as err:
+        parse_graph(text)
+    assert err.value.line == line
+    assert str(err.value) == "line %d: %s" % (line, message)
 
 
 @pytest.mark.parametrize("sign", ["", "-", "+"])
@@ -287,6 +331,36 @@ def test_classify_zsq_is_the_dense_pairing(corpus):
         assert classify(g).zsq == zsq
 
 
+def test_graphs_with_cycles_match_the_oracles():
+    """Seeded trees plus one or two extra edges (a parallel edge now
+    and then). Each extra edge a--b lowers the weights of a and b by 1:
+    that adds -(x_a - x_b)^2 to the form, so it stays negative
+    definite. The determinant (Bareiss) agrees with cofactor expansion,
+    and the canonical cycle (solve_sparse) with Fraction Gauss-Jordan."""
+    rng = Random(61)
+    kinds = set()
+    for _ in range(300):
+        tree = random_negative_definite_tree(rng, max_vertices=10)
+        while tree.n < 2:
+            tree = random_negative_definite_tree(rng, max_vertices=10)
+        weights = {v.id: v.weight for v in tree.vertices}
+        extra = [tuple(rng.sample(tree.vertex_ids, 2))
+                 for _ in range(rng.randint(1, 2))]
+        for a, b in extra:
+            weights[a] -= 1
+            weights[b] -= 1
+        g = ResolutionGraph([Vertex(v, weights[v]) for v in weights],
+                            tree.edges + tuple(extra))
+        m = intersection_matrix(g)
+        assert not g.is_tree() and g.is_negative_definite()
+        assert g.determinant() == det_cofactor(m.to_lists())
+        rhs = [-2 - v.weight for v in g.vertices]
+        assert (canonical_cycle(g).coefficients
+                == solve_rational_fraction_gauss(m, rhs))
+        kinds.add(classify(g).kind)
+    assert kinds == {"minimally_elliptic", "other"}, kinds
+
+
 def test_shipped_corpus_files_match_builders(corpus, graphs_dir):
     for name, g in corpus.items():
         text = (graphs_dir / (name + ".graph")).read_text()
@@ -375,3 +449,47 @@ def test_blow_down_requires_tree():
     )
     with pytest.raises(ValueError):
         blow_down_minimal(g)
+
+
+def _blow_down_outcome(blow_down, g):
+    try:
+        return blow_down(g)
+    except NonMinimalRepresentableError:
+        return None
+
+
+def test_blow_down_matches_the_rescanning_reference():
+    """2,000 seeded trees: the even draws from the random negative
+    definite trees (max_vertices 12 and 30 in turn), whose weights are
+    raised toward -1, so that most contract; the odd ones random trees
+    of 1-20 vertices with weights -1..-3 and now and then genus 1, so
+    that many get stuck at a weight >= 0. The blow-down returns the
+    reference's graph (vertex order, weights, edge order with joined
+    edges last), g itself when nothing contracts, or raises where it
+    raises."""
+    rng = Random(2024)
+    contracted = [0, 0]
+    stuck = joined = 0
+    for i in range(2000):
+        if i % 2 == 0:
+            g = random_negative_definite_tree(
+                rng, max_vertices=(12, 30)[i // 2 % 2])
+        else:
+            ids = ["v%d" % k for k in range(rng.randint(1, 20))]
+            g = ResolutionGraph(
+                [Vertex(v, rng.randint(-3, -1), int(rng.random() < 0.05))
+                 for v in ids],
+                [(ids[rng.randrange(k)], ids[k]) for k in range(1, len(ids))],
+            )
+        expected = _blow_down_outcome(blow_down_minimal_by_rescans, g)
+        h = _blow_down_outcome(blow_down_minimal, g)
+        if expected is None:
+            assert h is None
+            stuck += 1
+            continue
+        assert (h.vertices, h.edges) == (expected.vertices, expected.edges)
+        assert (h is g) == (expected is g)
+        contracted[i % 2] += h is not g
+        joined += not set(h.edges) <= set(g.edges)
+    assert contracted[0] >= 900 and contracted[1] >= 150, contracted
+    assert stuck >= 400 and joined >= 300, (stuck, joined)
