@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import io
 import json
 import os
 import sys
@@ -69,6 +68,10 @@ def _graph_doc(g):
     }
 
 
+def _group_doc(order, factors):
+    return {"order": order, "invariant_factors": list(factors)}
+
+
 def _group_line(group):
     """The text line of an {"order", "invariant_factors"} document."""
     desc = " x ".join("Z/%d" % f for f in group["invariant_factors"])
@@ -77,14 +80,13 @@ def _group_line(group):
 
 
 def _read(path):
-    """The bytes of the file at path, read once, and their UTF-8 text
-    with universal newlines (as text-mode open gives it). A file that
-    cannot be read, or is not UTF-8, is malformed input: ParseError."""
+    """The bytes of the file at path, read once, and their UTF-8 text;
+    both parsers take LF, CRLF and a lone CR alike as line ends. A file
+    that cannot be read, or is not UTF-8, is malformed input: ParseError."""
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
-        text = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8")
-        return raw, text.read()
+        return raw, raw.decode("utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError("cannot read %s: %s" % (path, exc)) from None
 
@@ -110,12 +112,8 @@ def _analyze(g, args):
         "matrix": m.to_lists(),
         "negative_definite": g.is_negative_definite(),
     }
-    if not data["negative_definite"]:
-        raise PreconditionError(
-            "intersection matrix is not negative definite"
-        )
     det = g.determinant()
-    z = fundamental_cycle(g)
+    z = fundamental_cycle(g)  # refuses a form that is not negative definite
     k = canonical_cycle(g)
     data["abs_det"] = abs(det)
     data["fundamental_cycle"] = dict(zip(z.vertex_ids, z.coefficients))
@@ -124,27 +122,16 @@ def _analyze(g, args):
     )
     data["numerically_gorenstein"] = k.is_integral()
     data["classification"] = classify(g)._asdict()
-    blown = None
-    if g.is_tree():
-        try:
-            h = blow_down_minimal(g)
-            if h.is_negative_definite():
-                classification = classify(h)._asdict()
-            else:
-                classification = None
-            blown = {
-                "changed": h is not g,
-                "graph": _graph_doc(h),
-                "classification": classification,
-            }
-        except PreconditionError:
-            blown = None
-    data["blown_down"] = blown
-    if g.is_qhs_tree():
-        data["discriminant"] = {
-            "order": abs(det),
-            "invariant_factors": list(invariant_factors(g)),
+    data["blown_down"] = None
+    if g.is_tree():  # contracting keeps the form negative definite
+        h = blow_down_minimal(g)
+        data["blown_down"] = {
+            "changed": h is not g,
+            "graph": _graph_doc(h),
+            "classification": classify(h)._asdict(),
         }
+    if g.is_qhs_tree():
+        data["discriminant"] = _group_doc(abs(det), invariant_factors(g))
         data["discriminant_note"] = None
     else:
         data["discriminant"] = None
@@ -181,10 +168,10 @@ def _render_analyze(data):
     out.append(line + ")")
     blown = data["blown_down"]
     if blown and blown["changed"]:
-        bc = blown["classification"]
         out.append(
             "after blow-down: %d vertices, classification %s"
-            % (len(blown["graph"]["vertices"]), bc["kind"] if bc else "n/a")
+            % (len(blown["graph"]["vertices"]),
+               blown["classification"]["kind"])
         )
     if data["discriminant"] is not None:
         out.append(_group_line(data["discriminant"]))
@@ -194,6 +181,15 @@ def _render_analyze(data):
 
 
 # -- splice -----------------------------------------------------------------
+
+
+def _by_direction(d, value):
+    """{node: {direction label: value(node, edge)}} over the diagram's
+    nodes and the edges at each, in their order."""
+    return {
+        v: {d.direction_label(v, e): value(v, e) for e in d.incident_edges(v)}
+        for v in d.nodes
+    }
 
 
 def _splice(g, args):
@@ -211,13 +207,7 @@ def _splice(g, args):
             }
             for e in d.edges
         ],
-        "weights": {
-            v: {
-                d.direction_label(v, e): d.weight(v, e)
-                for e in d.incident_edges(v)
-            }
-            for v in d.nodes
-        },
+        "weights": _by_direction(d, d.weight),
         "node_weights": {v: node_weight(d, v) for v in d.nodes},
         "linking_numbers": {v: linking_numbers(d, v) for v in d.nodes},
         "edge_determinants": [
@@ -233,6 +223,12 @@ def _splice(g, args):
     return data
 
 
+def _weights_line(weights, names):
+    """The text line of a node's variable weights, in the order of names."""
+    pairs = ", ".join("%s:%d" % (w, weights[w]) for w in names)
+    return "  variable weights: " + pairs
+
+
 def _render_splice(data):
     out = []
     if data["no_nodes"]:
@@ -244,11 +240,7 @@ def _render_splice(data):
         )
     for v in data["nodes"]:
         out.append("node weight %s: %d" % (v, data["node_weights"][v]))
-        links = data["linking_numbers"][v]
-        out.append(
-            "  variable weights: "
-            + ", ".join("%s:%d" % (w, links[w]) for w in data["leaves"])
-        )
+        out.append(_weights_line(data["linking_numbers"][v], data["leaves"]))
     out.append("integral homology sphere: %s" % data["zhs"])
     return "\n".join(out)
 
@@ -257,9 +249,8 @@ def _render_splice(data):
 
 
 def _monomial_str(exps):
-    return "*".join(
-        "%s^%d" % (w, e) if e > 1 else w for w, e in sorted(exps.items())
-    )
+    names = sorted(exps)
+    return monomial_text(names, [exps[w] for w in names])
 
 
 def _conditions(g, args):
@@ -274,13 +265,9 @@ def _conditions(g, args):
     wit = semigroup_condition(d)
     sem = {
         "holds": wit.holds,
-        "witnesses": {
-            v: {
-                d.direction_label(v, e): wit.solutions[(v, e.index)]
-                for e in d.incident_edges(v)
-            }
-            for v in d.nodes
-        },
+        "witnesses": _by_direction(
+            d, lambda v, e: wit.solutions[(v, e.index)]
+        ),
         "failures": [list(f) for f in wit.failures],
         "truncated": [list(t) for t in wit.truncated],
     }
@@ -360,10 +347,7 @@ def _equations(g, args):
         # pkg.equations is the node equations in node order
         "equations": [eq for ns in nodes for eq in ns["equations"]],
         "nodes": nodes,
-        "group": {
-            "order": chars.order,
-            "invariant_factors": list(chars.generator_orders),
-        },
+        "group": _group_doc(chars.order, chars.generator_orders),
         "characters": {
             w: _fracs([row[i] for row in chars.phases])
             for i, w in enumerate(chars.leaf_ids)
@@ -389,13 +373,7 @@ def _render_equations(data):
             "node %s (weight %d, character (%s)):"
             % (ns["node"], ns["weight"], ", ".join(ns["character"]))
         )
-        out.append(
-            "  variable weights: "
-            + ", ".join(
-                "%s:%d" % (w, ns["variable_weights"][w])
-                for w in data["variables"]
-            )
-        )
+        out.append(_weights_line(ns["variable_weights"], data["variables"]))
         for eq in ns["equations"]:
             out.append("  %s = 0" % eq)
     out.append(_group_line(data["group"]))
@@ -426,10 +404,7 @@ def _invariants(g, args):
     basis = invariant_generators(chars, order, degree_bound=degree_bound)
     relations = toric_relations(basis, degree_bound)
     data = {
-        "group": {
-            "order": order,
-            "invariant_factors": list(chars.generator_orders),
-        },
+        "group": _group_doc(order, chars.generator_orders),
         "degree_bound": degree_bound,
         "generators": [
             {

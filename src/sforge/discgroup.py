@@ -128,15 +128,20 @@ class CharacterAssignment:
             *(x.denominator for row in self.phases for x in row),
         )
 
+    def residues(self, character):
+        """The ints e * phase of a character given by its phases, one
+        per generator. ValueError for a phase that is no multiple of
+        1/e: that is no character of the group."""
+        e = self.modulus
+        if any(e % x.denominator for x in character):
+            raise ValueError("a phase is not a multiple of 1/%d" % e)
+        return tuple(x.numerator * (e // x.denominator) for x in character)
+
     @cached_property
     def leaf_residues(self):
         """Per leaf, the tuple of e * phase over the generators."""
-        e = self.modulus
-        return tuple(
-            tuple(row[i].numerator * (e // row[i].denominator)
-                  for row in self.phases)
-            for i in range(len(self.leaf_ids))
-        )
+        return tuple(self.residues([row[i] for row in self.phases])
+                     for i in range(len(self.leaf_ids)))
 
     @cached_property
     def _packed_residues(self):

@@ -92,8 +92,10 @@ def admissible_monomials(
     if character is not None:
         if chars is None:
             raise ValueError("character filtering needs a CharacterAssignment")
-        # e * phase: the residue a monomial of this character has
-        target = tuple(x * chars.modulus for x in character)
+        try:
+            target = chars.residues(character)
+        except ValueError:  # no monomial has a phase off the 1/e grid
+            return []
         return [a for a in sols if chars.monomial_residue(a) == target]
     return list(sols)
 
@@ -133,16 +135,13 @@ def congruence_condition(g: ResolutionGraph) -> CongruenceResult:
         )
     group = discriminant_group(g)
     chars = leaf_characters(g)
-    modulus = chars.modulus
     node_characters = {}
     node_monomials = {}
     failures = []
     for v in diagram.nodes:
         p = g.index_of(v)
         character = tuple(gen[p] % 1 for gen in group.generators)
-        target = tuple(
-            x.numerator * (modulus // x.denominator) for x in character
-        )
+        target = chars.residues(character)
         chosen = {}
         for e in diagram.incident_edges(v):
             for a in witnesses(diagram, v, e):
@@ -204,16 +203,13 @@ def build_splice_equations(g: ResolutionGraph) -> EquationsPackage:
     equations = []
     rows_by_valency = {}  # each valency's rows are built and verified once
     for v in diagram.nodes:
-        edges = diagram.incident_edges(v)
-        delta = len(edges)
+        chosen = cong.node_monomials[v]  # by direction label, in edge order
+        delta = len(chosen)
         if delta not in rows_by_valency:
             rows_by_valency[delta] = generic_coefficients(delta)
         coeffs = rows_by_valency[delta]
         links = diagram.walk(v)[0]
-        monomials = tuple(
-            cong.node_monomials[v][diagram.direction_label(v, e)]
-            for e in edges
-        )
+        monomials = tuple(chosen.values())
         # The monomials of the delta directions are in the leaves beyond
         # distinct edges, so they are distinct, and each coefficient
         # (pos + 1)^i is a nonzero int: the sums are term maps as they are.
@@ -229,7 +225,7 @@ def build_splice_equations(g: ResolutionGraph) -> EquationsPackage:
             node_id=v,
             weight=links[v],
             variable_weights={w: links[w] for w in variables},
-            directions=tuple(diagram.direction_label(v, e) for e in edges),
+            directions=tuple(chosen),
             monomials=monomials,
             coefficients=coeffs,
             character=cong.node_characters[v],

@@ -48,7 +48,7 @@ from .intmat import (
     IntMatrix,
     determinant,
     is_negative_definite,
-    solve_rational,
+    solve_sparse,
 )
 
 __all__ = [
@@ -550,11 +550,12 @@ def intersection_matrix(g: ResolutionGraph) -> IntMatrix:
     return IntMatrix._from_sparse_rows(rows, g.n)
 
 
+_NOT_NEGATIVE_DEFINITE = "intersection matrix is not negative definite"
+
+
 def _require_negative_definite(g):
     if not g.is_negative_definite():
-        raise NotNegativeDefiniteError(
-            "intersection matrix is not negative definite"
-        )
+        raise NotNegativeDefiniteError(_NOT_NEGATIVE_DEFINITE)
 
 
 def require_qhs_tree(g: ResolutionGraph) -> TreeForm:
@@ -567,9 +568,7 @@ def require_qhs_tree(g: ResolutionGraph) -> TreeForm:
         )
     form = g.tree_form()
     if not form.negative_definite:
-        raise NotQhsTreeError(
-            "not a QHS tree: intersection matrix is not negative definite"
-        )
+        raise NotQhsTreeError("not a QHS tree: " + _NOT_NEGATIVE_DEFINITE)
     return form
 
 
@@ -580,8 +579,9 @@ def _adjunction_rhs(g):
 
 @memoized
 def canonical_cycle(g: ResolutionGraph) -> RationalCycle:
-    """Solve the adjunction system for the canonical cycle K, exactly:
-    by the tree pass on a tree, by intmat.solve_rational otherwise."""
+    """Solve the adjunction system M K = rhs for the canonical cycle K,
+    exactly: by the tree pass on a tree, by intmat.solve_sparse on [M |
+    rhs] otherwise (M is negative definite, so nonsingular), checked."""
     _require_negative_definite(g)
     rhs = _adjunction_rhs(g)
     if g.is_tree():
@@ -589,7 +589,11 @@ def canonical_cycle(g: ResolutionGraph) -> RationalCycle:
         (y,) = form.solve([rhs])
         k = tuple(Fraction(c, form.determinant) for c in y)
     else:
-        k = solve_rational(intersection_matrix(g), rhs)
+        m = intersection_matrix(g)
+        k = solve_sparse([{j: x for j, x in enumerate(row + (c,)) if x}
+                          for row, c in zip(m.entries, rhs)], g.n)
+        if m.mul_vector(k) != tuple(rhs):
+            raise AssertionError("canonical cycle verification failed")
     return RationalCycle(g.vertex_ids, tuple(k))
 
 

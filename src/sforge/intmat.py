@@ -33,12 +33,15 @@ Two routines work on sparse rows:
     being built (they fill in on long (-2)-chains).
 - solve_sparse: every exact solve, from integer dict rows: the often
   underdetermined systems of bounded ideal membership
-  (sforge.invariants), and the nonsingular square ones of
-  solve_rational and adjugate, once determinant has found det != 0.
+  (sforge.invariants), the adjunction system of the canonical cycle of
+  a graph with cycles (sforge.graph, nonsingular as negative
+  definite), and the nonsingular square ones of solve_rational and
+  adjugate, once determinant has found det != 0.
   Fraction-free elimination of the columns in order, each updated row
   divided by its content, then back substitution over the pivot
   unknowns give the solution of the reduced row echelon form, free
-  unknowns zero. Each caller verifies it: m @ x = b, m @ adj = det * I.
+  unknowns zero. Each caller verifies it: m @ x = b, m @ adj = det * I,
+  M K = rhs.
 
 Resolution graphs that are trees do not come here for anything but
 their Smith normal form: sforge.graph's TreeForm gives their
@@ -345,7 +348,8 @@ def solve_sparse(rows, ncols):
     substitution over the pivot unknowns uses Fractions.
 
     Every exact solve in sforge, square or underdetermined, comes here:
-    solve_rational and adjugate solve through it too.
+    the canonical cycle of a graph with cycles, solve_rational and
+    adjugate solve through it too.
     """
     work = {i: dict(row) for i, row in enumerate(rows) if row}
     index = {}  # column -> rows, not yet pivot rows, with an entry there

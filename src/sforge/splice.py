@@ -245,7 +245,6 @@ def to_splice_diagram(g: ResolutionGraph) -> SpliceDiagram:
     nodes = tuple(v for v in dverts if g.valency(v) >= 3)
 
     edges = []
-    at = {vid: [] for vid in dverts}  # edges by endpoint, in edge order
     for vid in dverts:
         for u in g.neighbors(vid):
             path = [vid, u]
@@ -259,14 +258,11 @@ def to_splice_diagram(g: ResolutionGraph) -> SpliceDiagram:
                 continue  # recorded from the other end
             e = SpliceEdge(index=len(edges), a=a, b=b, path=tuple(path))
             edges.append(e)
-            at[a].append(e)
-            at[b].append(e)
 
-    weights = {}
-    for vid in nodes:
-        for e in at[vid]:
-            branch = form.branch_determinant(vid, e.first_step(vid))
-            weights[(vid, e.index)] = abs(branch)
+    weights = {
+        (vid, e.index): abs(form.branch_determinant(vid, e.first_step(vid)))
+        for e in edges for vid in (e.a, e.b) if vid in nodes
+    }
     return SpliceDiagram(g.index_of, dverts, leaves, nodes, edges, weights)
 
 

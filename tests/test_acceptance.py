@@ -8,6 +8,7 @@ Run: pytest tests/test_acceptance.py -v -s
 import functools
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
+from random import Random
 
 from sforge import (
     IntMatrix,
@@ -33,14 +34,23 @@ from sforge import (
     semigroup_condition,
     to_splice_diagram,
 )
-from sforge.corpus import a_n, builtin_corpus, d_n, e6, e7, e8, quotient_cusp
+from sforge.corpus import (
+    a_n,
+    builtin_corpus,
+    d_n,
+    e6,
+    e7,
+    e8,
+    quotient_cusp,
+    random_negative_definite_tree,
+)
 from sforge.errors import (
     ConditionsNotMetError,
     NoNodesError,
     NotQhsTreeError,
 )
 
-from oracles import group_elements
+from oracles import group_elements, random_rational_tree
 
 from test_properties import TREE_COUNT, check_tree, seeded_trees
 
@@ -260,74 +270,125 @@ def test_criterion_5_random_oracles():
     assert count == TREE_COUNT
 
 
+def _check_equation_invariants(pkg, name):
+    """Criterion 6 on one package: equivariance, each equation weighted
+    homogeneous of its node's weight, every monomial of a node of the
+    node's character, the Fractions of the group's generators, as
+    monomial_character reads it off the leaf phases, and every maximal
+    minor of the generic coefficients nonzero."""
+    assert check_equivariance(pkg), name
+    for ns in pkg.nodes:
+        for eq in ns.equations:
+            assert eq.weighted_degree(ns.variable_weights) == ns.weight, name
+        chars = {
+            pkg.characters.monomial_character(m)
+            for eq in ns.equations
+            for m in eq.support_maps()
+        }
+        assert chars == {ns.character}, name
+        rows = ns.coefficients.rows
+        delta = ns.coefficients.cols
+        for cols in combinations(range(delta), rows):
+            minor = IntMatrix(
+                [[ns.coefficients[i, j] for j in cols] for i in range(rows)]
+            )
+            assert determinant(minor) != 0, name
+
+
+def _equations_or_none(g):
+    try:
+        return build_splice_equations(g)
+    except (NotQhsTreeError, NoNodesError, ConditionsNotMetError):
+        return None
+
+
 @criterion(6, "equation invariants across the corpus")
 def test_criterion_6_equation_invariants():
     built = 0
     for name, g in builtin_corpus().items():
-        try:
-            pkg = build_splice_equations(g)
-        except (NotQhsTreeError, NoNodesError, ConditionsNotMetError):
-            continue
-        built += 1
-        assert check_equivariance(pkg), name
-        for ns in pkg.nodes:
-            for eq in ns.equations:
-                assert (
-                    eq.weighted_degree(ns.variable_weights) == ns.weight
-                ), name
-            chars = {
-                pkg.characters.monomial_character(m)
-                for eq in ns.equations
-                for m in eq.support_maps()
-            }
-            assert chars == {ns.character}, name
-            rows = ns.coefficients.rows
-            delta = ns.coefficients.cols
-            for cols in combinations(range(delta), rows):
-                minor = IntMatrix(
-                    [
-                        [ns.coefficients[i, j] for j in cols]
-                        for i in range(rows)
-                    ]
-                )
-                assert determinant(minor) != 0, name
+        pkg = _equations_or_none(g)
+        if pkg is not None:
+            built += 1
+            _check_equation_invariants(pkg, name)
     assert built >= 6  # the corpus genuinely exercises this
+
+
+@criterion(6, "equation invariants on seeded random trees")
+def test_criterion_6_on_seeded_trees():
+    """The first 200 draws of Random(6) (max_vertices 12) that have
+    equations, about 300 draws, and 20 rational trees of 4-12 vertices
+    with a node, which have equations by Okuma's theorem."""
+    rng = Random(6)
+    draws = built = 0
+    while built < 200:
+        draws += 1
+        assert draws <= 1000, built
+        pkg = _equations_or_none(
+            random_negative_definite_tree(rng, max_vertices=12))
+        if pkg is not None:
+            built += 1
+            _check_equation_invariants(pkg, "Random(6) draw %d" % draws)
+    rng = Random(60)
+    rational = 0
+    while rational < 20:
+        g = random_rational_tree(rng, 4, 12)
+        if any(g.valency(v) >= 3 for v in g.vertex_ids):
+            rational += 1
+            _check_equation_invariants(build_splice_equations(g), g)
+
+
+def _check_completeness(g, name):
+    """Criterion 7 on one QHS tree: every invariant monomial of degree
+    at most |G| (the Noether bound) is a product of the generators."""
+    order = discriminant_group(g).order
+    ch = leaf_characters(g)
+    gens = list(invariant_generators(ch, order).exponents)
+    zero = (Fraction(0),) * len(ch.generator_orders)
+    t = len(ch.leaf_ids)
+
+    def factors(exps):
+        if all(e == 0 for e in exps):
+            return True
+        return any(
+            all(a >= b for a, b in zip(exps, g0))
+            and factors(tuple(a - b for a, b in zip(exps, g0)))
+            for g0 in gens
+        )
+
+    for degree in range(1, order + 1):
+        for combo in combinations_with_replacement(range(t), degree):
+            exps = [0] * t
+            for i in combo:
+                exps[i] += 1
+            mono = {v: e for v, e in zip(ch.leaf_ids, exps) if e}
+            if ch.monomial_character(mono) == zero:
+                assert factors(tuple(exps)), (name, exps)
 
 
 @criterion(7, "invariant-ring completeness at the Noether bound")
 def test_criterion_7_invariant_completeness():
     checked = 0
     for name, g in builtin_corpus().items():
-        if not g.is_qhs_tree():
-            continue
-        order = discriminant_group(g).order
-        if order > 200:
-            continue
-        ch = leaf_characters(g)
-        basis = invariant_generators(ch, order)
-        gens = list(basis.exponents)
-        zero = (Fraction(0),) * len(ch.generator_orders)
-        t = len(ch.leaf_ids)
-
-        def factors(exps):
-            if all(e == 0 for e in exps):
-                return True
-            return any(
-                all(a >= b for a, b in zip(exps, g0))
-                and factors(tuple(a - b for a, b in zip(exps, g0)))
-                for g0 in gens
-            )
-
-        for degree in range(1, order + 1):
-            for combo in combinations_with_replacement(range(t), degree):
-                exps = [0] * t
-                for i in combo:
-                    exps[i] += 1
-                mono = {v: e for v, e in zip(ch.leaf_ids, exps) if e}
-                if ch.monomial_character(mono) == zero:
-                    assert factors(tuple(exps)), (name, exps)
-        checked += 1
+        if g.is_qhs_tree() and discriminant_group(g).order <= 200:
+            _check_completeness(g, name)
+            checked += 1
     assert checked >= 8
+
+
+@criterion(7, "invariant-ring completeness on seeded random trees")
+def test_criterion_7_on_seeded_trees():
+    """The first 20 draws of Random(7) (max_vertices 10) that are QHS
+    trees with 1 < |G| <= 20 and at most 4 leaves, about 60 draws."""
+    rng = Random(7)
+    draws = checked = 0
+    while checked < 20:
+        draws += 1
+        assert draws <= 500, checked
+        g = random_negative_definite_tree(rng, max_vertices=10)
+        if (g.is_qhs_tree() and len(g.leaf_ids) <= 4
+                and 1 < discriminant_group(g).order <= 20):
+            _check_completeness(g, "Random(7) draw %d" % draws)
+            checked += 1
 
 
 @criterion(8, "excluded analytic statements (documented)")

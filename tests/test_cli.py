@@ -83,12 +83,48 @@ def test_analyze_missing_file_exit_2(capsys):
 
 
 def test_analyze_graph_file_not_utf8_exit_2(capsys, tmp_path):
+    """Also with the bad byte past the first 8 KB: the file is decoded
+    whole, not only its first buffer."""
     bad = tmp_path / "bad.graph"
-    bad.write_bytes(b"vertex a weight=-2\n\xff\n")
-    code, out, err = run(capsys, "analyze", str(bad))
-    assert code == 2
-    assert err.startswith("sforge: cannot read %s: " % bad)
-    assert "utf-8" in err and out == ""
+    for padding in (b"", b"# padding\n" * 1000):
+        bad.write_bytes(padding + b"vertex a weight=-2\n\xff\n")
+        code, out, err = run(capsys, "analyze", str(bad))
+        assert code == 2
+        assert err.startswith("sforge: cannot read %s: " % bad)
+        assert "utf-8" in err and out == ""
+
+
+ENDINGS = {"lf": b"\n", "crlf": b"\r\n", "cr": b"\r"}
+
+
+@pytest.mark.parametrize(
+    "command", ["analyze", "splice", "conditions", "equations", "invariants"]
+)
+def test_line_endings_give_the_same_output(capsys, graphs_dir, tmp_path,
+                                           command):
+    """two-node.graph, and for invariants a --verify-identity polynomial
+    broken over lines, written with LF, CRLF and lone-CR line endings:
+    the same exit code, stderr and stdout for each. Structured documents
+    differ only in the input's path and digest."""
+    graph = (graphs_dir / "two-node.graph").read_bytes()
+    target = b"z1^2*z2\n - 3*z3^2\n + z4\n"
+    results = []
+    for name, ending in ENDINGS.items():
+        path = tmp_path / ("two-node-%s.graph" % name)
+        path.write_bytes(graph.replace(b"\n", ending))
+        options = []
+        if command == "invariants":
+            poly = tmp_path / ("target-%s.poly" % name)
+            poly.write_bytes(target.replace(b"\n", ending))
+            options = ["--verify-identity=%s" % poly]
+        text = run(capsys, command, str(path), *options)
+        code, out, err = run(capsys, command, str(path), *options,
+                             "--format", "structured")
+        doc = json.loads(out)
+        del doc["input"], doc["input_sha256"]
+        results.append((text, (code, doc, err)))
+    assert results[0][0][0] == 0
+    assert results[1] == results[0] and results[2] == results[0]
 
 
 CUSP_CYCLE = ("vertex a weight=-3\nvertex b weight=-3\nvertex c weight=-3\n"
@@ -138,12 +174,42 @@ def test_analyze_tests_definiteness_of_a_cycle_once(capsys, tmp_path,
     assert len(calls) == 1
 
 
+def test_analyze_on_a_cycle_computes_the_determinant_once(
+    capsys, tmp_path, monkeypatch
+):
+    """The canonical cycle of the cusp cycle is solved by solve_sparse,
+    not by a solver that finds the determinant again: the graph's one
+    memoized determinant is the only Bareiss determinant of the call."""
+    import sforge.graph
+    import sforge.intmat
+
+    real = sforge.intmat.determinant
+    calls = []
+
+    def counting(m):
+        calls.append(m)
+        return real(m)
+
+    for module in (sforge.graph, sforge.intmat):
+        monkeypatch.setattr(module, "determinant", counting)
+    path = tmp_path / "cusp.graph"
+    path.write_text(CUSP_CYCLE)
+    code, out, err = run(capsys, "analyze", str(path))
+    assert (code, err) == (0, "")
+    assert "|det| = 16" in out
+    assert len(calls) == 1
+
+
 def test_analyze_indefinite_exit_3(capsys, graphs_dir):
-    code, out, err = run(
-        capsys, "analyze", graph_path(graphs_dir, "indefinite-star")
-    )
-    assert code == 3
-    assert "negative definite" in err
+    """The refusal is the fundamental cycle's, in the words analyze
+    always used: one stderr line, exit 3 and nothing on stdout."""
+    for fmt in ("text", "structured"):
+        code, out, err = run(
+            capsys, "analyze", graph_path(graphs_dir, "indefinite-star"),
+            "--format", fmt,
+        )
+        assert (code, out) == (3, "")
+        assert err == "sforge: intersection matrix is not negative definite\n"
 
 
 @pytest.mark.parametrize("fmt", ["text", "structured"])
