@@ -37,7 +37,6 @@ from .graph import (
     classify,
     fundamental_cycle,
     intersection_matrix,
-    is_numerically_gorenstein,
     parse_graph,
     serialize_graph,
 )
@@ -67,8 +66,6 @@ from .equations import (
     CongruenceResult,
     EquationsPackage,
     NodeSystem,
-    admissible_monomials,
-    bci_exponents,
     build_splice_equations,
     check_equivariance,
     congruence_condition,

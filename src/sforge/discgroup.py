@@ -69,10 +69,6 @@ class DiscriminantData(NamedTuple):
     generators: tuple  # class representatives, rational coords in the E-basis
     generator_orders: tuple  # order of each generator (= its factor)
 
-    @property
-    def is_trivial(self):
-        return self.order == 1
-
 
 class CharacterAssignment:
     """Diagonal action on the leaf variables: generator j multiplies

@@ -1,13 +1,17 @@
-"""Splice equations: admissible monomials, the congruence condition,
-generic coefficient rows, and emission of the (t-2)-equation system.
+"""Splice equations: the congruence condition, generic coefficient
+rows, and emission of the (t-2)-equation system.
 
 For each node v of the splice diagram and each incident edge e, an
 admissible monomial is a monomial in the variables of the leaves beyond
 e whose total weight (under the linking-number weights l_vw) equals the
-node weight d_v. The congruence condition asks for a choice of one
-monomial per edge, all transforming by one common character of the
-discriminant group; the emitted system takes delta_v - 2 generic linear
-combinations of the chosen monomials per node.
+node weight d_v: the semigroup witnesses of sforge.splice, streamed by
+witnesses(d, v, e) and listed, cut at WITNESS_CAP, in
+semigroup_condition(d).solutions[(v, e.index)]. The congruence
+condition asks for a choice of one monomial per edge, all transforming
+by one common character of the discriminant group; the emitted system
+takes delta_v - 2 generic linear combinations of the chosen monomials
+per node. In the one-node case these are the Brieskorn equations, whose
+exponents are the node's splice weights d.weight(v, e).
 """
 
 from __future__ import annotations
@@ -29,8 +33,6 @@ from .graph import ResolutionGraph
 from .intmat import IntMatrix, determinant
 from .poly import Polynomial
 from .splice import (
-    SpliceDiagram,
-    semigroup_condition,
     to_splice_diagram,
     witnesses,
 )
@@ -39,11 +41,9 @@ __all__ = [
     "NodeSystem",
     "EquationsPackage",
     "CongruenceResult",
-    "admissible_monomials",
     "congruence_condition",
     "generic_coefficients",
     "build_splice_equations",
-    "bci_exponents",
     "check_equivariance",
 ]
 
@@ -73,31 +73,6 @@ class CongruenceResult(NamedTuple):
     node_characters: dict  # node id -> chosen character vector
     node_monomials: dict  # node id -> {direction label: exponent map}
     failures: tuple  # node ids with no common character
-
-
-def admissible_monomials(
-    diagram: SpliceDiagram,
-    v: str,
-    edge,
-    character=None,
-    chars: CharacterAssignment = None,
-):
-    """Exponent maps of the admissible monomials at (v, edge), in the
-    lexicographic order the witnesses come in (see SemigroupWitness);
-    optionally filtered to a given character, a tuple of phases in
-    [0, 1) (which requires the leaf CharacterAssignment). These are the
-    lists `conditions` prints, cut at WITNESS_CAP: the start of the
-    stream witnesses(diagram, v, edge) that the congruence reads on."""
-    sols = semigroup_condition(diagram).solutions[(v, edge.index)]
-    if character is not None:
-        if chars is None:
-            raise ValueError("character filtering needs a CharacterAssignment")
-        try:
-            target = chars.residues(character)
-        except ValueError:  # no monomial has a phase off the 1/e grid
-            return []
-        return [a for a in sols if chars.monomial_residue(a) == target]
-    return list(sols)
 
 
 def congruence_condition(g: ResolutionGraph) -> CongruenceResult:
@@ -246,45 +221,22 @@ def build_splice_equations(g: ResolutionGraph) -> EquationsPackage:
 def _verify_package(pkg):
     if len(pkg.equations) != len(pkg.variables) - 2:
         raise AssertionError("expected t-2 equations")
-    for node in pkg.nodes:
-        for eq in node.equations:
-            try:
-                degree = eq.weighted_degree(node.variable_weights)
-            except ValueError:  # zero, or monomials of different weights
-                degree = None
-            if degree != node.weight:
-                raise AssertionError(
-                    "equation at %r is not homogeneous of the node weight"
-                    % node.node_id
-                )
     if not check_equivariance(pkg):
-        raise AssertionError("emitted equations are not equivariant")
-
-
-def bci_exponents(g: ResolutionGraph):
-    """For a one-node (star-shaped) diagram, the Brieskorn exponents:
-    the node's edge weights, aligned with the leaf variable order."""
-    diagram = to_splice_diagram(g)
-    if len(diagram.nodes) != 1:
-        raise ValueError(
-            "BCI exponents need a diagram with exactly one node, got %d"
-            % len(diagram.nodes)
+        raise AssertionError(
+            "emitted equations are not homogeneous of the node weight "
+            "with one character"
         )
-    v = diagram.nodes[0]
-    by_leaf = {}
-    for e in diagram.incident_edges(v):
-        by_leaf[e.other(v)] = diagram.weight(v, e)
-    return tuple(by_leaf[w] for w in diagram.leaves)
 
 
 def check_equivariance(pkg: EquationsPackage) -> bool:
-    """Every equation weighted-homogeneous for its node and with a
-    single character across its monomials (exact comparison)."""
+    """Every equation weighted-homogeneous of its node's weight d_v and
+    with a single character across its monomials (exact comparison)."""
     for node in pkg.nodes:
         for eq in node.equations:
-            if eq.is_zero():
-                return False
-            if not eq.is_weighted_homogeneous(node.variable_weights):
+            try:
+                if eq.weighted_degree(node.variable_weights) != node.weight:
+                    return False
+            except ValueError:  # zero, or monomials of different weights
                 return False
             seen = {
                 pkg.characters.monomial_residue(m)

@@ -62,7 +62,6 @@ __all__ = [
     "serialize_graph",
     "intersection_matrix",
     "canonical_cycle",
-    "is_numerically_gorenstein",
     "fundamental_cycle",
     "classify",
     "blow_down_minimal",
@@ -132,8 +131,8 @@ class ResolutionGraph:
     endpoints as written. The constructor validates caller input:
     nonempty, unique ids, integer weights <= -1, nonnegative genera,
     edge endpoints declared, no self-loops, connected. Graphs the
-    package makes itself (parsed files, generated trees, blow-downs,
-    subgraphs) come from _from_parts, which checks connectivity only.
+    package makes itself (parsed files, generated trees, blow-downs)
+    come from _from_parts, which checks connectivity only.
     """
 
     __slots__ = ("vertices", "edges", "_index", "_adj", "_memo")
@@ -247,14 +246,6 @@ class ResolutionGraph:
         if self.is_tree():
             return self.tree_form().negative_definite
         return is_negative_definite(intersection_matrix(self))
-
-    def induced_subgraph(self, vertex_ids):
-        """Subgraph on the given vertex ids (must stay connected)."""
-        keep = set(vertex_ids)
-        return ResolutionGraph._from_parts(
-            [v for v in self.vertices if v.id in keep],
-            [(a, b) for a, b in self.edges if a in keep and b in keep],
-        )
 
     def __eq__(self, other):
         return (
@@ -595,10 +586,6 @@ def canonical_cycle(g: ResolutionGraph) -> RationalCycle:
         if m.mul_vector(k) != tuple(rhs):
             raise AssertionError("canonical cycle verification failed")
     return RationalCycle(g.vertex_ids, tuple(k))
-
-
-def is_numerically_gorenstein(g: ResolutionGraph) -> bool:
-    return canonical_cycle(g).is_integral()
 
 
 @memoized

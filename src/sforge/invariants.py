@@ -84,17 +84,6 @@ class InvariantBasis(NamedTuple):
     exponents: tuple  # generator exponent tuples, lexicographic order
     names: tuple  # fresh names A, B, C, ... matching `exponents`
 
-    def monomial(self, i):
-        exps = {
-            v: e for v, e in zip(self.variables, self.exponents[i]) if e
-        }
-        return Polynomial.monomial(self.variables, exps)
-
-    def name_for(self, exponent_map):
-        """Name of the generator with the given {variable: exp} map."""
-        key = tuple(exponent_map.get(v, 0) for v in self.variables)
-        return self.names[self.exponents.index(key)]
-
 
 class MembershipCertificate(NamedTuple):
     cofactors: tuple  # q_i with target = sum q_i * g_i

@@ -212,8 +212,10 @@ class SpliceDiagram:
 
 class SemigroupWitness(NamedTuple):
     """Per (node, direction) exponent vectors alpha over the leaves in
-    that branch with sum alpha(w) * l_vw = d_v. `truncated` lists the
-    directions whose enumeration hit the solution cap.
+    that branch with sum alpha(w) * l_vw = d_v: the admissible
+    monomials at (v, e) are solutions[(v, e.index)], for e among
+    diagram.incident_edges(v). `truncated` lists the directions whose
+    enumeration hit the solution cap.
 
     Each list is the first WITNESS_CAP of the direction's witnesses
     stream, so it is in lexicographic order of the exponent vectors
@@ -224,14 +226,6 @@ class SemigroupWitness(NamedTuple):
     solutions: dict  # (node_id, edge_index) -> list of {leaf_id: exp}
     failures: tuple  # (node_id, direction label) pairs with no solution
     truncated: tuple = ()
-
-    def at(self, diagram, node_id, first_step):
-        """Solutions for the direction of `node_id` whose edge starts
-        with the gamma vertex `first_step`."""
-        for e in diagram.incident_edges(node_id):
-            if e.first_step(node_id) == first_step:
-                return self.solutions[(node_id, e.index)]
-        raise KeyError((node_id, first_step))
 
 
 @memoized

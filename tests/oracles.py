@@ -38,6 +38,10 @@ graph, or raise the same error.
 The rational-tree generator draws inputs whose answer is known without
 sforge: every weight at most -max(2, valency) makes a rational, minimal
 tree, so by Okuma's theorem its splice equations exist.
+The induced subgraph and a generator's monomial as a Polynomial were
+library methods that only the tests called: branch determinants are
+checked against the dense determinant of the branch's own graph, and
+relations by substituting the generators' monomials.
 """
 
 from fractions import Fraction
@@ -355,6 +359,12 @@ def monomial_character_by_fractions(chars, exponents) -> tuple:
             total += alpha * row[chars.leaf_ids.index(vid)]
         out.append(total % 1)
     return tuple(out)
+
+
+def generator_monomial(basis, i) -> Polynomial:
+    """Generator i of an InvariantBasis as a monomial in its variables."""
+    return Polynomial.monomial(
+        basis.variables, dict(zip(basis.variables, basis.exponents[i])))
 
 
 def invariant_generators_by_search(chars, order) -> InvariantBasis:
@@ -718,6 +728,16 @@ def random_rational_tree(rng: Random, min_vertices, max_vertices):
         [Vertex(i, -max(2, valency[i]) - rng.choice([0, 0, 1]))
          for i in ids],
         edges,
+    )
+
+
+def induced_subgraph(g: ResolutionGraph, vertex_ids) -> ResolutionGraph:
+    """The subgraph of g on the given vertex ids, which must stay
+    connected; weights are taken as they are, of any sign."""
+    keep = set(vertex_ids)
+    return ResolutionGraph._from_parts(
+        [v for v in g.vertices if v.id in keep],
+        [(a, b) for a, b in g.edges if a in keep and b in keep],
     )
 
 

@@ -13,7 +13,6 @@ from random import Random
 from sforge import (
     IntMatrix,
     Polynomial,
-    bci_exponents,
     build_splice_equations,
     canonical_cycle,
     check_equivariance,
@@ -50,9 +49,11 @@ from sforge.errors import (
     NotQhsTreeError,
 )
 
-from oracles import group_elements, random_rational_tree
+from oracles import generator_monomial, group_elements, random_rational_tree
 
+from test_equations import brieskorn_exponents
 from test_properties import TREE_COUNT, check_tree, seeded_trees
+from test_splice import PAPER_WITNESSES, solutions_by_direction
 
 
 def criterion(number, title):
@@ -78,7 +79,7 @@ def test_criterion_1_e7_end_to_end():
     dg = discriminant_group(g)
     assert dg.order == 2
 
-    assert bci_exponents(g) == (2, 3, 4)
+    assert brieskorn_exponents(g) == (2, 3, 4)
 
     ch = leaf_characters(g)
     assert ch.leaf_ids == ("x", "y", "z")
@@ -110,11 +111,11 @@ def test_criterion_1_e7_end_to_end():
     }
     # pin the paper's names A=x^2, B=xz, C=z^2, D=y onto the canonical
     # generators by exponent content
+    assert basis.variables == ("x", "y", "z")
     paper = {
-        "A": basis.name_for({"x": 2}),
-        "B": basis.name_for({"x": 1, "z": 1}),
-        "C": basis.name_for({"z": 2}),
-        "D": basis.name_for({"y": 1}),
+        name: basis.names[basis.exponents.index(exps)]
+        for name, exps in (("A", (2, 0, 0)), ("B", (1, 0, 1)),
+                           ("C", (0, 0, 2)), ("D", (0, 1, 0)))
     }
 
     from sforge.invariants import toric_relations
@@ -128,7 +129,8 @@ def test_criterion_1_e7_end_to_end():
     assert parse_polynomial(rels[0], names) in (ac - b2, b2 - ac)
 
     # B^2 + C(C^2 + D^3) lies in (x^2 + y^3 + z^4) with cofactor z^2
-    sub = {nm: basis.monomial(i) for i, nm in enumerate(basis.names)}
+    sub = {nm: generator_monomial(basis, i)
+           for i, nm in enumerate(basis.names)}
     target_named = Polynomial.monomial(names, {paper["B"]: 2}) + (
         Polynomial.monomial(names, {paper["C"]: 1})
         * (
@@ -170,12 +172,7 @@ def test_criterion_2_two_node_example():
 
     wit = semigroup_condition(d)
     assert wit.holds
-    assert wit.at(d, "n1", "z1") == [{"z1": 2}]
-    assert wit.at(d, "n1", "z2") == [{"z2": 3}]
-    assert wit.at(d, "n1", "m") == [{"z3": 1, "z4": 1}]
-    assert wit.at(d, "n2", "g") == [{"z3": 5}]
-    assert wit.at(d, "n2", "z4") == [{"z4": 2}]
-    assert wit.at(d, "n2", "m") == [{"z1": 1, "z2": 4}, {"z1": 3, "z2": 1}]
+    assert solutions_by_direction(d, wit) == PAPER_WITNESSES
 
     pkg = build_splice_equations(g)
     supports = [

@@ -69,7 +69,7 @@ def test_e8_group_trivial():
     assert d.order == 1
     assert d.invariant_factors == ()
     assert d.generators == ()
-    assert d.is_trivial
+    assert invariant_factors(e8()) == ()
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 7])
@@ -402,6 +402,17 @@ def test_residues_of_leaf_characters():
     trivial = char_assignment(("x",), (), ())
     assert trivial.modulus == 1
     assert trivial.monomial_residue({"x": 5}) == ()
+
+
+def test_residues_refuse_a_phase_off_the_modulus_grid():
+    """On E7 (e = 2) the phase 1/2 is the residue 1; a phase of 1/3 is
+    no character of the group, and residues says so."""
+    ch = leaf_characters(e7())
+    assert ch.modulus == 2
+    assert ch.residues((Fraction(1, 2),)) == (1,)
+    assert ch.residues((Fraction(0),)) == (0,)
+    with pytest.raises(ValueError, match="1/2"):
+        ch.residues((Fraction(1, 3),))
 
 
 # -- the group's structure from the leaf dual classes ---------------------------

@@ -11,8 +11,6 @@ from sforge import (
     IntMatrix,
     NoNodesError,
     SemigroupConditionError,
-    admissible_monomials,
-    bci_exponents,
     build_splice_equations,
     check_equivariance,
     congruence_condition,
@@ -48,10 +46,19 @@ from test_poly import assert_term_invariant
 from test_splice import engineered_failing_graph
 
 
-def edge_toward(d, v, first_step):
-    return next(
-        e for e in d.incident_edges(v) if e.first_step(v) == first_step
-    )
+def admissible(d, v, first_step):
+    """The admissible monomials at v toward the gamma vertex first_step:
+    that direction's semigroup witnesses."""
+    (e,) = [e for e in d.incident_edges(v) if e.first_step(v) == first_step]
+    return semigroup_condition(d).solutions[(v, e.index)]
+
+
+def brieskorn_exponents(g):
+    """The splice weights of a one-node diagram, in leaf order."""
+    d = to_splice_diagram(g)
+    (v,) = d.nodes
+    weight = {e.other(v): d.weight(v, e) for e in d.incident_edges(v)}
+    return tuple(weight[w] for w in d.leaves)
 
 
 # -- admissible monomials -------------------------------------------------------
@@ -59,31 +66,24 @@ def edge_toward(d, v, first_step):
 
 def test_admissible_monomials_paper_left_node():
     d = to_splice_diagram(two_node_example())
-    assert admissible_monomials(
-        d, "n1", edge_toward(d, "n1", "z1")
-    ) == [{"z1": 2}]
-    assert admissible_monomials(
-        d, "n2", edge_toward(d, "n2", "m")
-    ) == [{"z1": 1, "z2": 4}, {"z1": 3, "z2": 1}]
+    assert admissible(d, "n1", "z1") == [{"z1": 2}]
+    assert admissible(d, "n2", "m") == [{"z1": 1, "z2": 4}, {"z1": 3, "z2": 1}]
 
 
 def test_admissible_monomials_character_filter():
+    """On E7 the one admissible monomial toward x, x^2, has the trivial
+    character; none has the character of phase 1/2."""
     g = e7()
     d = to_splice_diagram(g)
     chars = leaf_characters(g)
-    v = d.nodes[0]
-    e = edge_toward(d, v, "x")
-    trivial = (Fraction(0),)
-    assert admissible_monomials(
-        d, v, e, character=trivial, chars=chars
-    ) == [{"x": 2}]
-    unattained = (Fraction(1, 2),)
-    assert (
-        admissible_monomials(
-            d, v, e, character=unattained, chars=chars
-        )
-        == []
-    )
+    monomials = admissible(d, d.nodes[0], "x")
+
+    def of_character(character):
+        target = chars.residues(character)
+        return [a for a in monomials if chars.monomial_residue(a) == target]
+
+    assert of_character((Fraction(0),)) == [{"x": 2}]
+    assert of_character((Fraction(1, 2),)) == []
 
 
 # -- congruence condition ---------------------------------------------------------
@@ -272,15 +272,10 @@ def test_equation_count_is_t_minus_2():
 
 
 def test_bci_exponents_examples():
-    assert bci_exponents(e7()) == (2, 3, 4)
-    assert bci_exponents(e8()) == (2, 3, 5)
+    assert brieskorn_exponents(e7()) == (2, 3, 4)
+    assert brieskorn_exponents(e8()) == (2, 3, 5)
     g = star(-1, [[-2], [-3], [-7]], leaf_ids=["x", "y", "z"])
-    assert bci_exponents(g) == (2, 3, 7)
-
-
-def test_bci_exponents_need_one_node():
-    with pytest.raises(ValueError):
-        bci_exponents(two_node_example())
+    assert brieskorn_exponents(g) == (2, 3, 7)
 
 
 def test_one_node_support_is_pure_powers():
@@ -298,7 +293,7 @@ def test_one_node_support_is_pure_powers():
             pkg = build_splice_equations(g)
         except ConditionsNotMetError:
             continue
-        exps = bci_exponents(g)
+        exps = brieskorn_exponents(g)
         supports = set()
         for eq in pkg.equations:
             for m in eq.support_maps():
@@ -316,6 +311,22 @@ def test_built_packages_are_equivariant_by_independent_check():
     for g in (e7(), e8(), two_node_example(), quotient_cusp(2, [2, 3])):
         pkg = build_splice_equations(g)
         assert check_equivariance(pkg)
+
+
+def test_each_equation_is_weighed_once(monkeypatch):
+    """Building the two equations of the two-node example computes
+    each one's weighted degree once, in check_equivariance."""
+    calls = []
+    weighted_degree = Polynomial.weighted_degree
+
+    def counted(self, weights):
+        calls.append(self)
+        return weighted_degree(self, weights)
+
+    monkeypatch.setattr(Polynomial, "weighted_degree", counted)
+    pkg = build_splice_equations(two_node_example())
+    assert len(pkg.equations) == 2
+    assert calls == list(pkg.equations)
 
 
 def test_tampered_e7_equation_fails():

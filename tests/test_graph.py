@@ -19,7 +19,6 @@ from sforge import (
     fundamental_cycle,
     intersection_matrix,
     is_negative_definite,
-    is_numerically_gorenstein,
     parse_graph,
     serialize_graph,
 )
@@ -211,9 +210,11 @@ def test_canonical_cycle_satisfies_adjunction_on_corpus(corpus):
 
 
 def test_numerically_gorenstein():
-    assert is_numerically_gorenstein(a_n(3))
-    assert is_numerically_gorenstein(e7())
-    assert not is_numerically_gorenstein(chain([-2, -3]))
+    """K integral, which is what classify reports."""
+    for g, gorenstein in ((a_n(3), True), (e7(), True),
+                          (chain([-2, -3]), False)):
+        assert canonical_cycle(g).is_integral() is gorenstein
+        assert classify(g).numerically_gorenstein is gorenstein
 
 
 def test_canonical_cycle_requires_negative_definite():

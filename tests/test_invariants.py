@@ -34,6 +34,7 @@ from sforge.invariants import (
 )
 
 from oracles import (
+    generator_monomial,
     invariant_generators_by_search,
     monomial_character_by_fractions,
     toric_relations_by_polynomials,
@@ -225,7 +226,8 @@ def test_relations_vanish_under_parametrization(corpus):
         ch = leaf_characters(g)
         basis = invariant_generators(ch, order)
         mapping = {
-            nm: basis.monomial(i) for i, nm in enumerate(basis.names)
+            nm: generator_monomial(basis, i)
+            for i, nm in enumerate(basis.names)
         }
         for text in toric_relations(basis, 2):
             rel = parse_polynomial(text, basis.names)

@@ -11,8 +11,6 @@ import pytest
 
 from sforge import (
     PreconditionError,
-    admissible_monomials,
-    bci_exponents,
     blow_down_minimal,
     build_splice_equations,
     canonical_cycle,
@@ -24,7 +22,6 @@ from sforge import (
     fundamental_cycle,
     intersection_matrix,
     invariant_factors,
-    is_numerically_gorenstein,
     is_zhs,
     leaf_characters,
     linking_numbers,
@@ -44,11 +41,7 @@ from conftest import MEMOIZED
 
 def _diagram_reads(g):
     d = to_splice_diagram(g)
-    v = d.nodes[0]
-    e = d.incident_edges(v)[0]
-    admissible_monomials(d, v, e, (0,) * len(discriminant_group(g).generators),
-                         leaf_characters(g))
-    linking_numbers(d, v)
+    linking_numbers(d, d.nodes[0])
     for e in d.edges:
         if d.is_node(e.a) and d.is_node(e.b):
             edge_determinant(d, e)
@@ -64,7 +57,6 @@ CALLS = (
     fundamental_cycle,
     canonical_cycle,
     classify,
-    is_numerically_gorenstein,
     lambda g: classify(blow_down_minimal(g)),
     to_splice_diagram,
     lambda g: semigroup_condition(to_splice_diagram(g)),
@@ -76,7 +68,6 @@ CALLS = (
     _diagram_reads,
     congruence_condition,
     build_splice_equations,
-    bci_exponents,
 )
 
 

@@ -38,6 +38,8 @@ from sforge import (
     smith_normal_form,
     to_splice_diagram,
 )
+
+from oracles import generator_monomial
 from sforge.corpus import e7
 from sforge.equations import congruence_condition
 
@@ -69,7 +71,7 @@ def _records():
     chars = leaf_characters(g)
     pkg = build_splice_equations(g)
     basis = invariant_generators(chars, discriminant_group(g).order)
-    gens = [basis.monomial(i) for i in range(len(basis.names))]
+    gens = [generator_monomial(basis, i) for i in range(len(basis.names))]
     return [
         g.vertices[0],
         fundamental_cycle(g),

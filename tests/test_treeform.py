@@ -25,6 +25,7 @@ from sforge.graph import serialize_graph
 
 from oracles import (
     det_cofactor,
+    induced_subgraph,
     is_negative_definite_minors,
     solve_rational_fraction_gauss,
 )
@@ -73,7 +74,7 @@ def test_tree_pass_matches_dense_oracles_on_random_trees():
                  "definite" if definite else "indefinite"] += 1
         for v in g.vertex_ids:
             for u in g.neighbors(v):
-                side = g.induced_subgraph(component(g, v, u))
+                side = induced_subgraph(g, component(g, v, u))
                 assert form.branch_determinant(v, u) == determinant(
                     intersection_matrix(side)
                 ), (trial, v, u)
