@@ -8,11 +8,11 @@ the leaf variable z_w through the fractional part of its pairing with
 the dual basis element e_w. All phases are exact rationals mod 1. The
 order |det M| and the generators M^{-1} U^{-1} e_i come from the tree
 pass of sforge.graph (its determinant and exact solves), so no inverse
-of M is formed. The Smith normal form is given that determinant: it
-builds D, U^{-1} and V^{-1} but not U or V, and is certified by M =
-U^{-1} D V^{-1} with prod(d_i) = |det M| (see
-sforge.intmat.smith_normal_form), which also makes the invariant
-factors multiply to the order.
+of M is formed. The Smith normal form gives D, U^{-1} and V^{-1}, never
+U or V (U is det U^{-1} * adj U^{-1}, from intmat.adjugate), and is
+given that determinant: it is certified by M = U^{-1} D V^{-1} with
+prod(d_i) = |det M| (see sforge.intmat.smith_normal_form), which also
+makes the invariant factors multiply to the order.
 
 Characters are carried as integer residues: with e the lcm of the
 generator orders and of the phase denominators, leaf w carries the
@@ -26,8 +26,8 @@ phases (a k x t integer matrix), the image of the group in (Q/Z)^t is
 is the Smith normal form diagonal of the (k + t) x t matrix [R; e I_t].
 The action is faithful iff that order is |G|: one exact check whose
 cost does not grow with |G|. That stack is not square and has no
-determinant, so its Smith normal form builds all four transforms and
-keeps the full certificate. With one generator (k = 1) the stack [r;
+determinant, so its Smith normal form is certified by |det U^{-1}| =
+|det V^{-1}| = 1 instead. With one generator (k = 1) the stack [r;
 e I_t] has index e^(t-1) gcd(e, r_1, ..., r_t), so the image order is
 e / gcd(e, r_1, ..., r_t) and the check needs no Smith normal form.
 
@@ -211,7 +211,7 @@ def discriminant_group(g: ResolutionGraph) -> DiscriminantData:
     det = form.determinant
     m = intersection_matrix(g)
     # certified against the tree pass's determinant, so the factors
-    # multiply to |det|; U and V are not built
+    # multiply to |det|
     snf = smith_normal_form(m, det=det)
     # coker(M) = Z^n / D Z^n after the row transform U; the class of the
     # i-th standard generator pulls back to U^{-1} e_i in dual-basis

@@ -17,20 +17,9 @@ division is exact and entries grow only as fast as the minors do.
 Two routines work on sparse rows:
 
 - smith_normal_form: elementary row/column reduction with
-  smallest-pivot selection (lowest (row, col) on ties; the search stops
-  at the first +-1 in row-major order), tracking U^-1 and V^-1, and U
-  and V unless the caller supplies det(m). The working matrix is held
-  as dict rows with a column index, U and V^-1 as dict rows, U^-1 and
-  V as dict columns, so each operation costs the nonzeros it touches.
-  Intersection matrices of trees have about three nonzeros a row, and
-  their ones make most pivots 1. Two certificates, by sparse products:
-  - without det, U @ m = D @ V^-1, V @ V^-1 = I and U @ U^-1 = I: an
-    integer matrix with an integer inverse is unimodular, and together
-    these give U @ m @ V = D;
-  - with an independently computed det of a square m, m = U^-1 @ D @
-    V^-1 and prod(d_i) = |det| != 0: then det U^-1 * det V^-1 = +-1,
-    so both are unimodular and U @ m @ V = D, without U or V ever
-    being built (they fill in on long (-2)-chains).
+  smallest-pivot selection, tracking only U^-1 and V^-1, certified by
+  m = U^-1 @ D @ V^-1 with both unimodular. U, which fills in on long
+  (-2)-chains, is det * adj for det, adj = adjugate(u_inv).
 - solve_sparse: every exact solve, from integer dict rows: the often
   underdetermined systems of bounded ideal membership
   (sforge.invariants), the adjunction system of the canonical cycle of
@@ -46,11 +35,9 @@ Two routines work on sparse rows:
 Resolution graphs that are trees do not come here for anything but
 their Smith normal form: sforge.graph's TreeForm gives their
 determinant, definiteness, branch determinants and solves in one
-leaf-first pass. Bareiss serves only the determinant and definiteness
-of graphs with cycles (in `analyze`), whose canonical cycle
-solve_sparse solves, and the generic-coefficient minors of
-sforge.equations; sforge.discgroup uses the tree pass and the sparse
-Smith normal form.
+leaf-first pass. Bareiss serves the determinant and definiteness of
+graphs with cycles (in `analyze`), the generic-coefficient minors of
+sforge.equations, and what _is_unimodular cannot strike off.
 """
 
 from __future__ import annotations
@@ -218,17 +205,11 @@ class RatMatrix(_Matrix):
 
 
 class SnfResult(NamedTuple):
-    """Smith normal form U @ m @ V = D.
+    """Smith normal form U @ m @ V = D, as m = u_inv @ D @ v_inv with D
+    and the unimodular u_inv and v_inv of smith_normal_form. U is det *
+    adj for det, adj = adjugate(u_inv), and V likewise from v_inv."""
 
-    U, V are unimodular, u_inv is the inverse of U and v_inv that of V;
-    D is diagonal with nonnegative entries, each dividing the next,
-    zeros (if any) last. u and v are None when smith_normal_form was
-    given the determinant: then only d, u_inv and v_inv are built.
-    """
-
-    u: IntMatrix | None
     d: IntMatrix
-    v: IntMatrix | None
     u_inv: IntMatrix
     v_inv: IntMatrix
 
@@ -394,50 +375,30 @@ def solve_sparse(rows, ncols):
 
 
 def smith_normal_form(m: IntMatrix, *, det=None) -> SnfResult:
-    """Smith normal form with transforms, U @ m @ V = D.
+    """Smith normal form U @ m @ V = D, returned as D, U^-1 and V^-1.
 
-    The working matrix is held sparse: its rows as dicts col -> nonzero
-    entry, with an index col -> set of rows that have an entry there.
-    U and V^-1 are held as dict rows, U^-1 and V as dict columns, so
-    that every elementary operation touches only the nonzeros it
-    changes: a row operation on m is the same row operation on U and
-    the inverse column operation on U^-1; a column operation on m is
-    the same column operation on V and the inverse row operation on
-    V^-1.
+    The working matrix is held as dict rows col -> nonzero entry, with
+    an index col -> rows; U^-1 as dict columns and V^-1 as dict rows,
+    since a row (column) operation on m is the inverse column (row)
+    operation on U^-1 (V^-1). Each costs the nonzeros it touches.
 
-    Pivot selection: smallest nonzero absolute value in the remaining
-    block, ties broken by lowest (row, col) index, so outputs are
-    deterministic. The search stops at the first +-1 in row-major
-    order, which is the entry a full scan would pick, and the
+    Pivot: smallest nonzero absolute value in the remaining block,
+    lowest (row, col) on ties. The search stops at the first +-1 in
+    row-major order, the entry a full scan would pick, and the
     divisibility scan is skipped for a pivot of 1.
 
-    The result is certified by exact sparse products before it leaves
-    this function, in one of two ways (see _verify_snf):
-
-    - det is None: all four transforms are built, and the certificate
-      is U @ m = D @ V^-1, U @ U^-1 = I and V @ V^-1 = I. An integer
-      matrix with an integer inverse is unimodular, so U @ m @ V = D.
-    - det given: the caller's determinant of the square m, computed
-      independently of this elimination (sforge.discgroup passes the
-      tree pass's). The elimination, and so d, u_inv and v_inv, are
-      entry for entry those of the first mode, but U and V are not
-      built: the result's u and v are None. The certificate is m =
-      U^-1 @ (D @ V^-1), by one sparse product, and prod(d_i) = |det|
-      != 0. Proof: det m = det U^-1 * prod(d_i) * det V^-1, so
-      |det U^-1 * det V^-1| = 1. Both are determinants of integer
-      matrices, hence integers, hence +-1: U^-1 and V^-1 are
-      unimodular, their inverses U and V are integer matrices, and
-      U @ m @ V = D. U is what fills in on long (-2)-chains, and its
-      two products dominate the first certificate there.
-
-    Both certificates also check that D is diagonal and nonnegative
-    with each entry dividing the next, zeros last. Raises ValueError
-    when det is given for a non-square m.
+    Certified before it returns (_verify_snf): m = U^-1 @ (D @ V^-1) by
+    one sparse product; D diagonal and nonnegative, each entry dividing
+    the next, zeros last; U^-1 and V^-1 unimodular, one of two ways:
+    - det given, the caller's determinant of the square m, computed
+      independently (sforge.discgroup passes the tree pass's):
+      prod(d_i) = |det| != 0. det m = det U^-1 * prod(d_i) * det V^-1
+      gives |det U^-1 * det V^-1| = 1, and both are integers.
+    - det None: |det U^-1| = |det V^-1| = 1 (_is_unimodular).
+    Either way U and V are integer matrices and U @ m @ V = D. Raises
+    ValueError, after the elimination, for det and a non-square m.
     """
     nr, nc = m.rows, m.cols
-    full = det is None
-    if not full and nr != nc:
-        raise ValueError("det is defined only for a square matrix")
     m_rows = _sparse_rows(m)
     a = [dict(row) for row in m_rows]
     cols = [set() for _ in range(nc)]
@@ -446,9 +407,6 @@ def smith_normal_form(m: IntMatrix, *, det=None) -> SnfResult:
             cols[j].add(i)
     u_inv = [{i: 1} for i in range(nr)]  # columns
     v_inv = [{j: 1} for j in range(nc)]  # rows
-    if full:
-        u = [{i: 1} for i in range(nr)]  # rows
-        v = [{j: 1} for j in range(nc)]  # columns
 
     def swap_rows(i, j):
         if i != j:
@@ -462,8 +420,6 @@ def smith_normal_form(m: IntMatrix, *, det=None) -> SnfResult:
             for k in a[j]:
                 cols[k].add(j)
             u_inv[i], u_inv[j] = u_inv[j], u_inv[i]
-            if full:
-                u[i], u[j] = u[j], u[i]
 
     def swap_cols(i, j):
         if i != j:
@@ -476,8 +432,6 @@ def smith_normal_form(m: IntMatrix, *, det=None) -> SnfResult:
                     row[i] = y
             cols[i], cols[j] = cols[j], cols[i]
             v_inv[i], v_inv[j] = v_inv[j], v_inv[i]
-            if full:
-                v[i], v[j] = v[j], v[i]
 
     def add_row(src, dst, c):
         # row_dst += c * row_src
@@ -492,8 +446,6 @@ def smith_normal_form(m: IntMatrix, *, det=None) -> SnfResult:
                 del row[j]
                 cols[j].discard(dst)
         _add_multiple(u_inv[src], u_inv[dst], -c)
-        if full:
-            _add_multiple(u[dst], u[src], c)
 
     def add_col(src, dst, c):
         # col_dst += c * col_src
@@ -509,11 +461,9 @@ def smith_normal_form(m: IntMatrix, *, det=None) -> SnfResult:
                 del row[dst]
                 col.discard(i)
         _add_multiple(v_inv[src], v_inv[dst], -c)
-        if full:
-            _add_multiple(v[dst], v[src], c)
 
     def negate_row(i):
-        for row in (a[i], u_inv[i], u[i]) if full else (a[i], u_inv[i]):
+        for row in (a[i], u_inv[i]):
             for k in row:
                 row[k] = -row[k]
 
@@ -577,14 +527,10 @@ def smith_normal_form(m: IntMatrix, *, det=None) -> SnfResult:
     d = [{i: a[i][i]} if i in a[i] else {} for i in range(min(nr, nc))]
     d += [{} for _ in range(nr - len(d))]
     u_inv = _transpose(u_inv, nr)
-    if full:
-        v = _transpose(v, nc)
-    else:
-        u = v = None
-    _verify_snf(m_rows, d, u_inv, v_inv, u, v, det)
+    _verify_snf(m_rows, d, u_inv, v_inv, det)
     return SnfResult(*(
-        None if rows is None else IntMatrix._from_sparse_rows(rows, n)
-        for rows, n in ((u, nr), (d, nc), (v, nc), (u_inv, nr), (v_inv, nc))
+        IntMatrix._from_sparse_rows(rows, n)
+        for rows, n in ((d, nc), (u_inv, nr), (v_inv, nc))
     ))
 
 
@@ -615,29 +561,24 @@ def _sparse_product(left, right):
     return out
 
 
-def _verify_snf(m, d, u_inv, v_inv, u=None, v=None, det=None):
-    """The two certificates of smith_normal_form (its docstring says
-    why each suffices), every matrix given by its sparse rows; with
-    det, u and v are not read. Every product is exact and touches only
-    nonzeros."""
+def _verify_snf(m, d, u_inv, v_inv, det=None):
+    """The certificate of smith_normal_form (its docstring says why it
+    suffices), from the sparse rows of every matrix."""
+    if det is not None and len(m) != len(v_inv):
+        raise ValueError("det is defined only for a square matrix")
     if any(row.keys() - {i} for i, row in enumerate(d)):
         raise AssertionError("SNF verification failed: D is not diagonal")
-    if det is None:
-        if _sparse_product(u, m) != _sparse_product(d, v_inv):
-            raise AssertionError("SNF verification failed: U*M != D*V^-1")
-        if _sparse_product(u, u_inv) != [{i: 1} for i in range(len(u))]:
-            raise AssertionError("SNF verification failed: U*U^-1 != I")
-        if _sparse_product(v, v_inv) != [{j: 1} for j in range(len(v))]:
-            raise AssertionError("SNF transform not unimodular: V*V^-1 != I")
-    else:
-        scaled = [
-            {j: x * row[i] for j, x in v_inv[i].items()} if row else {}
-            for i, row in enumerate(d)
-        ]
-        if _sparse_product(u_inv, scaled) != m:
-            raise AssertionError("SNF verification failed: M != U^-1*D*V^-1")
+    scaled = [
+        {j: x * row[i] for j, x in v_inv[i].items()} if row else {}
+        for i, row in enumerate(d)
+    ]
+    if _sparse_product(u_inv, scaled) != m:
+        raise AssertionError("SNF verification failed: M != U^-1*D*V^-1")
     diag = [row.get(i, 0) for i, row in enumerate(d[:len(v_inv)])]
-    if det is not None and (det == 0 or prod(diag) != abs(det)):
+    if det is None:
+        if not (_is_unimodular(u_inv) and _is_unimodular(v_inv)):
+            raise AssertionError("SNF transform not unimodular: |det| != 1")
+    elif det == 0 or prod(diag) != abs(det):
         raise AssertionError("SNF verification failed: prod(d_i) != |det|")
     for x, y in zip(diag, diag[1:]):
         if x == 0 and y != 0:
@@ -648,16 +589,43 @@ def _verify_snf(m, d, u_inv, v_inv, u=None, v=None, det=None):
         raise AssertionError("negative diagonal in SNF")
 
 
+def _is_unimodular(rows):
+    """Is |det| = 1 for the square matrix with these sparse rows? A row
+    or column with one nonzero entry x gives |det| = |x| * |det| of the
+    minor without its row and column (Laplace): such rows, then such
+    columns (rows of the transpose), and so on, are struck off until
+    determinant takes a minor with neither. is_faithful's stacks need
+    no Bareiss pass."""
+    stuck = 0
+    while True:
+        work = dict(enumerate(rows))
+        ones = [i for i, row in work.items() if len(row) == 1]
+        gone = set()
+        while ones:
+            row = work.pop(ones.pop())
+            if len(row) != 1 or abs(*row.values()) != 1:
+                return False  # a zero row, or |x| != 1
+            (j,) = row
+            gone.add(j)
+            for i, row in work.items():
+                if j in row:
+                    row = work[i] = {k: y for k, y in row.items() if k != j}
+                    if len(row) == 1:
+                        ones.append(i)
+        if not work:
+            return True
+        cols = [j for j in range(len(rows)) if j not in gone]
+        stuck = 0 if gone else stuck + 1
+        if stuck == 2:
+            minor = [[row.get(j, 0) for j in cols] for row in work.values()]
+            return abs(determinant(IntMatrix(minor))) == 1
+        turned = _transpose(list(work.values()), len(rows))
+        rows = [turned[j] for j in cols]
+
+
 def _check_snf(m, result, det=None):
-    """Verify an SnfResult of m, as smith_normal_form does before it
-    returns one: the full certificate, or with det the determinant
-    certificate, which does not read result.u and result.v."""
-    if det is not None and not m.is_square:
-        raise ValueError("det is defined only for a square matrix")
-    rows = [_sparse_rows(x) for x in (m, result.d, result.u_inv, result.v_inv)]
-    if det is None:
-        rows += [_sparse_rows(result.u), _sparse_rows(result.v)]
-    _verify_snf(*rows, det=det)
+    """Verify an SnfResult of m as smith_normal_form does."""
+    _verify_snf(*(_sparse_rows(x) for x in (m, *result)), det=det)
 
 
 def _adjugate_times(m, columns):

@@ -31,7 +31,7 @@ computation: relations are checked, not derived by elimination.
 from __future__ import annotations
 
 import sys
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, count
 from math import comb, lcm
 from operator import add
 from typing import NamedTuple
@@ -104,14 +104,41 @@ def _names(k):
     return tuple(out)
 
 
-def _check_product_cap(k, degree_bound):
+def _check_product_cap(k, degree_bound, least=None):
+    """Refuse k generators with more than PRODUCT_CAP products up to
+    degree_bound; with least, a lower bound from those of that degree."""
     products = comb(k + degree_bound, degree_bound) - 1
     if products > PRODUCT_CAP:
         raise ValueError(
-            "%d products of %d invariant generators up to degree %d above "
-            "the desk-scale product cap %d"
-            % (products, k, degree_bound, PRODUCT_CAP)
+            "%s%d products of %d invariant generators%s up to degree %d "
+            "above the desk-scale product cap %d"
+            % ("" if least is None else "at least ", products, k,
+               "" if least is None else " (those of the least degree %d)"
+               % least, degree_bound, PRODUCT_CAP)
         )
+
+
+def _least_degree_count(chars):
+    """(d0, N): the least degree d0 >= 1 of an invariant monomial, and
+    the number N of them of degree d0, each a minimal generator since
+    an invariant proper divisor would have lower degree. rows[i] maps
+    each character to the number of monomials of the current degree in
+    leaves 0..i with it: those without leaf i, and z_i times those of
+    one degree less. d0 is at most the least leaf character order, so
+    this takes O(d0 * t * |G|) steps."""
+    e = chars.modulus
+    zero = (0,) * len(chars.generator_orders)
+    rows = [{zero: 1} for _ in chars.leaf_ids]
+    for degree in count(1):
+        acc = {}
+        for i, leaf in enumerate(chars.leaf_residues):
+            acc = dict(acc)
+            for h, n in rows[i].items():
+                r = tuple((a + b) % e for a, b in zip(h, leaf))
+                acc[r] = acc.get(r, 0) + n
+            rows[i] = acc
+        if acc.get(zero):
+            return degree, acc[zero]
 
 
 def invariant_generators(
@@ -145,7 +172,10 @@ def invariant_generators(
 
     With degree_bound given, raises the ValueError of toric_relations
     as soon as the generators found so far have more than PRODUCT_CAP
-    products up to that degree, before the search runs on.
+    products up to that degree, before the search runs on; and once it
+    has walked PRODUCT_CAP monomials with no generator found, if the
+    invariants of the least degree (_least_degree_count), all
+    generators, alone have too many products.
     """
     check_order_cap(order)
     variables = chars.leaf_ids
@@ -171,6 +201,7 @@ def invariant_generators(
     base = order + 1
     place = [base ** (t - 1 - i) for i in range(t)]
     gens = []
+    walked = 0  # monomials reached with no generator found, until counted
     frontier = {0: (0, ())}  # packed exponents -> (character, support)
     for _degree in range(1, order + 1):
         reached = {}
@@ -196,6 +227,11 @@ def invariant_generators(
         frontier = reached
         if not frontier:
             break
+        if capped and not gens and walked <= PRODUCT_CAP:
+            walked += len(frontier)
+            if walked > PRODUCT_CAP:
+                least, n = _least_degree_count(chars)
+                _check_product_cap(n, degree_bound, least)
     gens.sort()
     exponents = []
     for packed in gens:

@@ -234,13 +234,6 @@ class Polynomial:
             )
         return degs.pop()
 
-    def is_weighted_homogeneous(self, weights):
-        try:
-            self.weighted_degree(weights)
-        except ValueError:
-            return False
-        return True
-
     def monomials(self):
         """Exponent tuples, sorted descending lexicographically."""
         return sorted(self.terms, reverse=True)

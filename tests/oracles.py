@@ -491,6 +491,14 @@ class DenseSnf(NamedTuple):
         )
 
 
+def snf_is_certified(m, r):
+    """Does the SnfResult r give m = U^-1 @ D @ V^-1 with |det U^-1| =
+    |det V^-1| = 1, by dense products and Bareiss? Then U and V are
+    integer matrices and U @ m @ V = D."""
+    return (r.u_inv @ r.d @ r.v_inv == m
+            and abs(determinant(r.u_inv)) == abs(determinant(r.v_inv)) == 1)
+
+
 def smith_normal_form_dense(m: IntMatrix) -> DenseSnf:
     """Smith normal form with transforms, U @ m @ V = D.
 

@@ -1,5 +1,6 @@
 """CLI contract: exit codes, stable structured output, report content."""
 
+import hashlib
 import io
 import json
 import os
@@ -661,6 +662,66 @@ def test_invariants_product_cap_stops_the_generator_search(capsys, tmp_path):
     assert "product cap %d" % PRODUCT_CAP in err
     assert "Traceback" not in err
     assert took < 10, took
+
+
+SIX_LEAF_STAR = "vertex c weight=-51\n" + "".join(
+    "vertex a%d weight=-1\nedge c a%d\n" % (i, i) for i in range(1, 7)
+)
+
+
+def test_invariants_least_degree_preflight_refuses_the_star(capsys, tmp_path):
+    """A star with centre -51 and six (-1) leaves: |G| = 45, and every
+    leaf has one character of order 45, so every invariant monomial has
+    degree 45. The search walks PRODUCT_CAP monomials with no generator
+    found, then counts the 2,118,760 invariants of degree 45, all
+    generators, and refuses at once; it used to walk every monomial of
+    degree below 45 (27-44 s) before the in-search cap stopped it."""
+    path = tmp_path / "star.graph"
+    path.write_text(SIX_LEAF_STAR)
+    for fmt in ("text", "structured"):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "invariants", str(path), "--format", fmt)
+        took = time.perf_counter() - start
+        assert (code, out) == (3, "")
+        assert err == (
+            "sforge: at least 2244575146940 products of 2118760 invariant "
+            "generators (those of the least degree 45) up to degree 2 above "
+            "the desk-scale product cap %d\n" % PRODUCT_CAP
+        )
+        assert took < 1, took
+
+
+@pytest.mark.parametrize("seed, code, digest", [
+    (17, 0, "16676e83d6c607da"),
+    (40, 0, "2fdae797f77db269"),
+    (99, 0, "92a02c1ded603d25"),
+    (74, 3, None),
+    (95, 3, None),
+])
+def test_invariants_least_degree_count_is_not_reached_on_seeded_trees(
+    capsys, tmp_path, monkeypatch, seed, code, digest
+):
+    """The least-degree count runs only after PRODUCT_CAP monomials
+    walked with no generator found, which none of these trees reaches:
+    seeds 17, 40 and 99 print what they printed before the count
+    existed (sha256 prefix of the text output), and seeds 74 and 95
+    still stop at the in-search cap."""
+    def no_count(chars):
+        raise AssertionError("least-degree count reached")
+
+    monkeypatch.setattr("sforge.invariants._least_degree_count", no_count)
+    path = tmp_path / "random.graph"
+    path.write_text(serialize_graph(random_negative_definite_tree(Random(seed))))
+    got, out, err = run(capsys, "invariants", str(path))
+    assert got == code, err
+    if digest is None:
+        assert out == ""
+        assert err == (
+            "sforge: 200027 products of 631 invariant generators up to "
+            "degree 2 above the desk-scale product cap %d\n" % PRODUCT_CAP
+        )
+    else:
+        assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
 
 
 def test_invariants_relation_cap_exit_3(capsys, tmp_path, monkeypatch):

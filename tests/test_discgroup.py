@@ -38,6 +38,8 @@ from oracles import (
     invariant_factors_minor_gcd,
     invert_rational_fraction_gauss,
     is_faithful_by_enumeration,
+    smith_normal_form_dense,
+    snf_is_certified,
 )
 from test_invariants import char_assignment
 
@@ -315,12 +317,13 @@ def test_dual_class_order_matches_inverse_denominators(corpus):
 
 def test_generators_match_inverse_times_inverted_u(corpus):
     """Generators from adj(M) and the tracked U^{-1} equal the columns of
-    M^{-1} (inverse of U), both inverses by Fraction Gauss-Jordan."""
+    M^{-1} (inverse of U), both inverses by Fraction Gauss-Jordan, with
+    U from the dense oracle's elimination."""
     for name, g in corpus.items():
         if not g.is_qhs_tree():
             continue
         m = intersection_matrix(g)
-        snf = smith_normal_form(m)
+        snf = smith_normal_form_dense(m)
         coords = invert_rational_fraction_gauss(m) @ (
             invert_rational_fraction_gauss(snf.u)
         )
@@ -336,9 +339,9 @@ def test_group_snf_is_certified_by_the_tree_determinant(
     fresh_corpus, monkeypatch
 ):
     """discriminant_group hands its Smith normal form the tree pass's
-    determinant, so U and V are not built; is_faithful's stack, built
-    for two or more generators, has no determinant and keeps all four
-    transforms and the full certificate. One generator takes the closed
+    determinant; is_faithful's stack, built for two or more generators,
+    has no determinant, and its transforms are certified unimodular
+    instead. Both give M = U^-1 D V^-1. One generator takes the closed
     form and builds no stack. The graphs are built anew, so that their
     groups are not memoized already."""
     corpus = fresh_corpus
@@ -362,11 +365,11 @@ def test_group_snf_is_certified_by_the_tree_determinant(
         (m, kwargs, group_snf), *rest = calls
         assert m is intersection_matrix(g), name
         assert kwargs == {"det": g.tree_form().determinant}, name
-        assert group_snf.u is None and group_snf.v is None, name
+        assert snf_is_certified(m, group_snf), name
         if len(chars.generator_orders) >= 2:
             ((stack, kwargs, snf),) = rest
             assert not stack.is_square and kwargs == {}, name
-            assert snf.u @ stack @ snf.v == snf.d, name
+            assert snf_is_certified(stack, snf), name
             stacks += 1
         else:
             assert rest == [], name

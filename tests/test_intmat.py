@@ -20,7 +20,14 @@ from sforge import (
 )
 from sforge.corpus import chain, e7, random_negative_definite_tree, star
 from sforge.graph import intersection_matrix, parse_graph
-from sforge.intmat import _bareiss, _check_snf, solve_sparse
+from sforge.intmat import (
+    SnfResult,
+    _bareiss,
+    _check_snf,
+    _is_unimodular,
+    _sparse_rows,
+    solve_sparse,
+)
 from sforge.invariants import _integer_row
 
 from oracles import (
@@ -31,6 +38,7 @@ from oracles import (
     is_negative_definite_minors,
     quadratic_form_refutes_negdef,
     smith_normal_form_dense,
+    snf_is_certified,
     solve_rational_fraction_gauss,
     solve_underdetermined_fraction_gauss,
 )
@@ -216,8 +224,7 @@ def test_snf_random_against_minor_gcd_oracle(seed):
         [[rng.randint(-6, 6) for _ in range(nc)] for _ in range(nr)]
     )
     r = smith_normal_form(m)
-    assert (r.u @ m @ r.v) == r.d
-    assert r.u @ r.u_inv == IntMatrix.identity(nr)
+    assert snf_is_certified(m, r)
     assert r.diagonal == invariant_factors_minor_gcd(m.to_lists())
 
 
@@ -225,15 +232,22 @@ def test_snf_rank_deficient():
     m = IntMatrix([[2, 4], [1, 2]])
     r = smith_normal_form(m)
     assert r.diagonal == (1, 0)
-    assert r.u @ r.u_inv == IntMatrix.identity(2)
+    assert snf_is_certified(m, r)
 
 
 def test_snf_non_square_tracks_u_inverse():
+    """U and V are det * adj of U^-1 and V^-1, integer matrices since
+    both determinants are +-1, and U @ m @ V = D."""
     for m in (IntMatrix([[2, 4, 6], [3, 9, 1]]),
               IntMatrix([[4], [6], [-10]])):
         r = smith_normal_form(m)
-        assert r.u @ r.u_inv == IntMatrix.identity(m.rows)
-        assert r.u_inv @ r.u == IntMatrix.identity(m.rows)
+        assert snf_is_certified(m, r)
+        u, v = (IntMatrix([[det * x for x in row] for row in adj.entries])
+                for det, adj in map(adjugate, (r.u_inv, r.v_inv)))
+        assert u @ r.u_inv == IntMatrix.identity(m.rows)
+        assert r.u_inv @ u == IntMatrix.identity(m.rows)
+        assert v @ r.v_inv == IntMatrix.identity(m.cols)
+        assert u @ m @ v == r.d
 
 
 def test_snf_check_rejects_corrupted_u_inverse():
@@ -245,26 +259,47 @@ def test_snf_check_rejects_corrupted_u_inverse():
         _check_snf(m, r._replace(u_inv=IntMatrix(bad)))
 
 
-@pytest.mark.parametrize("field", ["u", "d", "v", "u_inv", "v_inv"])
+@pytest.mark.parametrize("field", ["d", "u_inv", "v_inv"])
 def test_snf_check_rejects_any_corrupted_matrix(field):
-    """Both certificates; the determinant one reads only d, u_inv and
-    v_inv."""
+    """The certificate with and without the determinant; both modes
+    give the same result."""
     m = IntMatrix([[2, 1, 0], [1, 3, 1], [0, 1, 4]])
     det = determinant(m)
     r = smith_normal_form(m)
-    q = smith_normal_form(m, det=det)
+    assert smith_normal_form(m, det=det) == r
     _check_snf(m, r)
-    _check_snf(m, q, det=det)
-    _check_snf(m, q, det=-det)  # only |det| is read
+    _check_snf(m, r, det=det)
+    _check_snf(m, r, det=-det)  # only |det| is read
     for i, j in ((0, 0), (2, 1), (1, 2), (2, 2)):
         bad = getattr(r, field).to_lists()
         bad[i][j] += 1
-        bad = {field: IntMatrix(bad)}
+        bad = r._replace(**{field: IntMatrix(bad)})
         with pytest.raises(AssertionError):
-            _check_snf(m, r._replace(**bad))
-        if getattr(q, field) is not None:
-            with pytest.raises(AssertionError):
-                _check_snf(m, q._replace(**bad), det=det)
+            _check_snf(m, bad)
+        with pytest.raises(AssertionError):
+            _check_snf(m, bad, det=det)
+
+
+def test_snf_check_without_det_refuses_a_transform_of_det_2():
+    """m = U^-1 @ D @ V^-1 holds, but U^-1 = [[2]] has no integer
+    inverse: only the unimodularity check can refuse it."""
+    m = IntMatrix([[2]])
+    forged = SnfResult(d=IntMatrix([[1]]), u_inv=IntMatrix([[2]]),
+                       v_inv=IntMatrix([[1]]))
+    assert forged.u_inv @ forged.d @ forged.v_inv == m
+    with pytest.raises(AssertionError, match="unimodular"):
+        _check_snf(m, forged)
+    # the same forgery with U^-1 and V^-1 swapped, and inside a larger
+    # matrix whose other rows have one entry each
+    with pytest.raises(AssertionError, match="unimodular"):
+        _check_snf(m, forged._replace(u_inv=forged.v_inv,
+                                      v_inv=forged.u_inv))
+    m = IntMatrix([[2, 0], [0, 1]])
+    forged = SnfResult(d=IntMatrix.identity(2),
+                       u_inv=IntMatrix([[2, 0], [0, 1]]),
+                       v_inv=IntMatrix.identity(2))
+    with pytest.raises(AssertionError, match="unimodular"):
+        _check_snf(m, forged)
 
 
 def test_snf_det_check_rejects_a_wrong_or_zero_determinant():
@@ -291,24 +326,53 @@ def test_snf_det_mode_requires_a_square_matrix():
 def test_snf_check_rejects_corrupted_non_square_transforms():
     m = IntMatrix([[2, 4, 6], [3, 9, 1]])
     r = smith_normal_form(m)
-    for field in ("u", "v", "u_inv", "v_inv"):
+    for field in ("u_inv", "v_inv"):
         bad = getattr(r, field).to_lists()
         bad[-1][0] -= 1
         with pytest.raises(AssertionError):
             _check_snf(m, r._replace(**{field: IntMatrix(bad)}))
 
 
+def test_unimodularity_check_agrees_with_the_determinant():
+    """_is_unimodular strikes off rows and columns with one entry before
+    Bareiss; it must say |det| = 1 exactly when determinant does, on
+    sparse random matrices and on unimodular ones built from elementary
+    operations, permuted or not."""
+    rng = Random(7)
+    seen = {True: 0, False: 0}
+    for _ in range(1500):
+        n = rng.randint(1, 7)
+        if rng.random() < 0.5:
+            m = [[rng.choice([0, 0, 0, 1, -1, 2, 3]) for _ in range(n)]
+                 for _ in range(n)]
+        else:
+            m = [[int(i == j) for j in range(n)] for i in range(n)]
+            for _ in range(rng.randint(0, 3 * n)):
+                i, j = rng.sample(range(n), 2) if n > 1 else (0, 0)
+                if i != j:
+                    c = rng.choice([-2, -1, 1, 3])
+                    m[i] = [x + c * y for x, y in zip(m[i], m[j])]
+            rng.shuffle(m)
+            if rng.random() < 0.3:
+                m[rng.randrange(n)][rng.randrange(n)] += 1
+        m = IntMatrix(m)
+        expected = abs(determinant(m)) == 1
+        assert _is_unimodular(_sparse_rows(m)) == expected, m
+        seen[expected] += 1
+    assert min(seen.values()) >= 300, seen
+
+
 def assert_snf_matches_dense(m, det=None):
     """Same pivots and same elementary operations as the dense oracle:
-    every transform agrees entry for entry. With det, the determinant
-    mode runs too and must give the same d, u_inv and v_inv, without
-    u and v."""
+    d and u_inv agree entry for entry, and v_inv is the inverse of the
+    oracle's V. With det, the determinant mode runs too and must give
+    the same d, u_inv and v_inv."""
     r = smith_normal_form(m)
-    assert (r.u, r.d, r.v, r.u_inv) == tuple(smith_normal_form_dense(m))
+    dense = smith_normal_form_dense(m)
+    assert (r.d, r.u_inv) == (dense.d, dense.u_inv)
+    assert dense.v @ r.v_inv == IntMatrix.identity(m.cols)
     if det is not None:
-        q = smith_normal_form(m, det=det)
-        assert (q.d, q.u_inv, q.v_inv) == (r.d, r.u_inv, r.v_inv)
-        assert q.u is None and q.v is None
+        assert smith_normal_form(m, det=det) == r
     return r
 
 
@@ -392,7 +456,7 @@ def test_snf_matches_dense_oracle_on_random_matrices():
              for _ in range(nc)]
             for _ in range(nr)
         ]))
-        assert r.v @ r.v_inv == IntMatrix.identity(nc)
+        assert abs(determinant(r.v_inv)) == 1
     # [e * phases; e * I] over t leaves, as is_faithful stacks them
     for _ in range(300):
         k, t = rng.randint(1, 3), rng.randint(1, 6)

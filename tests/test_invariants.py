@@ -1,5 +1,6 @@
 """Invariant generators, toric relations, bounded membership."""
 
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from random import Random
@@ -30,6 +31,7 @@ from sforge.invariants import (
     ORDER_CAP,
     PRODUCT_CAP,
     RELATION_CAP,
+    _least_degree_count,
     _monomials_up_to,
 )
 
@@ -283,6 +285,62 @@ def test_generator_search_refuses_at_the_product_cap(monkeypatch):
         invariant_generators(ch, 3, degree_bound=1)
     for bound in (None, 0, -1):
         assert invariant_generators(ch, 3, degree_bound=bound) == full
+
+
+def test_least_degree_count_matches_the_generators(corpus):
+    """_least_degree_count gives the least degree d0 of an invariant
+    monomial and their number there: the generators of degree d0, and
+    the invariant monomials of degree d0 counted one by one."""
+    cases = [
+        char_assignment(("x", "y", "z"), (5,), [[Fraction(1, 5)] * 3]),
+        char_assignment(("x", "y"), (4,), [[Fraction(1, 4), Fraction(3, 4)]]),
+        char_assignment(("x", "y"), (6,), [[Fraction(0), Fraction(1, 6)]]),
+    ]
+    for g in corpus.values():
+        if g.is_qhs_tree() and 1 < discriminant_group(g).order <= 200:
+            cases.append(leaf_characters(g))
+    assert len(cases) >= 10
+    for ch in cases:
+        least, n = _least_degree_count(ch)
+        degrees = [sum(e) for e in invariant_generators(ch, ch.order).exponents]
+        assert (least, n) == (min(degrees), degrees.count(min(degrees)))
+        zero = (0,) * len(ch.generator_orders)
+        assert n == sum(
+            ch.monomial_residue(Counter(combo)) == zero
+            for combo in combinations_with_replacement(ch.leaf_ids, least)
+        )
+
+
+def test_generator_search_refuses_on_the_least_degree_count(monkeypatch):
+    """Three leaves of one character of order 5: no invariant below
+    degree 5, and 21 of degree 5, all generators. Once the search has
+    walked more than PRODUCT_CAP monomials (34 below degree 5) with no
+    generator, it counts those 21 and refuses if their products alone
+    pass the cap, saying the count is a lower bound; otherwise it runs
+    on to the same basis."""
+    ch = char_assignment(("x", "y", "z"), (5,), [[Fraction(1, 5)] * 3])
+    full = invariant_generators(ch, 5)
+    assert len(full.exponents) == 21
+    counted = []
+    monkeypatch.setattr(
+        "sforge.invariants._least_degree_count",
+        lambda c: counted.append(c) or _least_degree_count(c),
+    )
+    monkeypatch.setattr("sforge.invariants.PRODUCT_CAP", 20)
+    with pytest.raises(
+        ValueError,
+        match=r"^at least 21 products of 21 invariant generators \(those "
+        r"of the least degree 5\) up to degree 1 above the desk-scale "
+        r"product cap 20$",
+    ):
+        invariant_generators(ch, 5, degree_bound=1)
+    assert counted == [ch]
+    monkeypatch.setattr("sforge.invariants.PRODUCT_CAP", 30)
+    assert invariant_generators(ch, 5, degree_bound=1) == full
+    assert counted == [ch, ch]
+    monkeypatch.setattr("sforge.invariants.PRODUCT_CAP", 34)
+    assert invariant_generators(ch, 5, degree_bound=1) == full
+    assert counted == [ch, ch]  # walked 34, not more: no count
 
 
 def test_relation_cap_counts_the_relations(corpus, monkeypatch):

@@ -28,6 +28,8 @@ from oracles import (
     coin_membership_dp,
     fundamental_cycle_bruteforce,
     random_rational_tree,
+    smith_normal_form_dense,
+    snf_is_certified,
 )
 
 TREE_COUNT = 200
@@ -45,7 +47,9 @@ def check_tree(g):
     assert is_negative_definite(m)
 
     snf = smith_normal_form(m)
-    assert (snf.u @ m @ snf.v) == snf.d
+    assert snf_is_certified(m, snf)
+    dense = smith_normal_form_dense(m)
+    assert (snf.d, snf.u_inv) == (dense.d, dense.u_inv)
     diag = snf.diagonal
     for a, b in zip(diag, diag[1:]):
         assert a > 0 and b % a == 0

@@ -49,7 +49,7 @@ FIELDS = {
     RationalCycle: ("vertex_ids", "coefficients"),
     Classification: ("kind", "zsq", "multiplicity", "embedding_dimension",
                      "numerically_gorenstein"),
-    SnfResult: ("u", "d", "v", "u_inv", "v_inv"),
+    SnfResult: ("d", "u_inv", "v_inv"),
     DiscriminantData: ("order", "invariant_factors", "generators",
                        "generator_orders"),
     CharacterAssignment: ("leaf_ids", "generator_orders", "phases"),
