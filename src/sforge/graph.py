@@ -101,10 +101,13 @@ class Vertex(NamedTuple):
 
 
 def _check_vertex(v, ids):
-    """Add v's id to ids if it is new, with a nonnegative genus and an
+    """Add v's id to ids if it is new, with an integer genus >= 0 and an
     integer weight <= -1; raise ValueError if not."""
     if v.id in ids:
         raise ValueError("duplicate vertex id %r" % v.id)
+    if not isinstance(v.genus, int) or isinstance(v.genus, bool):
+        raise ValueError("vertex %r has non-integer genus %r"
+                         % (v.id, v.genus))
     if v.genus < 0:
         raise ValueError("vertex %r has negative genus" % v.id)
     if not isinstance(v.weight, int) or isinstance(v.weight, bool):

@@ -162,9 +162,6 @@ class IntMatrix(_Matrix):
             raise ValueError("shape mismatch")
         return tuple(sum(map(mul, row, v)) for row in self.entries)
 
-    def to_rational(self):
-        return RatMatrix(self.entries)
-
     def __truediv__(self, d):
         """Exact quotient by a nonzero integer, as a RatMatrix."""
         return RatMatrix(
@@ -218,11 +215,6 @@ class SnfResult(NamedTuple):
         return tuple(
             self.d[i, i] for i in range(min(self.d.rows, self.d.cols))
         )
-
-    @property
-    def invariant_factors(self):
-        """The nonzero diagonal entries, in divisibility order."""
-        return tuple(x for x in self.diagonal if x != 0)
 
 
 def _bareiss(rows, pivoting):

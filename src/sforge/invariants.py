@@ -65,17 +65,23 @@ PRODUCT_CAP = 200_000
 RELATION_CAP = 1_000_000
 
 
+def _shown(n: int) -> str:
+    """n as text, or its length when int cannot turn it into text
+    (sys.get_int_max_str_digits)."""
+    try:
+        return str(n)
+    except ValueError:
+        return "with more than %d digits" % sys.get_int_max_str_digits()
+
+
 def check_order_cap(order: int) -> None:
     """Refuse a group order above ORDER_CAP with a ValueError, before any
     work that grows with the order. The refusal names the cap, and the
-    order when int can turn it into text (sys.get_int_max_str_digits)."""
+    order when int can turn it into text."""
     if order > ORDER_CAP:
-        try:
-            shown = str(order)
-        except ValueError:
-            shown = "with more than %d digits" % sys.get_int_max_str_digits()
         raise ValueError(
-            "group order %s above the desk-scale cap %d" % (shown, ORDER_CAP)
+            "group order %s above the desk-scale cap %d"
+            % (_shown(order), ORDER_CAP)
         )
 
 
@@ -176,8 +182,14 @@ def invariant_generators(
     has walked PRODUCT_CAP monomials with no generator found, if the
     invariants of the least degree (_least_degree_count), all
     generators, alone have too many products.
+
+    order must be |G| = chars.order: a smaller one would cut the search
+    short of the Hilbert basis, so any other raises ValueError.
     """
     check_order_cap(order)
+    if order != chars.order:
+        raise ValueError("order %s is not the group order %s of the "
+                         "characters" % (_shown(order), _shown(chars.order)))
     variables = chars.leaf_ids
     t = len(variables)
     e = chars.modulus

@@ -9,11 +9,11 @@ Polynomial keeps one invariant for its terms:
   in lowest terms.
 
 Validation happens where input enters: the public constructor
-Polynomial(variables, terms) checks its arguments, converts every
-coefficient with Fraction and normalises the result to the invariant;
-constant, variable and monomial check their names, exponents and
-coefficient. The ring operations build their term maps under the
-invariant and hand them to Polynomial._from_terms, which does not
+Polynomial(variables, terms) checks its arguments (int exponents, no
+float coefficients), converts every coefficient with Fraction and
+normalises the result to the invariant. The ring operations, + and *
+of two Polynomials over the same variables, build their term maps under
+the invariant and hand them to Polynomial._from_terms, which does not
 validate again; so do parse_polynomial and the sforge modules that
 build equations and certificates as term maps. Polynomials are
 immutable; all arithmetic is exact.
@@ -46,11 +46,6 @@ def _checked_variables(variables):
     return variables
 
 
-def _checked_coefficient(value):
-    """An outside coefficient as the invariant stores it (0 for zero)."""
-    return value if type(value) is int else _canonical(Fraction(value))
-
-
 def monomial_text(names, exponents):
     """The monomial with these exponents over these variable names, as
     Polynomial prints it: x^2*y; the empty string for exponents all
@@ -68,11 +63,18 @@ class Polynomial:
         self.variables = _checked_variables(variables)
         clean = {}
         for exps, coeff in (terms or {}).items():
-            exps = tuple(int(e) for e in exps)
+            exps = tuple(exps)
             if len(exps) != len(self.variables):
                 raise ValueError("exponent tuple has wrong length")
+            if any(not isinstance(e, int) or isinstance(e, bool)
+                   for e in exps):
+                raise ValueError("non-integer exponent in %r" % (exps,))
             if any(e < 0 for e in exps):
                 raise ValueError("negative exponent")
+            if isinstance(coeff, float):
+                raise ValueError("floating point coefficient %r rejected"
+                                 % coeff)
+            exps = tuple(map(int, exps))
             coeff = Fraction(coeff)
             if coeff:
                 clean[exps] = clean.get(exps, 0) + coeff
@@ -88,51 +90,24 @@ class Polynomial:
         p.terms = terms
         return p
 
-    # -- constructors ---------------------------------------------------
-
     @classmethod
     def zero(cls, variables):
         return cls._from_terms(_checked_variables(variables), {})
 
-    @classmethod
-    def constant(cls, variables, value):
-        variables = _checked_variables(variables)
-        value = _checked_coefficient(value)
-        terms = {(0,) * len(variables): value} if value else {}
-        return cls._from_terms(variables, terms)
-
-    @classmethod
-    def variable(cls, variables, name):
-        variables = _checked_variables(variables)
-        exps = [0] * len(variables)
-        exps[variables.index(name)] = 1
-        return cls._from_terms(variables, {tuple(exps): 1})
-
-    @classmethod
-    def monomial(cls, variables, exponents, coeff=1):
-        """exponents: map variable name -> exponent (zeros omitted)."""
-        variables = _checked_variables(variables)
-        exps = [0] * len(variables)
-        for name, e in exponents.items():
-            e = int(e)
-            if e < 0:
-                raise ValueError("negative exponent")
-            exps[variables.index(name)] = e
-        coeff = _checked_coefficient(coeff)
-        terms = {tuple(exps): coeff} if coeff else {}
-        return cls._from_terms(variables, terms)
-
     # -- ring operations ------------------------------------------------
 
-    def _coerce(self, other):
-        if isinstance(other, Polynomial):
-            if other.variables != self.variables:
-                raise ValueError("variable sets differ")
-            return other
-        return Polynomial.constant(self.variables, other)
+    def _same_ring(self, other):
+        """Whether other is a Polynomial, which must then be over the
+        same variables (ValueError if not)."""
+        if not isinstance(other, Polynomial):
+            return False
+        if other.variables != self.variables:
+            raise ValueError("variable sets differ")
+        return True
 
     def __add__(self, other):
-        other = self._coerce(other)
+        if not self._same_ring(other):
+            return NotImplemented
         terms = dict(self.terms)
         for e, c in other.terms.items():
             c += terms.get(e, 0)
@@ -142,21 +117,9 @@ class Polynomial:
                 del terms[e]  # c cancelled a term of self
         return Polynomial._from_terms(self.variables, terms)
 
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Polynomial._from_terms(
-            self.variables, {e: -c for e, c in self.terms.items()}
-        )
-
-    def __sub__(self, other):
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other):
-        return self._coerce(other) - self
-
     def __mul__(self, other):
-        other = self._coerce(other)
+        if not self._same_ring(other):
+            return NotImplemented
         terms = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
@@ -166,20 +129,6 @@ class Polynomial:
             self.variables,
             {e: _canonical(c) for e, c in terms.items() if c},
         )
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k):
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("exponent must be a nonnegative integer")
-        out = Polynomial.constant(self.variables, 1)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
 
     def __eq__(self, other):
         return (
@@ -191,34 +140,7 @@ class Polynomial:
     def __hash__(self):
         return hash((self.variables, frozenset(self.terms.items())))
 
-    def is_zero(self):
-        return not self.terms
-
     # -- structure ------------------------------------------------------
-
-    def substitute(self, mapping):
-        """Replace each variable by a Polynomial (all sharing one target
-        variable set); variables not in the mapping must not occur."""
-        targets = {p.variables for p in mapping.values()}
-        if len(targets) != 1:
-            raise ValueError("substitution images must share one variable set")
-        (tvars,) = targets
-        out = Polynomial.zero(tvars)
-        for exps, coeff in self.terms.items():
-            term = Polynomial.constant(tvars, coeff)
-            for name, e in zip(self.variables, exps):
-                if e == 0:
-                    continue
-                if name not in mapping:
-                    raise ValueError("no image for variable %r" % name)
-                term = term * mapping[name] ** e
-            out = out + term
-        return out
-
-    def total_degree(self):
-        if not self.terms:
-            return 0
-        return max(sum(e) for e in self.terms)
 
     def weighted_degree(self, weights):
         """Common weight of all monomials under weights (a map variable

@@ -288,7 +288,7 @@ def solve_rational_fraction_gauss(m: IntMatrix, b) -> tuple:
                 c = a[i][k]
                 a[i] = [x - c * y for x, y in zip(a[i], a[k])]
     x = tuple(a[i][n] for i in range(n))
-    if m.to_rational().mul_vector(x) != tuple(Fraction(c) for c in b):
+    if m.mul_vector(x) != tuple(Fraction(c) for c in b):
         raise AssertionError("solve verification failed")
     return x
 
@@ -363,8 +363,7 @@ def monomial_character_by_fractions(chars, exponents) -> tuple:
 
 def generator_monomial(basis, i) -> Polynomial:
     """Generator i of an InvariantBasis as a monomial in its variables."""
-    return Polynomial.monomial(
-        basis.variables, dict(zip(basis.variables, basis.exponents[i])))
+    return Polynomial(basis.variables, {basis.exponents[i]: 1})
 
 
 def invariant_generators_by_search(chars, order) -> InvariantBasis:
@@ -428,12 +427,7 @@ def toric_relations_by_polynomials(basis, degree_bound) -> list:
             if any(x and y for x, y in zip(a, b)):
                 continue
             hi, lo = max(a, b), min(a, b)
-            p = Polynomial.monomial(
-                basis.names, {n: e for n, e in zip(basis.names, hi) if e}
-            ) - Polynomial.monomial(
-                basis.names, {n: e for n, e in zip(basis.names, lo) if e}
-            )
-            relations.append(p)
+            relations.append(Polynomial(basis.names, {hi: 1, lo: -1}))
     return relations
 
 
@@ -621,8 +615,10 @@ def _check_snf_dense(m, result):
 
 def parse_polynomial_by_arithmetic(text, variables):
     """Parse ASCII math like '2*x^2*y - 3/2*z + 1' over the given
-    variables, one Polynomial per factor, multiplied and added."""
+    variables, one Polynomial per factor, multiplied and added; a sign
+    is a constant factor."""
     variables = tuple(variables)
+    constant = (0,) * len(variables)
     tokens = _tokens(text)
     i = 0
 
@@ -632,7 +628,7 @@ def parse_polynomial_by_arithmetic(text, variables):
         i += 1
         if kind == "num":
             try:
-                return Polynomial.constant(variables, Fraction(value))
+                return Polynomial(variables, {constant: Fraction(value)})
             except ZeroDivisionError:
                 raise ParseError("zero denominator in %r" % value) from None
         if kind != "name":
@@ -650,7 +646,9 @@ def parse_polynomial_by_arithmetic(text, variables):
                 )
             exp = int(digits)
             i += 2
-        return Polynomial.variable(variables, value) ** exp
+        exps = list(constant)
+        exps[variables.index(value)] = exp
+        return Polynomial(variables, {tuple(exps): 1})
 
     def term():
         nonlocal i
@@ -664,11 +662,11 @@ def parse_polynomial_by_arithmetic(text, variables):
     if tokens[0] == ("op", "-"):
         sign = -1
         i = 1
-    result = sign * term()
+    result = Polynomial(variables, {constant: sign}) * term()
     while tokens[i] in (("op", "+"), ("op", "-")):
         sign = 1 if tokens[i][1] == "+" else -1
         i += 1
-        result = result + sign * term()
+        result = result + Polynomial(variables, {constant: sign}) * term()
     if tokens[i] != (None, None):
         raise _unexpected(tokens[i])
     return result

@@ -93,14 +93,10 @@ def test_criterion_1_e7_end_to_end():
     pkg = build_splice_equations(g)
     (eq,) = pkg.equations
     assert str(eq) == "x^2 + y^3 + z^4"
-    flipped = eq.substitute(
-        {
-            "x": -Polynomial.variable(pkg.variables, "x"),
-            "y": Polynomial.variable(pkg.variables, "y"),
-            "z": -Polynomial.variable(pkg.variables, "z"),
-        }
-    )
-    assert flipped == eq
+    assert pkg.variables == ("x", "y", "z")
+    flipped = {(a, b, c): (-1) ** (a + c) * coeff
+               for (a, b, c), coeff in eq.terms.items()}
+    assert flipped == eq.terms
 
     basis = invariant_generators(ch, dg.order)
     assert set(basis.exponents) == {
@@ -124,21 +120,16 @@ def test_criterion_1_e7_end_to_end():
     assert len(rels) == 1
     # AC - B^2 in the paper's names
     names = basis.names
-    ac = Polynomial.monomial(names, {paper["A"]: 1, paper["C"]: 1})
-    b2 = Polynomial.monomial(names, {paper["B"]: 2})
-    assert parse_polynomial(rels[0], names) in (ac - b2, b2 - ac)
+    ac = tuple(int(n in (paper["A"], paper["C"])) for n in names)
+    b2 = tuple(2 * (n == paper["B"]) for n in names)
+    assert parse_polynomial(rels[0], names) in (
+        Polynomial(names, {ac: 1, b2: -1}), Polynomial(names, {ac: -1, b2: 1})
+    )
 
     # B^2 + C(C^2 + D^3) lies in (x^2 + y^3 + z^4) with cofactor z^2
-    sub = {nm: generator_monomial(basis, i)
-           for i, nm in enumerate(basis.names)}
-    target_named = Polynomial.monomial(names, {paper["B"]: 2}) + (
-        Polynomial.monomial(names, {paper["C"]: 1})
-        * (
-            Polynomial.monomial(names, {paper["C"]: 2})
-            + Polynomial.monomial(names, {paper["D"]: 3})
-        )
-    )
-    target = target_named.substitute(sub)
+    b, c, d = (generator_monomial(basis, names.index(paper[nm]))
+               for nm in "BCD")
+    target = b * b + c * (c * c + d * d * d)
     cert = membership_bounded(target, [eq], 2)
     assert cert is not None
     assert [str(q) for q in cert.cofactors] == ["z^2"]

@@ -120,6 +120,9 @@ def test_constructor_keeps_every_check_for_caller_input():
         ([], [], "at least one vertex"),
         ([Vertex("a", -2), Vertex("a", -3)], [], "duplicate vertex id"),
         ([Vertex("a", -2, genus=-1)], [], "negative genus"),
+        ([("a", -2, 1.5)], [], "non-integer genus 1.5"),
+        ([Vertex("a", -2, genus=True)], [], "non-integer genus True"),
+        ([Vertex("a", -2, genus="x")], [], "non-integer genus 'x'"),
         ([Vertex("a", 0)], [], "weight 0 >= 0"),
         ([Vertex("a", -2.0)], [], "non-integer weight"),
         ([Vertex("a", True)], [], "non-integer weight"),

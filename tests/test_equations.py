@@ -374,8 +374,9 @@ def test_node_equations_match_sums_of_scaled_monomials():
             for i in range(len(ns.directions) - 2):
                 eq = Polynomial.zero(pkg.variables)
                 for pos, a in enumerate(ns.monomials):
-                    eq = eq + ns.coefficients[i, pos] * Polynomial.monomial(
-                        pkg.variables, a
+                    exps = tuple(a.get(v, 0) for v in pkg.variables)
+                    eq = eq + Polynomial(
+                        pkg.variables, {exps: ns.coefficients[i, pos]}
                     )
                 expected.append(eq)
             assert ns.equations == tuple(expected)

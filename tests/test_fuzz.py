@@ -160,7 +160,7 @@ def test_fuzz_graph_files(tmp_path):
     line soups: each call returns 0, 2 or 3, and within CALL_SECONDS."""
     path = tmp_path / "fuzz.graph"
 
-    @settings(max_examples=300, deadline=None, database=None,
+    @settings(max_examples=1000, deadline=None, database=None,
               derandomize=True)
     @given(st.one_of(tree_texts().map(str.encode), line_soups()))
     def run(data):

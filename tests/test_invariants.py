@@ -3,6 +3,7 @@
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from operator import mul
 from random import Random
 
 import pytest
@@ -23,6 +24,7 @@ from sforge.corpus import (
     builtin_corpus,
     e7,
     e8,
+    quotient_cusp,
     random_negative_definite_tree,
 )
 from sforge.errors import PreconditionError
@@ -36,7 +38,6 @@ from sforge.invariants import (
 )
 
 from oracles import (
-    generator_monomial,
     invariant_generators_by_search,
     monomial_character_by_fractions,
     toric_relations_by_polynomials,
@@ -186,6 +187,28 @@ def test_order_cap_refusal():
         invariant_generators(ch, ORDER_CAP + 1)
 
 
+def test_order_must_be_the_group_order():
+    """An order other than |G| would cut the search short of the Hilbert
+    basis (E7 with order 1 kept only y; the k = 3 cusp of order 16 with
+    order 3 kept none of its 15 generators), so it is refused."""
+    e7_chars = leaf_characters(e7())
+    cusp = leaf_characters(quotient_cusp(3, (2, 3, 2)))
+    assert (e7_chars.order, cusp.order) == (2, 16)
+    assert len(invariant_generators(cusp, 16).exponents) == 15
+    for ch, order in ((e7_chars, 1), (e7_chars, 3), (cusp, 3), (cusp, 15)):
+        with pytest.raises(
+            ValueError,
+            match="^order %d is not the group order %d of the characters$"
+            % (order, ch.order),
+        ):
+            invariant_generators(ch, order)
+    huge = 10 ** 5000
+    many = CharacterAssignment(("x",), (huge,), ((Fraction(1, huge),),))
+    with pytest.raises(ValueError, match="^order 2 is not the group order "
+                       "with more than \\d+ digits"):
+        invariant_generators(many, 2)
+
+
 # -- toric relations ------------------------------------------------------------------
 
 
@@ -227,13 +250,17 @@ def test_relations_vanish_under_parametrization(corpus):
             continue
         ch = leaf_characters(g)
         basis = invariant_generators(ch, order)
-        mapping = {
-            nm: generator_monomial(basis, i)
-            for i, nm in enumerate(basis.names)
-        }
         for text in toric_relations(basis, 2):
             rel = parse_polynomial(text, basis.names)
-            assert rel.substitute(mapping).is_zero(), name
+            # a monomial in the generators maps to the monomial with the
+            # summed exponents; the coefficients of each image cancel
+            images = {}
+            for a, c in rel.terms.items():
+                image = tuple(
+                    sum(map(mul, a, column)) for column in zip(*basis.exponents)
+                )
+                images[image] = images.get(image, 0) + c
+            assert set(images.values()) == {0}, name
 
 
 def test_product_cap_refuses_before_enumerating(monkeypatch):
@@ -510,7 +537,8 @@ def test_membership_finds_every_bounded_combination():
             cert = membership_bounded(target, gens, bound)
             assert cert is not None, (g, bound)
             assert cert.degree_bound == bound
-            assert all(q.total_degree() <= bound for q in cert.cofactors)
+            assert all(sum(exps) <= bound
+                       for q in cert.cofactors for exps in q.terms)
     assert systems >= 100, systems
 
 

@@ -20,50 +20,37 @@ def P(text, variables=XYZ):
 
 
 def test_product_of_conjugates():
-    x = Polynomial.variable(XY, "x")
-    y = Polynomial.variable(XY, "y")
-    assert (x + y) * (x - y) == x * x - y * y
+    x = Polynomial(XY, {(1, 0): 1})
+    y = Polynomial(XY, {(0, 1): 1})
+    x_minus_y = Polynomial(XY, {(1, 0): 1, (0, 1): -1})
+    assert (x + y) * x_minus_y == x * x + Polynomial(XY, {(0, 2): -1})
 
 
 def test_no_zero_terms_stored():
-    x = Polynomial.variable(XY, "x")
-    assert (x - x).terms == {}
-    assert (x - x).is_zero()
-
-
-def test_pow_and_scalars():
-    x = Polynomial.variable(XY, "x")
-    assert (2 * x) ** 3 == 8 * x * x * x
-    assert x ** 0 == Polynomial.constant(XY, 1)
-    with pytest.raises(ValueError):
-        x ** -1
+    p = Polynomial(XY, {(1, 0): 1}) + Polynomial(XY, {(1, 0): -1})
+    assert p.terms == {}
+    assert p == Polynomial.zero(XY)
 
 
 def test_fraction_coefficients_stay_exact():
-    x = Polynomial.variable(XY, "x")
-    p = Fraction(1, 3) * x + Fraction(1, 6) * x
-    assert p == Fraction(1, 2) * x
+    p = Polynomial(XY, {(1, 0): Fraction(1, 3)}) + Polynomial(
+        XY, {(1, 0): Fraction(1, 6)})
+    assert p == Polynomial(XY, {(1, 0): Fraction(1, 2)})
 
 
-def test_substitute_example_4_2():
-    # AC - B^2 collapses after substituting the E7 invariants
-    names = ("A", "B", "C", "D")
-    rel = parse_polynomial("A*C - B^2", names)
-    image = rel.substitute(
-        {
-            "A": P("x^2"),
-            "B": P("x*z"),
-            "C": P("z^2"),
-            "D": P("y"),
-        }
-    )
-    assert image.is_zero()
-
-
-def test_substitute_requires_common_target():
-    p = parse_polynomial("A", ("A", "B"))
-    with pytest.raises(ValueError):
-        p.substitute({"A": P("x"), "B": parse_polynomial("u", ("u",))})
+def test_ring_operations_take_two_polynomials_over_one_ring():
+    x = Polynomial(XY, {(1, 0): 1})
+    for other in (2, Fraction(1, 2), "x"):
+        for op in (lambda a, b: a + b, lambda a, b: a * b):
+            with pytest.raises(TypeError):
+                op(x, other)
+            with pytest.raises(TypeError):
+                op(other, x)
+    u = Polynomial(("u", "v"), {(1, 0): 1})
+    with pytest.raises(ValueError, match="variable sets differ"):
+        x + u
+    with pytest.raises(ValueError, match="variable sets differ"):
+        x * u
 
 
 def test_weighted_degree_paper_weights():
@@ -104,7 +91,7 @@ def test_parser_rejects_unknown_variable_and_junk():
 def test_parser_rejects_fractional_exponent():
     with pytest.raises(ParseError):
         P("x^2/3")
-    assert P("2/3*x^2") == Fraction(2, 3) * P("x^2")
+    assert P("2/3*x^2") == Polynomial(XYZ, {(2, 0, 0): Fraction(2, 3)})
 
 
 def test_parser_rejects_zero_denominator():
@@ -131,14 +118,15 @@ def test_parser_rejects_outside_grammar(text):
 
 
 def test_parser_grammar_accepts():
-    assert P("-x") == -P("x")
-    assert P(" - 2 * x ^ 3 * y + 1/2 ") == (
-        Fraction(-2) * P("x^3") * P("y") + Fraction(1, 2)
+    assert P("-x") == Polynomial(XYZ, {(1, 0, 0): -1})
+    assert P(" - 2 * x ^ 3 * y + 1/2 ") == Polynomial(
+        XYZ, {(3, 1, 0): -2, (0, 0, 0): Fraction(1, 2)}
     )
-    assert P("x*y*z - 3") == P("x") * P("y") * P("z") - 3
-    assert P("0").is_zero()
+    assert P("x*y*z - 3") == P("x") * P("y") * P("z") + Polynomial(
+        XYZ, {(0, 0, 0): -3})
+    assert P("0") == Polynomial.zero(XYZ)
     assert P("x^0") == P("1")
-    assert P("x - y + z") == P("x") - P("y") + P("z")
+    assert P("x - y + z") == P("x") + P("-y") + P("z")
 
 
 def test_monomial_text():
@@ -149,21 +137,32 @@ def test_monomial_text():
 
 def test_constructors_validate_outside_input():
     with pytest.raises(ValueError, match="duplicate"):
-        Polynomial.variable(("x", "x"), "x")
+        Polynomial(("x", "x"), {})
     with pytest.raises(ValueError, match="duplicate"):
-        Polynomial.constant(("x", "x"), 1)
-    with pytest.raises(ValueError, match="negative exponent"):
-        Polynomial.monomial(XY, {"x": -1})
+        Polynomial.zero(("x", "x"))
     with pytest.raises(ValueError, match="negative exponent"):
         Polynomial(XY, {(0, -1): 1})
     with pytest.raises(ValueError, match="wrong length"):
         Polynomial(XY, {(1,): 1})
     with pytest.raises(ValueError, match="duplicate"):
         parse_polynomial("x", ("x", "x"))
-    assert Polynomial.monomial(XY, {"x": 2}, 0).is_zero()
-    p = Polynomial(XY, {(1.0, 0): Fraction(4, 2), (0, 1): 0.5, (2, 2): 0})
+    assert Polynomial(XY, {(2, 0): 0}) == Polynomial.zero(XY)
+    p = Polynomial(XY, {(1, 0): Fraction(4, 2), (0, 1): "1/2", (2, 2): 0})
     assert p.terms == {(1, 0): 2, (0, 1): Fraction(1, 2)}
     assert_term_invariant(p)
+
+
+@pytest.mark.parametrize(
+    "terms",
+    [{(1.5, 0): 1}, {(1.0, 0): 1}, {(True, 0): 1}, {("2", 0): 1},
+     {(1, 0): 2.5}, {(1, 0): 2.0}],
+    ids=["float-exponent", "integral-float-exponent", "bool-exponent",
+         "str-exponent", "float-coefficient", "integral-float-coefficient"],
+)
+def test_constructor_refuses_non_integer_exponents_and_float_coefficients(
+        terms):
+    with pytest.raises(ValueError, match="non-integer exponent|floating"):
+        Polynomial(XY, terms)
 
 
 # -- the term invariant, against sympy and the arithmetic parser ----------------
@@ -236,15 +235,13 @@ def test_ring_operations_agree_with_sympy():
     for rng, a, b in _random_pairs(41, 150):
         syms = sympy.symbols(a.variables)
         sa, sb = to_sympy(a, syms), to_sympy(b, syms)
-        k = rng.randint(0, 3)
         c = _random_coefficient(rng)
+        const = Polynomial(a.variables, {(0,) * len(a.variables): c})
         cases = [
             (a + b, sa + sb),
-            (a - b, sa - sb),
-            (-a, -sa),
             (a * b, sa * sb),
-            (a ** k, sa ** k),
-            (c * a + c, sympy.Rational(c.numerator, c.denominator) * (sa + 1)),
+            (const * a + const,
+             sympy.Rational(c.numerator, c.denominator) * (sa + 1)),
         ]
         for ours, theirs in cases:
             assert_term_invariant(ours)
@@ -255,7 +252,7 @@ def test_ring_operations_agree_with_sympy():
 
 def test_parse_of_str_round_trips_and_agrees_with_the_arithmetic_parser():
     for rng, a, b in _random_pairs(43, 300):
-        for p in (a, b, a * b, a - b):
+        for p in (a, b, a * b, a + b):
             text = str(p)
             parsed = parse_polynomial(text, p.variables)
             assert parsed == p, text

@@ -56,7 +56,7 @@ def check_tree(g):
     stats["snf"] = 1
 
     prod = 1
-    for f in snf.invariant_factors:
+    for f in diag:
         prod *= f
     assert prod == abs(determinant(m))
     stats["det"] = 1
