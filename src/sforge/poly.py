@@ -74,7 +74,6 @@ class Polynomial:
             if isinstance(coeff, float):
                 raise ValueError("floating point coefficient %r rejected"
                                  % coeff)
-            exps = tuple(map(int, exps))
             coeff = Fraction(coeff)
             if coeff:
                 clean[exps] = clean.get(exps, 0) + coeff
