@@ -16,7 +16,6 @@ from .errors import (
 )
 from .intmat import (
     IntMatrix,
-    RatMatrix,
     SnfResult,
     adjugate,
     determinant,

@@ -1,8 +1,11 @@
-"""Exception hierarchy shared across the library and the CLI.
+"""Exception hierarchy shared across the library and the CLI, and
+parse_int, the integer reading both file parsers share.
 
 The CLI maps ParseError to exit 2, PreconditionError (and subclasses)
 to exit 3, a failed self-check (AssertionError) to exit 4; else a bug.
 """
+
+import sys
 
 
 class SforgeError(Exception):
@@ -54,3 +57,22 @@ class ConditionsNotMetError(PreconditionError):
 class NonMinimalRepresentableError(PreconditionError):
     """Blow-down produced a weight >= 0 vertex that cannot be absorbed
     by (-1)-contractions alone."""
+
+
+def parse_int(value, line=None):
+    """int(value, 10), or ParseError. A well-formed literal that int()
+    still refuses has more digits than the interpreter converts
+    (sys.get_int_max_str_digits, 4,300 by default); it is reported by
+    its length, not echoed."""
+    try:
+        return int(value, 10)
+    except ValueError:
+        pass
+    groups = (value[1:] if value[:1] in ("+", "-") else value).split("_")
+    if all(group.isdecimal() for group in groups):
+        raise ParseError(
+            "integer has %d digits, more than the limit of %d"
+            % (sum(map(len, groups)), sys.get_int_max_str_digits()),
+            line,
+        )
+    raise ParseError("not an integer: %r" % value, line)

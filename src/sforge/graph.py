@@ -31,7 +31,6 @@ canonical cycle.
 
 from __future__ import annotations
 
-import sys
 from collections import Counter
 from fractions import Fraction
 from functools import wraps
@@ -43,6 +42,7 @@ from .errors import (
     NotQhsTreeError,
     ParseError,
     SingularMatrixError,
+    parse_int,
 )
 from .intmat import (
     IntMatrix,
@@ -467,9 +467,9 @@ def parse_graph(text: str) -> ResolutionGraph:
                 if not sep:
                     raise ParseError("expected key=value, got %r" % field, lineno)
                 if key == "weight":
-                    weight = _parse_int(value, lineno)
+                    weight = parse_int(value, lineno)
                 elif key == "genus":
-                    genus = _parse_int(value, lineno)
+                    genus = parse_int(value, lineno)
                 else:
                     raise ParseError("unknown field %r" % key, lineno)
             if weight is None:
@@ -495,25 +495,6 @@ def parse_graph(text: str) -> ResolutionGraph:
         return ResolutionGraph._from_parts(vertices, edges)
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
-
-
-def _parse_int(value, lineno):
-    """int(value, 10), or ParseError. A well-formed literal that int()
-    still refuses has more digits than the interpreter converts
-    (sys.get_int_max_str_digits, 4,300 by default); it is reported by
-    its length, not echoed."""
-    try:
-        return int(value, 10)
-    except ValueError:
-        pass
-    groups = (value[1:] if value[:1] in ("+", "-") else value).split("_")
-    if all(group.isdecimal() for group in groups):
-        raise ParseError(
-            "integer has %d digits, more than the limit of %d"
-            % (sum(map(len, groups)), sys.get_int_max_str_digits()),
-            lineno,
-        )
-    raise ParseError("not an integer: %r" % value, lineno)
 
 
 def serialize_graph(g: ResolutionGraph) -> str:

@@ -1,9 +1,10 @@
-"""Exact integer and rational matrices.
+"""Exact integer matrices.
 
-Everything here is exact: IntMatrix holds arbitrary-precision Python
-ints, RatMatrix holds fractions.Fraction in lowest terms. No floating
-point is used anywhere in the package. Matrices are immutable after
-construction and safe to share between threads.
+IntMatrix, the one matrix type, holds arbitrary-precision Python ints;
+the rational answers (solve_rational, invert_rational) are tuples of
+fractions.Fraction. No floating point is used anywhere in the package.
+Matrices are immutable after construction and safe to share between
+threads.
 
 Determinants and definiteness run in integers through one
 fraction-free kernel, Bareiss forward elimination (Math. Comp. 22,
@@ -51,7 +52,6 @@ from .errors import SingularMatrixError
 
 __all__ = [
     "IntMatrix",
-    "RatMatrix",
     "SnfResult",
     "adjugate",
     "determinant",
@@ -63,8 +63,8 @@ __all__ = [
 ]
 
 
-class _Matrix:
-    """Dense rows, each entry checked by the subclass's _cast."""
+class IntMatrix:
+    """Immutable dense matrix of arbitrary-precision integers."""
 
     __slots__ = ("entries",)
 
@@ -112,10 +112,6 @@ class _Matrix:
     def to_lists(self):
         return [list(row) for row in self.entries]
 
-
-class IntMatrix(_Matrix):
-    """Immutable dense matrix of arbitrary-precision integers."""
-
     @staticmethod
     def _cast(x):
         if type(x) is int:
@@ -161,44 +157,6 @@ class IntMatrix(_Matrix):
         if len(v) != self.cols:
             raise ValueError("shape mismatch")
         return tuple(sum(map(mul, row, v)) for row in self.entries)
-
-    def __truediv__(self, d):
-        """Exact quotient by a nonzero integer, as a RatMatrix."""
-        return RatMatrix(
-            [[Fraction(x, d) for x in row] for row in self.entries]
-        )
-
-
-class RatMatrix(_Matrix):
-    """Immutable dense matrix of exact rationals (lowest terms)."""
-
-    @staticmethod
-    def _cast(x):
-        if type(x) is Fraction:
-            return x
-        if isinstance(x, float):
-            raise ValueError("floating point entry %r rejected" % x)
-        return Fraction(x)
-
-    def __matmul__(self, other):
-        if isinstance(other, (RatMatrix, IntMatrix)):
-            if self.cols != other.rows:
-                raise ValueError("shape mismatch")
-            cols = list(zip(*other.entries))
-            return RatMatrix(
-                [[sum((Fraction(a) * b for a, b in zip(row, col)), Fraction(0))
-                  for col in cols]
-                 for row in self.entries]
-            )
-        return NotImplemented
-
-    def mul_vector(self, v):
-        if len(v) != self.cols:
-            raise ValueError("shape mismatch")
-        return tuple(
-            sum((a * Fraction(b) for a, b in zip(row, v)), Fraction(0))
-            for row in self.entries
-        )
 
 
 class SnfResult(NamedTuple):
@@ -615,11 +573,6 @@ def _is_unimodular(rows):
         rows = [turned[j] for j in cols]
 
 
-def _check_snf(m, result, det=None):
-    """Verify an SnfResult of m as smith_normal_form does."""
-    _verify_snf(*(_sparse_rows(x) for x in (m, *result)), det=det)
-
-
 def _adjugate_times(m, columns):
     """(det(m), [adj(m) @ b for each integer column b]): det(m) * x for
     the x that solve_sparse gives for m @ x = b. Unverified."""
@@ -649,12 +602,11 @@ def adjugate(m: IntMatrix) -> tuple:
     return det, adj
 
 
-def invert_rational(m: IntMatrix) -> RatMatrix:
-    """Exact inverse of a nonsingular integer matrix, adj(m) / det(m)."""
-    if not m.is_square:
-        raise ValueError("inverse requires a square matrix")
+def invert_rational(m: IntMatrix) -> tuple:
+    """Exact inverse of a nonsingular square integer matrix, adj(m) /
+    det(m), as a tuple of rows of Fractions; adjugate verifies adj."""
     det, adj = adjugate(m)
-    return adj / det
+    return tuple(tuple(Fraction(x, det) for x in row) for row in adj.entries)
 
 
 def is_negative_definite(m: IntMatrix) -> bool:

@@ -48,6 +48,7 @@ __all__ = [
     "membership_bounded",
     "ORDER_CAP",
     "PRODUCT_CAP",
+    "FACTOR_CAP",
     "RELATION_CAP",
     "check_order_cap",
 ]
@@ -59,6 +60,11 @@ ORDER_CAP = 2000
 # seed-17 random tree's 453 generators give 103,284 at bound 2 (about a
 # second); seed 56's give 300,699 and 8.7M relations.
 PRODUCT_CAP = 200_000
+# Most generator factors, summed over those products, that
+# toric_relations keeps: each product is a tuple of its factors, so one
+# generator under PRODUCT_CAP still holds D(D+1)/2 of them at bound D.
+# Every product has degree <= D, so no bound <= 10 reaches this cap.
+FACTOR_CAP = 10 * PRODUCT_CAP
 # Most relations toric_relations writes. Under PRODUCT_CAP one fiber can
 # still hold most products: a 5-vertex tree with |G| = 56 has 165,024
 # products and 9,224,016 relations (183 MB of text).
@@ -112,16 +118,24 @@ def _names(k):
 
 def _check_product_cap(k, degree_bound, least=None):
     """Refuse k generators with more than PRODUCT_CAP products up to
-    degree_bound; with least, a lower bound from those of that degree."""
-    products = comb(k + degree_bound, degree_bound) - 1
-    if products > PRODUCT_CAP:
-        raise ValueError(
-            "%s%d products of %d invariant generators%s up to degree %d "
-            "above the desk-scale product cap %d"
-            % ("" if least is None else "at least ", products, k,
-               "" if least is None else " (those of the least degree %d)"
-               % least, degree_bound, PRODUCT_CAP)
-        )
+    degree_bound, or with more than FACTOR_CAP factors in them, k *
+    C(k + d, d - 1) for d = degree_bound; with least, lower bounds from
+    those of that degree."""
+    n = comb(k + degree_bound, degree_bound) - 1
+    if n > PRODUCT_CAP:
+        what, cap = "products", "product cap %d" % PRODUCT_CAP
+    else:
+        n = k * comb(k + degree_bound, degree_bound - 1)
+        if n <= FACTOR_CAP:
+            return
+        what, cap = "factors in the products", "factor cap %d" % FACTOR_CAP
+    raise ValueError(
+        "%s%d %s of %d invariant generators%s up to degree %d above the "
+        "desk-scale %s"
+        % ("" if least is None else "at least ", n, what, k,
+           "" if least is None else " (those of the least degree %d)"
+           % least, degree_bound, cap)
+    )
 
 
 def _least_degree_count(chars):

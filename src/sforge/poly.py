@@ -26,7 +26,7 @@ from fractions import Fraction
 from itertools import compress
 from operator import add
 
-from .errors import ParseError
+from .errors import ParseError, parse_int
 
 __all__ = ["Polynomial", "monomial_text", "parse_polynomial"]
 
@@ -237,7 +237,8 @@ def parse_polynomial(text, variables):
     A number is a nonnegative integer or a fraction p/q with q > 0, an
     exponent a nonnegative integer, and a name one of the variables.
     Anything else (juxtaposed factors, a stray or doubled operator,
-    parentheses, a zero denominator, an empty text) raises ParseError."""
+    parentheses, a zero denominator, an empty text, an integer longer
+    than int converts) raises ParseError."""
     variables = _checked_variables(variables)
     position = {name: j for j, name in enumerate(variables)}
     tokens = _tokens(text)
@@ -253,15 +254,13 @@ def parse_polynomial(text, variables):
             kind, value = tokens[i]
             i += 1
             if kind == "num":
-                if "/" in value:
-                    try:
-                        coeff *= Fraction(value)
-                    except ZeroDivisionError:
-                        raise ParseError(
-                            "zero denominator in %r" % value
-                        ) from None
-                else:
-                    coeff *= int(value)
+                num, _, den = value.partition("/")
+                coeff *= parse_int(num)
+                if den:
+                    den = parse_int(den)
+                    if not den:
+                        raise ParseError("zero denominator in %r" % value)
+                    coeff = Fraction(coeff, den)
             elif kind != "name":
                 raise _unexpected((kind, value))
             elif value not in position:
@@ -274,7 +273,7 @@ def parse_polynomial(text, variables):
                     raise ParseError(
                         "exponent %r is not a nonnegative integer" % digits
                     )
-                exps[position[value]] += int(digits)
+                exps[position[value]] += parse_int(digits)
                 i += 2
             else:
                 exps[position[value]] += 1

@@ -42,11 +42,15 @@ The induced subgraph and a generator's monomial as a Polynomial were
 library methods that only the tests called: branch determinants are
 checked against the dense determinant of the branch's own graph, and
 relations by substituting the generators' monomials.
+RatMatrix, a dense matrix of Fractions, was the library's second matrix
+type, and IntMatrix / d built one: it carries the Fraction Gauss-Jordan
+inverse, and checks invert_rational's rows by M^-1 @ M = I.
 """
 
 from fractions import Fraction
 from math import gcd
 from itertools import combinations, combinations_with_replacement, product
+from operator import mul
 from random import Random
 from typing import NamedTuple
 
@@ -56,7 +60,6 @@ from sforge import (
     IntMatrix,
     NonMinimalRepresentableError,
     Polynomial,
-    RatMatrix,
     ResolutionGraph,
     SingularMatrixError,
     Vertex,
@@ -66,6 +69,44 @@ from sforge.graph import intersection_matrix
 from sforge.errors import ParseError
 from sforge.invariants import InvariantBasis, _names, check_order_cap
 from sforge.poly import _tokens, _unexpected
+
+
+class RatMatrix:
+    """Immutable dense matrix of exact rationals (lowest terms); float
+    entries are refused."""
+
+    __slots__ = ("entries",)
+
+    def __init__(self, entries):
+        self.entries = tuple(tuple(map(self._cast, row)) for row in entries)
+
+    @staticmethod
+    def _cast(x):
+        if isinstance(x, float):
+            raise ValueError("floating point entry %r rejected" % x)
+        return Fraction(x)
+
+    @classmethod
+    def identity(cls, n):
+        return cls([[int(i == j) for j in range(n)] for i in range(n)])
+
+    def __getitem__(self, ij):
+        i, j = ij
+        return self.entries[i][j]
+
+    def __eq__(self, other):
+        return type(self) is type(other) and self.entries == other.entries
+
+    def column(self, j):
+        return tuple(row[j] for row in self.entries)
+
+    def __matmul__(self, other):
+        """The product with a RatMatrix or an IntMatrix on the right."""
+        if len(self.entries[0]) != len(other.entries):
+            raise ValueError("shape mismatch")
+        cols = list(zip(*other.entries))
+        return RatMatrix([[sum(map(mul, row, col)) for col in cols]
+                          for row in self.entries])
 
 
 def det_cofactor(rows):

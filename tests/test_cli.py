@@ -20,7 +20,7 @@ from sforge import cli
 from sforge.cli import main
 from sforge.corpus import random_negative_definite_tree
 from sforge.graph import serialize_graph
-from sforge.invariants import PRODUCT_CAP, RELATION_CAP
+from sforge.invariants import FACTOR_CAP, PRODUCT_CAP, RELATION_CAP
 
 from test_golden import _cases as _golden_cases
 
@@ -558,6 +558,25 @@ def test_invariants_juxtaposed_factors_in_target_exit_2(
     assert "'y'" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("template", ["x^%s", "%s*y", "1/%s*z"])
+def test_invariants_target_integer_too_long_exit_2(
+    capsys, graphs_dir, tmp_path, template
+):
+    """A 5,000-digit exponent, coefficient or denominator is malformed
+    input, named as parse_graph names it, not a precondition."""
+    target = tmp_path / "target.poly"
+    target.write_text(template % ("1" * 5000))
+    code, out, err = run(
+        capsys, "invariants", graph_path(graphs_dir, "e7"),
+        "--verify-identity=%s" % target,
+    )
+    assert (code, out) == (2, "")
+    assert err == (
+        "sforge: integer has 5000 digits, more than the limit of %d\n"
+        % sys.get_int_max_str_digits()
+    )
+
+
 def test_invariants_missing_target_file_exit_2(capsys, graphs_dir, tmp_path):
     missing = tmp_path / "missing.poly"
     code, out, err = run(
@@ -662,6 +681,25 @@ def test_invariants_product_cap_stops_the_generator_search(capsys, tmp_path):
     assert "product cap %d" % PRODUCT_CAP in err
     assert "Traceback" not in err
     assert took < 10, took
+
+
+def test_invariants_factor_cap_refuses_a1_at_degree_200000(
+    capsys, graphs_dir
+):
+    """a1 has one generator: 200,000 products up to degree 200,000, at
+    the product cap, but 20,000,100,000 factors in them. Refused before
+    any product is built, whose index tuples grow as D(D + 1)/2."""
+    start = time.perf_counter()
+    code, out, err = run(capsys, "invariants", graph_path(graphs_dir, "a1"),
+                         "--degree-bound=200000")
+    took = time.perf_counter() - start
+    assert (code, out) == (3, "")
+    assert err == (
+        "sforge: 20000100000 factors in the products of 1 invariant "
+        "generators up to degree 200000 above the desk-scale factor cap "
+        "%d\n" % FACTOR_CAP
+    )
+    assert took < 1, took
 
 
 SIX_LEAF_STAR = "vertex c weight=-51\n" + "".join(

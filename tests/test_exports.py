@@ -37,8 +37,10 @@ RETIRED = (
     ("poly", "Polynomial", "substitute"),  # + and * of the images
     ("poly", "Polynomial", "total_degree"),  # max(map(sum, p.terms))
     ("poly", "Polynomial", "is_zero"),  # not p.terms
-    ("intmat", "IntMatrix", "to_rational"),  # RatMatrix(m.entries)
+    ("intmat", "IntMatrix", "to_rational"),  # oracles.RatMatrix(m.entries)
     ("intmat", "SnfResult", "invariant_factors"),  # nonzero diagonal
+    ("intmat", None, "RatMatrix"),  # oracles; invert_rational gives rows
+    ("intmat", "IntMatrix", "__truediv__"),  # Fraction(x, d) per entry
 )
 
 

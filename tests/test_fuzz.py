@@ -1,8 +1,10 @@
 """Grammar fuzzing of polynomial files: `invariants --verify-identity`
 on any target text exits 0, 2 or 3 and never raises, and the term-map
-parser agrees with the arithmetic one on every text. Graph files are
-fuzzed likewise: every command on any graph file exits 0, 2 or 3,
-never raises, and ends within a per-call alarm."""
+parser agrees with the arithmetic one on every text. The invariants
+options together, targets with integers of thousands of digits and
+degree bounds up to 10^6, end likewise within a per-call alarm. Graph
+files are fuzzed likewise: every command on any graph file exits 0, 2
+or 3, never raises, and ends within a per-call alarm."""
 
 import signal
 from contextlib import redirect_stderr, redirect_stdout
@@ -11,7 +13,7 @@ from io import StringIO
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from sforge import ParseError, parse_polynomial  # noqa: E402
 from sforge.cli import main  # noqa: E402
@@ -57,6 +59,73 @@ def test_fuzz_verify_identity_targets(graphs_dir, tmp_path):
     run()
 
 
+class _Slow(Exception):
+    pass
+
+
+def _alarm(signum, frame):
+    raise _Slow
+
+
+# Options of invariants: target texts over the leaf names of a1, e7 and
+# quotient-cusp-3 and some that are no variable, with digit runs up to
+# 6,000 long (int converts at most 4,300), and degree bounds to 10^6.
+OPTION_TOKENS = st.one_of(
+    st.tuples(st.integers(min_value=1, max_value=6000),
+              st.sampled_from("0179")).map(lambda nd: nd[1] * nd[0]),
+    st.integers(min_value=0, max_value=10 ** 6).map(str),
+    st.sampled_from(["v0", "x", "y", "z", "a", "b", "c", "d", "w", "n1"]),
+    st.sampled_from(list("+-*^/() ")),
+)
+OPTION_GRAPHS = {"a1": ("v0",), "e7": ("x", "y", "z"),
+                 "quotient-cusp-3": ("a", "b", "c", "d")}  # leaf variables
+CALL_SECONDS = 5
+
+
+def test_fuzz_invariants_options(graphs_dir, tmp_path):
+    """Each call exits 0, 2 or 3, prints no traceback and ends within
+    CALL_SECONDS, and the parser refuses a target only by ParseError.
+    The examples are a 5,000-digit exponent (it escaped the parser as
+    int's ValueError, exit 3) and a1 at degree 200,000 (its one
+    generator's products grew until the process was killed)."""
+    target = tmp_path / "target.poly"
+
+    @settings(max_examples=150, deadline=None, database=None,
+              derandomize=True)
+    @given(st.sampled_from(sorted(OPTION_GRAPHS)),
+           st.lists(OPTION_TOKENS, max_size=12).map("".join),
+           st.integers(min_value=1, max_value=10 ** 6))
+    @example("e7", "x^" + "1" * 5000, 2)
+    @example("a1", "v0", 200_000)
+    def run(name, text, bound):
+        target.write_text(text, encoding="utf-8")
+        err = StringIO()
+        signal.setitimer(signal.ITIMER_REAL, CALL_SECONDS)
+        try:
+            with redirect_stdout(StringIO()), redirect_stderr(err):
+                code = main([
+                    "invariants", str(graphs_dir / (name + ".graph")),
+                    "--degree-bound=%d" % bound,
+                    "--verify-identity=%s" % target, "--format=structured",
+                ])
+        except _Slow:
+            code = "over %d s" % CALL_SECONDS
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+        assert code in (0, 2, 3), (name, text[:80], bound, code)
+        assert "Traceback" not in err.getvalue()
+        try:
+            parse_polynomial(text, OPTION_GRAPHS[name])
+        except ParseError:
+            pass
+
+    previous = signal.signal(signal.SIGALRM, _alarm)
+    try:
+        run()
+    finally:
+        signal.signal(signal.SIGALRM, previous)
+
+
 def _outcome(parse, text):
     try:
         return parse(text, ("x", "y", "z"))
@@ -81,7 +150,6 @@ def test_fuzz_parser_agrees_with_the_arithmetic_parser():
 # -- graph files ------------------------------------------------------------------
 
 COMMANDS = ("analyze", "splice", "conditions", "equations", "invariants")
-CALL_SECONDS = 5
 
 
 @st.composite
@@ -145,14 +213,6 @@ def line_soups(draw):
         at = draw(st.integers(min_value=0, max_value=len(data)))
         data = data[:at] + b"\xff" + data[at:]
     return data
-
-
-class _Slow(Exception):
-    pass
-
-
-def _alarm(signum, frame):
-    raise _Slow
 
 
 def test_fuzz_graph_files(tmp_path):

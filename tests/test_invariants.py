@@ -30,6 +30,7 @@ from sforge.corpus import (
 from sforge.errors import PreconditionError
 from sforge.intmat import solve_sparse
 from sforge.invariants import (
+    FACTOR_CAP,
     ORDER_CAP,
     PRODUCT_CAP,
     RELATION_CAP,
@@ -312,6 +313,28 @@ def test_generator_search_refuses_at_the_product_cap(monkeypatch):
         invariant_generators(ch, 3, degree_bound=1)
     for bound in (None, 0, -1):
         assert invariant_generators(ch, 3, degree_bound=bound) == full
+
+
+def test_factor_cap_refuses_one_generator_at_a_high_degree(corpus):
+    """One generator has D products up to degree D, under PRODUCT_CAP
+    for every D <= 200,000, but D(D + 1)/2 factors in them: above
+    FACTOR_CAP, the search and toric_relations refuse before any
+    product is built; at the cap, the products are built."""
+    chars = leaf_characters(corpus["a1"])
+    basis = invariant_generators(chars, 2)
+    assert len(basis.exponents) == 1
+    for bound in (2000, 200_000):
+        message = ("%d factors in the products of 1 invariant generators "
+                   "up to degree %d above the desk-scale factor cap %d"
+                   % (bound * (bound + 1) // 2, bound, FACTOR_CAP))
+        with pytest.raises(ValueError) as err:
+            invariant_generators(chars, 2, degree_bound=bound)
+        assert str(err.value) == message
+        with pytest.raises(ValueError) as err:
+            toric_relations(basis, bound)
+        assert str(err.value) == message
+    assert toric_relations(basis, 1999) == []
+    assert invariant_generators(chars, 2, degree_bound=1999) == basis
 
 
 def test_least_degree_count_matches_the_generators(corpus):

@@ -1,5 +1,6 @@
 """Exact sparse polynomial arithmetic and the tiny ASCII parser."""
 
+import sys
 from fractions import Fraction
 from math import gcd
 from random import Random
@@ -99,6 +100,21 @@ def test_parser_rejects_zero_denominator():
         with pytest.raises(ParseError):
             P(text)
     assert P("0/5") == P("0")
+
+
+@pytest.mark.parametrize("template", ["x^%s", "%s*y", "1/%s*z", "%s/7"])
+def test_parser_reports_an_integer_too_long_to_convert(template):
+    """An exponent, coefficient, numerator or denominator of more digits
+    than int() converts is a ParseError in the graph parser's words."""
+    digits = "1" * 5000
+    with pytest.raises(ParseError) as err:
+        P(template % digits)
+    assert str(err.value) == (
+        "integer has 5000 digits, more than the limit of %d"
+        % sys.get_int_max_str_digits()
+    )
+    short = template % "11"
+    assert P(short) == parse_polynomial_by_arithmetic(short, XYZ)
 
 
 def test_monomials_and_support_maps():

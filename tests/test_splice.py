@@ -280,7 +280,7 @@ def test_leaf_leaf_linking_matches_inverse_matrix_on_zhs():
         d = to_splice_diagram(g)
         for i, v in enumerate(d.leaves):
             for w in d.leaves[i + 1 :]:
-                expected = -inv[g.index_of(v), g.index_of(w)]
+                expected = -inv[g.index_of(v)][g.index_of(w)]
                 assert expected.denominator == 1
                 assert linking_number(d, v, w) == expected
 

@@ -8,7 +8,6 @@ import pytest
 
 import sforge.intmat
 from sforge import (
-    RatMatrix,
     ResolutionGraph,
     SingularMatrixError,
     Vertex,
@@ -24,6 +23,7 @@ from sforge.corpus import chain, random_negative_definite_tree
 from sforge.graph import serialize_graph
 
 from oracles import (
+    RatMatrix,
     det_cofactor,
     induced_subgraph,
     is_negative_definite_minors,
@@ -221,4 +221,4 @@ def test_discriminant_data_defers_dual_basis_and_pairing():
     for name in ("dual_basis", "pairing", "matrix"):
         assert not hasattr(d, name), name
     m = intersection_matrix(g)
-    assert invert_rational(m) @ m == RatMatrix.identity(g.n)
+    assert RatMatrix(invert_rational(m)) @ m == RatMatrix.identity(g.n)
