@@ -67,6 +67,21 @@ def _alarm(signum, frame):
     raise _Slow
 
 
+def _timed_main(argv, err):
+    """main(argv) under a CALL_SECONDS alarm, stdout dropped and stderr
+    written to err: its exit code, or a text saying it ran over."""
+    previous = signal.signal(signal.SIGALRM, _alarm)
+    signal.setitimer(signal.ITIMER_REAL, CALL_SECONDS)
+    try:
+        with redirect_stdout(StringIO()), redirect_stderr(err):
+            return main(argv)
+    except _Slow:
+        return "over %d s" % CALL_SECONDS
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 # Options of invariants: target texts over the leaf names of a1, e7 and
 # quotient-cusp-3 and some that are no variable, with digit runs up to
 # 6,000 long (int converts at most 4,300), and degree bounds to 10^6.
@@ -100,18 +115,11 @@ def test_fuzz_invariants_options(graphs_dir, tmp_path):
     def run(name, text, bound):
         target.write_text(text, encoding="utf-8")
         err = StringIO()
-        signal.setitimer(signal.ITIMER_REAL, CALL_SECONDS)
-        try:
-            with redirect_stdout(StringIO()), redirect_stderr(err):
-                code = main([
-                    "invariants", str(graphs_dir / (name + ".graph")),
-                    "--degree-bound=%d" % bound,
-                    "--verify-identity=%s" % target, "--format=structured",
-                ])
-        except _Slow:
-            code = "over %d s" % CALL_SECONDS
-        finally:
-            signal.setitimer(signal.ITIMER_REAL, 0)
+        code = _timed_main([
+            "invariants", str(graphs_dir / (name + ".graph")),
+            "--degree-bound=%d" % bound, "--verify-identity=%s" % target,
+            "--format=structured",
+        ], err)
         assert code in (0, 2, 3), (name, text[:80], bound, code)
         assert "Traceback" not in err.getvalue()
         try:
@@ -119,11 +127,7 @@ def test_fuzz_invariants_options(graphs_dir, tmp_path):
         except ParseError:
             pass
 
-    previous = signal.signal(signal.SIGALRM, _alarm)
-    try:
-        run()
-    finally:
-        signal.signal(signal.SIGALRM, previous)
+    run()
 
 
 def _outcome(parse, text):
@@ -226,18 +230,8 @@ def test_fuzz_graph_files(tmp_path):
     def run(data):
         path.write_bytes(data)
         for command in COMMANDS:
-            signal.setitimer(signal.ITIMER_REAL, CALL_SECONDS)
-            try:
-                with redirect_stdout(StringIO()), redirect_stderr(StringIO()):
-                    code = main([command, str(path), "--format=structured"])
-            except _Slow:
-                code = "over %d s" % CALL_SECONDS
-            finally:
-                signal.setitimer(signal.ITIMER_REAL, 0)
+            code = _timed_main([command, str(path), "--format=structured"],
+                               StringIO())
             assert code in (0, 2, 3), (data, command, code)
 
-    previous = signal.signal(signal.SIGALRM, _alarm)
-    try:
-        run()
-    finally:
-        signal.signal(signal.SIGALRM, previous)
+    run()
