@@ -3,6 +3,7 @@ splice diagrams, discriminant groups, splice equations and quotient
 invariants, all in exact arithmetic."""
 
 from .errors import (
+    CapExceededError,
     ConditionsNotMetError,
     NoNodesError,
     NonMinimalRepresentableError,

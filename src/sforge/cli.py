@@ -87,8 +87,16 @@ def _read(path):
         with open(path, "rb") as fh:
             raw = fh.read()
         return raw, raw.decode("utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # a NUL in the path, or not UTF-8
         raise ParseError("cannot read %s: %s" % (path, exc)) from None
+
+
+def _parse(path, text):
+    """The graph in text, or its ParseError named by the file at path."""
+    try:
+        return parse_graph(text)
+    except ParseError as exc:
+        raise ParseError("%s: %s" % (path, exc)) from None
 
 
 def _envelope(command, path, digest, data):
@@ -588,40 +596,30 @@ def main(argv=None):
     _, build, render = _COMMANDS[args.command]
     try:
         raw, text = _read(args.file)
-    except ParseError as exc:
+        digest = hashlib.sha256(raw).hexdigest()
+        data = build(_parse(args.file, text), args)
+        if args.format == "structured":
+            doc = _envelope(args.command, args.file, digest, data)
+            # a json.dumps call: perfbench's tracer times it as cli.render
+            body = json.dumps(
+                doc, indent=2, sort_keys=True, cls=_StructuredWriter
+            )
+        else:
+            body = render(data)
+    except ParseError as exc:  # the graph file, options, polynomial files
         print("sforge: %s" % exc, file=sys.stderr)
         return EXIT_INPUT
-    digest = hashlib.sha256(raw).hexdigest()
-    try:
-        g = parse_graph(text)
-    except ParseError as exc:
-        print("sforge: %s: %s" % (args.file, exc), file=sys.stderr)
-        return EXIT_INPUT
-    try:  # exit 4 for a failed self-check while building or rendering
-        try:
-            data = build(g, args)
-        except ParseError as exc:  # bad options and polynomial files
-            print("sforge: %s" % exc, file=sys.stderr)
-            return EXIT_INPUT
-        except (PreconditionError, ValueError) as exc:  # ValueError: the caps
-            print("sforge: %s" % exc, file=sys.stderr)
-            return EXIT_PRECONDITION
-        try:
-            if args.format == "structured":
-                doc = _envelope(args.command, args.file, digest, data)
-                # a json.dumps call: perfbench's tracer times it as cli.render
-                body = json.dumps(
-                    doc, indent=2, sort_keys=True, cls=_StructuredWriter
-                )
-            else:
-                body = render(data)
-        except ValueError:  # int refuses to turn so long an integer into text
-            print(
-                "sforge: the answer has an integer of more than %d digits, "
-                "too long to print" % sys.get_int_max_str_digits(),
-                file=sys.stderr,
-            )
-            return EXIT_PRECONDITION
+    except PreconditionError as exc:  # the caps' CapExceededError too
+        print("sforge: %s" % exc, file=sys.stderr)
+        return EXIT_PRECONDITION
+    except ValueError:  # int refuses to print so long an integer, in a
+        # builder (_frac, the text of a Polynomial or diagram) or the writer;
+        # sforge's other ValueErrors guard misuse the CLI cannot commit, or
+        # parse_graph (to ParseError) and check_equivariance catch them
+        print("sforge: the answer has an integer of more than %d digits, "
+              "too long to print" % sys.get_int_max_str_digits(),
+              file=sys.stderr)
+        return EXIT_PRECONDITION
     except AssertionError as exc:  # named by a memoized stage's note
         stage = (getattr(exc, "__notes__", None) or ["in " + args.command])[0]
         print("sforge: internal check failed %s: %s (input sha256 %s)"

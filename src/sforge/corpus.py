@@ -36,14 +36,14 @@ def chain(weights, ids=None):
     return ResolutionGraph(vertices, edges)
 
 
-def star(center_weight, arms, center_id="c", leaf_ids=None):
-    """Center vertex with chains hanging off it; arms is a list of
+def star(center_weight, arms, leaf_ids=None):
+    """Center vertex c with chains hanging off it; arms is a list of
     weight lists, read from the center outward. leaf_ids optionally
     names the outermost vertex of each arm."""
-    vertices = [Vertex(center_id, center_weight)]
+    vertices = [Vertex("c", center_weight)]
     edges = []
     for ai, arm in enumerate(arms):
-        prev = center_id
+        prev = "c"
         for vi, w in enumerate(arm):
             is_leaf = vi == len(arm) - 1
             if is_leaf and leaf_ids:
@@ -161,9 +161,9 @@ def builtin_corpus():
     }
 
 
-def write_corpus(directory, random_count=10, seed_base=0):
-    """Write the handcrafted corpus plus seeded random trees as .graph
-    files; deterministic for fixed arguments."""
+def write_corpus(directory):
+    """Write the handcrafted corpus plus the random trees of seeds 0-9
+    as .graph files; deterministic."""
     os.makedirs(directory, exist_ok=True)
     written = []
     named = dict(builtin_corpus())
@@ -177,12 +177,11 @@ def write_corpus(directory, random_count=10, seed_base=0):
             fh.write("# %s\n" % name)
             fh.write(serialize_graph(g))
         written.append(path)
-    for i in range(random_count):
-        g = random_negative_definite_tree(Random(seed_base + i))
+    for i in range(10):
+        g = random_negative_definite_tree(Random(i))
         path = os.path.join(directory, "random-%02d.graph" % i)
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write("# seeded random negative-definite tree (seed %d)\n"
-                     % (seed_base + i))
+            fh.write("# seeded random negative-definite tree (seed %d)\n" % i)
             fh.write(serialize_graph(g))
         written.append(path)
     return written

@@ -1,8 +1,8 @@
 """Exception hierarchy shared across the library and the CLI, and
 parse_int, the integer reading both file parsers share.
 
-The CLI maps ParseError to exit 2, PreconditionError (and subclasses)
-to exit 3, a failed self-check (AssertionError) to exit 4; else a bug.
+The CLI maps ParseError to exit 2, PreconditionError and int's
+refusal to print to exit 3, AssertionError to exit 4; else a bug.
 """
 
 import sys
@@ -24,6 +24,10 @@ class ParseError(SforgeError):
 
 class PreconditionError(SforgeError):
     """The input is well-formed but outside an operation's domain."""
+
+
+class CapExceededError(PreconditionError, ValueError):
+    """The input asks for more work than a desk-scale cap allows."""
 
 
 class SingularMatrixError(PreconditionError):

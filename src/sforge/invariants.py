@@ -37,6 +37,7 @@ from operator import add
 from typing import NamedTuple
 
 from .discgroup import CharacterAssignment
+from .errors import CapExceededError
 from .intmat import solve_sparse
 from .poly import Polynomial
 
@@ -81,11 +82,11 @@ def _shown(n: int) -> str:
 
 
 def check_order_cap(order: int) -> None:
-    """Refuse a group order above ORDER_CAP with a ValueError, before any
-    work that grows with the order. The refusal names the cap, and the
-    order when int can turn it into text."""
+    """Refuse a group order above ORDER_CAP with a CapExceededError,
+    before any work that grows with the order. The refusal names the
+    cap, and the order when int can turn it into text."""
     if order > ORDER_CAP:
-        raise ValueError(
+        raise CapExceededError(
             "group order %s above the desk-scale cap %d"
             % (_shown(order), ORDER_CAP)
         )
@@ -129,7 +130,7 @@ def _check_product_cap(k, degree_bound, least=None):
         if n <= FACTOR_CAP:
             return
         what, cap = "factors in the products", "factor cap %d" % FACTOR_CAP
-    raise ValueError(
+    raise CapExceededError(
         "%s%d %s of %d invariant generators%s up to degree %d above the "
         "desk-scale %s"
         % ("" if least is None else "at least ", n, what, k,
@@ -190,7 +191,7 @@ def invariant_generators(
     into exponent tuples. For the trivial group this returns the
     variables.
 
-    With degree_bound given, raises the ValueError of toric_relations
+    With degree_bound given, raises the CapExceededError of toric_relations
     as soon as the generators found so far have more than PRODUCT_CAP
     products up to that degree, before the search runs on; and once it
     has walked PRODUCT_CAP monomials with no generator found, if the
@@ -296,7 +297,7 @@ def toric_relations(basis: InvariantBasis, degree_bound: int) -> list:
     pairs a < b in lexicographic order of the exponent vectors over the
     generators.
 
-    Raises ValueError, before any product is built, when the products
+    Raises CapExceededError, before any product is built, when the products
     of the k generators up to degree d = degree_bound, C(k + d, d) - 1
     of them, exceed PRODUCT_CAP; and, before any text is built, when
     the pairs of products of one image, the sum of C(|fiber|, 2) over
@@ -347,7 +348,7 @@ def toric_relations(basis: InvariantBasis, degree_bound: int) -> list:
             )
     pairs = sum(n * (n - 1) // 2 for n in map(len, fibers.values()))
     if pairs > RELATION_CAP:
-        raise ValueError(
+        raise CapExceededError(
             "%s%d relations of %d invariant generators up to degree %d "
             "above the desk-scale relation cap %d"
             % ("" if degree_bound <= 2 else "at most ", pairs, k,

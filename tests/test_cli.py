@@ -79,8 +79,13 @@ def test_analyze_malformed_file_exit_2(capsys, tmp_path):
 
 
 def test_analyze_missing_file_exit_2(capsys):
+    """Also a path with a NUL byte, which open refuses with a ValueError
+    (only an in-process call can pass one)."""
     code, out, err = run(capsys, "analyze", "/nonexistent/x.graph")
     assert code == 2
+    code, out, err = run(capsys, "analyze", "x\0.graph")
+    assert (code, out) == (2, "")
+    assert err.startswith("sforge: cannot read x\0.graph: ")
 
 
 def test_analyze_graph_file_not_utf8_exit_2(capsys, tmp_path):
@@ -213,17 +218,51 @@ def test_analyze_indefinite_exit_3(capsys, graphs_dir):
         assert err == "sforge: intersection matrix is not negative definite\n"
 
 
-@pytest.mark.parametrize("fmt", ["text", "structured"])
-def test_result_integer_too_long_to_print_exits_3(capsys, tmp_path, fmt):
-    """|det| = 10^6000 - 1 has more digits than int() turns into text:
-    rendering fails like any other precondition, with no output and one
-    line that says so in the user's terms, not the interpreter's."""
-    huge = tmp_path / "huge.graph"
-    w = -(10**3000)
-    huge.write_text(
-        "vertex a weight=%d\nvertex b weight=%d\nedge a b\n" % (w, w)
+@pytest.mark.parametrize("command, graph, fmt", [
+    pytest.param(command, graph, fmt, id="-".join(
+        (graph, command, fmt) if graph != "det" else (fmt,)
+    ))
+    for command, graph in (
+        ("analyze", "det"), ("analyze", "star"), ("splice", "star"),
+        ("conditions", "star"), ("equations", "star"), ("invariants", "e7"),
     )
-    code, out, err = run(capsys, "analyze", str(huge), "--format", fmt)
+    for fmt in ("text", "structured")
+])
+def test_result_integer_too_long_to_print_exits_3(
+    capsys, tmp_path, graphs_dir, command, graph, fmt
+):
+    """An answer with an integer of more than int's digit limit fails
+    like any other precondition, with no output and one line that says
+    so in the user's terms, not the interpreter's, wherever int refuses
+    it: |det| = 10^6000 - 1 of two (-10^3000)-vertices while rendering;
+    a star with three arms of three (-10^1500)-vertices while building
+    analyze's canonical cycle, the splice diagram's text and the leaf
+    characters of conditions and equations; and the certificate of
+    7...7*7...7*x (two 3,000-digit factors) in the E7 ideal while
+    building its text."""
+    path = tmp_path / (graph + ".graph")
+    extra = ()
+    if graph == "det":
+        w = -(10**3000)
+        path.write_text(
+            "vertex a weight=%d\nvertex b weight=%d\nedge a b\n" % (w, w)
+        )
+    elif graph == "star":
+        lines = ["vertex c weight=-3"]
+        for i in range(3):
+            prev = "c"
+            for j in range(3):
+                v = "a%d_%d" % (i, j)
+                lines += ["vertex %s weight=%d" % (v, -(10**1500)),
+                          "edge %s %s" % (prev, v)]
+                prev = v
+        path.write_text("\n".join(lines) + "\n")
+    else:
+        path = graph_path(graphs_dir, "e7")
+        target = tmp_path / "target.poly"
+        target.write_text("%s*%s*x\n" % ("7" * 3000, "7" * 3000))
+        extra = ("--verify-identity=%s" % target,)
+    code, out, err = run(capsys, command, str(path), *extra, "--format", fmt)
     assert code == 3
     assert out == ""
     assert err == (

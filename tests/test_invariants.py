@@ -9,6 +9,7 @@ from random import Random
 import pytest
 
 from sforge import (
+    CapExceededError,
     CharacterAssignment,
     InvariantBasis,
     Polynomial,
@@ -335,6 +336,33 @@ def test_factor_cap_refuses_one_generator_at_a_high_degree(corpus):
         assert str(err.value) == message
     assert toric_relations(basis, 1999) == []
     assert invariant_generators(chars, 2, degree_bound=1999) == basis
+
+
+@pytest.mark.parametrize("cap", ["order", "products", "factors",
+                                 "relations"])
+def test_caps_raise_cap_exceeded_error(corpus, monkeypatch, cap):
+    """Each desk-scale cap raises CapExceededError, which is both a
+    PreconditionError, as the CLI reads it, and a ValueError, as
+    library callers caught the caps' refusals before it existed."""
+    ch = char_assignment(
+        ("x", "y"), (3,), [[Fraction(1, 3), Fraction(1, 3)]]
+    )
+    small = invariant_generators(ch, 3)  # 4 generators, 14 products
+    if cap == "order":
+        call, args = invariant_generators, (ch, ORDER_CAP + 1)
+    elif cap == "products":
+        monkeypatch.setattr("sforge.invariants.PRODUCT_CAP", 13)
+        call, args = toric_relations, (small, 2)
+    elif cap == "factors":  # 2000 * 2001 / 2 factors of one generator
+        a1 = invariant_generators(leaf_characters(corpus["a1"]), 2)
+        call, args = toric_relations, (a1, 2000)
+    else:  # 3 relations up to degree 2
+        monkeypatch.setattr("sforge.invariants.RELATION_CAP", 2)
+        call, args = toric_relations, (small, 2)
+    with pytest.raises(CapExceededError, match=" cap ") as info:
+        call(*args)
+    assert isinstance(info.value, PreconditionError)
+    assert isinstance(info.value, ValueError)
 
 
 def test_least_degree_count_matches_the_generators(corpus):
