@@ -29,8 +29,8 @@ __all__ = [
 ]
 
 
-def chain(weights, ids=None):
-    ids = ids or ["v%d" % i for i in range(len(weights))]
+def chain(weights):
+    ids = ["v%d" % i for i in range(len(weights))]
     vertices = [Vertex(i, w) for i, w in zip(ids, weights)]
     edges = [(ids[i], ids[i + 1]) for i in range(len(ids) - 1)]
     return ResolutionGraph(vertices, edges)

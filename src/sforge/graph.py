@@ -17,14 +17,15 @@ subtree of v is
            - sum_i (prod_{g child of c_i} D(g)) * prod_{j != i} D(c_j),
 
 folded over the children without division, so a zero D never breaks
-the pass. det(M) = D(root). M is negative definite iff every D(v) is
-nonzero with the sign (-1)^|subtree(v)|: these are principal minors,
-and the pivots D(v) / prod_i D(c_i) of the leaf-first elimination are
-then all negative. A second pass from the root (prefix and suffix folds
-over each vertex's neighbours) gives the determinant of every branch,
-the component of the tree minus v that contains a neighbour u; the
-splice weights are these. Back substitution through the same pass
-solves M x = b exactly. A graph with cycles goes to sforge.intmat:
+this pass, which decides definiteness. det(M) = D(root). M is negative
+definite iff every D(v) is nonzero with the sign (-1)^|subtree(v)|:
+these are principal minors, and the pivots D(v) / prod_i D(c_i) of the
+leaf-first elimination are then all negative. The passes back from the
+root divide exactly by the D(v) below the root, so they need these
+nonzero, as on a negative definite tree. One gives the determinant of
+every branch, the component of the tree minus v that contains a
+neighbour u; the splice weights are these. Back substitution solves
+M x = b exactly. A graph with cycles goes to sforge.intmat:
 Bareiss for its determinant and definiteness, solve_sparse for its
 canonical cycle.
 """
@@ -207,9 +208,6 @@ class ResolutionGraph:
     def index_of(self, vid):
         return self._index[vid]
 
-    def vertex(self, vid):
-        return self.vertices[self._index[vid]]
-
     def neighbors(self, vid):
         """Neighbor ids in declaration order, repeated per multi-edge."""
         vs = self.vertices
@@ -327,33 +325,27 @@ class TreeForm:
     def _branches_up(self):
         """Per non-root v, (det of the tree minus the subtree of v, det
         of that minus the parent of v). One pass from the root: at each
-        vertex, prefix and suffix folds of its neighbours' pairs leave
-        one neighbour out without a division. Every vertex also
-        re-derives det(M) from all its branches, an exact check of the
-        pass."""
+        vertex, the neighbours' pairs fold once into (P, S), and each
+        child c is left out by two exact divisions by D(c), so every
+        non-root D must be nonzero, as on a negative definite tree.
+        Every vertex also re-derives det(M) from all its branches, an
+        exact check of the pass."""
         w, det = self._weights, self.determinant
-        down, below = self._down, self._below
-        up = [(0, 1)] * len(w)
+        down, below, children = self._down, self._below, self._children
+        if 0 in down[1:]:  # the root is vertex 0
+            raise ValueError("branch pass needs nonzero subtree determinants")
+        up = [(1, 0)] * len(w)  # the root keeps (1, 0), the empty fold
         for v in self._order:
-            pairs = [(down[c], below[c]) for c in self._children[v]]
-            if self._parent[v] >= 0:
-                pairs.append(up[v])
             # fold (D_i, E_i) into (prod D_i, sum E_i prod_{j != i} D_j)
-            prefix = [(1, 0)]
-            for x, y in pairs:
-                p, s = prefix[-1]
-                prefix.append((p * x, s * x + y * p))
-            suffix = [(1, 0)]
-            for x, y in reversed(pairs):
-                p, s = suffix[-1]
-                suffix.append((p * x, s * x + y * p))
-            suffix.reverse()
-            p, s = prefix[-1]
+            p, s = up[v]
+            for c in children[v]:
+                p, s = p * down[c], s * down[c] + below[c] * p
             if w[v] * p - s != det:
                 raise AssertionError("tree pass verification failed")
-            for k, c in enumerate(self._children[v]):
-                (p1, s1), (p2, s2) = prefix[k], suffix[k + 1]
-                up[c] = (w[v] * p1 * p2 - s1 * p2 - s2 * p1, p1 * p2)
+            for c in children[v]:
+                q = p // down[c]
+                r = (s - below[c] * q) // down[c]
+                up[c] = (w[v] * q - r, q)
         return up
 
     def branch_determinant(self, vid, uid):

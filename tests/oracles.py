@@ -755,7 +755,7 @@ def random_negative_definite_tree_by_graphs(rng: Random, max_vertices=10):
         if candidate.is_negative_definite():
             g = candidate
         else:
-            weights[i] = g.vertex(i).weight
+            weights[i] = g.vertices[g.index_of(i)].weight
     return g
 
 

@@ -41,6 +41,7 @@ RETIRED = (
     ("intmat", "SnfResult", "invariant_factors"),  # nonzero diagonal
     ("intmat", None, "RatMatrix"),  # oracles; invert_rational gives rows
     ("intmat", "IntMatrix", "__truediv__"),  # Fraction(x, d) per entry
+    ("graph", "ResolutionGraph", "vertex"),  # g.vertices[g.index_of(vid)]
 )
 
 

@@ -60,6 +60,7 @@ def component(g, removed, start):
 def test_tree_pass_matches_dense_oracles_on_random_trees():
     rng = Random(2024)
     verdicts = {"definite": 0, "indefinite": 0, "singular": 0}
+    zero_subtrees = 0
     for trial in range(400):
         n = rng.randint(1, 9)
         weights = range(-5, 0) if trial % 4 else range(-3, 2)
@@ -72,8 +73,18 @@ def test_tree_pass_matches_dense_oracles_on_random_trees():
         assert form.negative_definite == definite == is_negative_definite(m)
         verdicts["singular" if det == 0 else
                  "definite" if definite else "indefinite"] += 1
+        # the branch pass divides by every subtree determinant below the
+        # root (vertex 0); with one of them 0 it refuses, and only the
+        # branches toward a child, that child's subtree, are defined
+        divides_by_zero = 0 in form._down[1:]
+        zero_subtrees += divides_by_zero
         for v in g.vertex_ids:
             for u in g.neighbors(v):
+                to_parent = form._parent[g.index_of(v)] == g.index_of(u)
+                if divides_by_zero and to_parent:
+                    with pytest.raises(ValueError):
+                        form.branch_determinant(v, u)
+                    continue
                 side = induced_subgraph(g, component(g, v, u))
                 assert form.branch_determinant(v, u) == determinant(
                     intersection_matrix(side)
@@ -88,6 +99,7 @@ def test_tree_pass_matches_dense_oracles_on_random_trees():
             with pytest.raises(SingularMatrixError):
                 form.solve([b])
     assert min(verdicts.values()) >= 10, verdicts
+    assert zero_subtrees >= 10, zero_subtrees
 
 
 def test_solve_several_columns_and_rejects_zero_pivot():
@@ -108,6 +120,8 @@ def test_solve_several_columns_and_rejects_zero_pivot():
     assert bad.tree_form().determinant != 0
     with pytest.raises(ValueError):
         bad.tree_form().solve([[1, 0, 0]])
+    with pytest.raises(ValueError):  # the branch pass divides by it too
+        bad.tree_form().branch_determinant("b", "a")
 
 
 def test_tree_form_rejects_non_trees_and_non_neighbours():
