@@ -17,17 +17,20 @@ subtree of v is
            - sum_i (prod_{g child of c_i} D(g)) * prod_{j != i} D(c_j),
 
 folded over the children without division, so a zero D never breaks
-this pass, which decides definiteness. det(M) = D(root). M is negative
-definite iff every D(v) is nonzero with the sign (-1)^|subtree(v)|:
-these are principal minors, and the pivots D(v) / prod_i D(c_i) of the
-leaf-first elimination are then all negative. The passes back from the
-root divide exactly by the D(v) below the root, so they need these
-nonzero, as on a negative definite tree. One gives the determinant of
-every branch, the component of the tree minus v that contains a
-neighbour u; the splice weights are these. Back substitution solves
-M x = b exactly. A graph with cycles goes to sforge.intmat:
-Bareiss for its determinant and definiteness, solve_sparse for its
-canonical cycle.
+this pass, which decides definiteness. det(M) = D(root). The
+negative-pivot rule: M is negative definite iff D(v) * prod_i D(c_i)
+< 0 for every v. Taken children first, the vertices so far span whole
+subtrees, each leading principal minor is the product of the D of
+their roots, and adding v puts D(v) for the D(c_i): so the rule is
+Sylvester's criterion, minor_k * minor_(k-1) < 0 with minor_0 = 1, as
+sforge.intmat.is_negative_definite tests it on any symmetric matrix.
+The passes back from the root divide exactly by the D(v) below the
+root, so they need these nonzero, as on a negative definite tree. One
+gives the determinant of every branch, the component of the tree minus
+v that contains a neighbour u; the splice weights are these. Back
+substitution solves M x = b exactly. A graph with cycles goes to
+sforge.intmat: Bareiss for its determinant and definiteness,
+solve_sparse for its canonical cycle.
 """
 
 from __future__ import annotations
@@ -262,6 +265,14 @@ class ResolutionGraph:
         )
 
 
+def _fold_children(down, kids, e, p=1, s=0):
+    """(p * prod D(c), s * prod D(c) + p * sum_c e[c] prod_{c' != c}
+    D(c')) over kids, D = down: the module docstring's recurrence."""
+    for c in kids:
+        p, s = p * down[c], s * down[c] + e[c] * p
+    return p, s
+
+
 class TreeForm:
     """The intersection form of a tree, from one leaf-first pass.
 
@@ -276,9 +287,9 @@ class TreeForm:
     recursion. Per vertex v it keeps D(v), the determinant of the
     subtree of v, and prod_i D(c_i) over the children c_i (see the
     module docstring). `determinant` is D(root); `negative_definite`
-    applies the sign rule. Branch determinants and solves are computed
-    on request. Vertices are named by id; vectors are in declaration
-    order.
+    is the negative-pivot rule. Branch determinants and solves are
+    computed on request. Vertices are named by id; vectors are in
+    declaration order.
     """
 
     __slots__ = (
@@ -299,15 +310,9 @@ class TreeForm:
             order.extend(kids)
         down = [0] * n  # D(v)
         below = [1] * n  # prod of D(c) over the children c of v
-        odd = [True] * n  # the subtree of v has an odd number of vertices
         for v in reversed(order):
-            p, s = 1, 0
-            for c in children[v]:
-                s = s * down[c] + below[c] * p
-                p *= down[c]
-                odd[v] ^= odd[c]
-            down[v] = weights[v] * p - s
-            below[v] = p
+            below[v], s = _fold_children(down, children[v], below)
+            down[v] = weights[v] * below[v] - s
         self._index = index
         self._weights = weights
         self._order = order
@@ -317,9 +322,7 @@ class TreeForm:
         self._below = below
         self._memo = {}
         self.determinant = down[0]
-        self.negative_definite = all(
-            d != 0 and (d < 0) == o for d, o in zip(down, odd)
-        )
+        self.negative_definite = all(d * p < 0 for d, p in zip(down, below))
 
     @memoized
     def _branches_up(self):
@@ -336,10 +339,7 @@ class TreeForm:
             raise ValueError("branch pass needs nonzero subtree determinants")
         up = [(1, 0)] * len(w)  # the root keeps (1, 0), the empty fold
         for v in self._order:
-            # fold (D_i, E_i) into (prod D_i, sum E_i prod_{j != i} D_j)
-            p, s = up[v]
-            for c in children[v]:
-                p, s = p * down[c], s * down[c] + below[c] * p
+            p, s = _fold_children(down, children[v], below, *up[v])
             if w[v] * p - s != det:
                 raise AssertionError("tree pass verification failed")
             for c in children[v]:
@@ -379,11 +379,8 @@ class TreeForm:
         for b in columns:
             beta = [0] * len(w)
             for v in reversed(order):
-                p, s = 1, 0
-                for c in self._children[v]:
-                    s = s * down[c] + beta[c] * p
-                    p *= down[c]
-                beta[v] = b[v] * p - s
+                _, s = _fold_children(down, self._children[v], beta)
+                beta[v] = b[v] * below[v] - s
             y = [0] * len(w)
             y[0] = beta[0]  # the root
             for v in order[1:]:
@@ -438,7 +435,8 @@ def parse_graph(text: str) -> ResolutionGraph:
         vertex <id> weight=<int> [genus=<uint>]
         edge <id> <id>
 
-    '#' starts a comment. Diagnostics carry the 1-based line number.
+    Each field at most once; '#' starts a comment. Diagnostics carry
+    the 1-based line number.
     """
     vertices = []
     edges = []
@@ -452,21 +450,19 @@ def parse_graph(text: str) -> ResolutionGraph:
             if len(parts) < 3:
                 raise ParseError("vertex needs an id and a weight", lineno)
             vid = parts[1]
-            weight = None
-            genus = 0
+            fields = {}
             for field in parts[2:]:
                 key, sep, value = field.partition("=")
                 if not sep:
                     raise ParseError("expected key=value, got %r" % field, lineno)
-                if key == "weight":
-                    weight = parse_int(value, lineno)
-                elif key == "genus":
-                    genus = parse_int(value, lineno)
-                else:
+                if key not in ("weight", "genus"):
                     raise ParseError("unknown field %r" % key, lineno)
-            if weight is None:
+                if key in fields:
+                    raise ParseError("duplicate field %r" % key, lineno)
+                fields[key] = parse_int(value, lineno)
+            if "weight" not in fields:
                 raise ParseError("vertex %r has no weight" % vid, lineno)
-            vertices.append(Vertex(vid, weight, genus))
+            vertices.append(Vertex(vid, fields["weight"], fields.get("genus", 0)))
             try:  # the constructor's checks, with the line number
                 _check_vertex(vertices[-1], ids)
             except ValueError as exc:

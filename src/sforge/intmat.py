@@ -610,21 +610,22 @@ def invert_rational(m: IntMatrix) -> tuple:
 
 
 def is_negative_definite(m: IntMatrix) -> bool:
-    """Leading-principal-minor test: (-1)^k * minor_k > 0 for all k.
+    """The negative-pivot rule (see sforge.graph) on the leading
+    principal minors: minor_k * minor_(k-1) < 0 for all k, minor_0 = 1.
 
     One Bareiss pass without pivoting: the pivot of step k is the k-th
-    leading principal minor, so the pass reads all n minors and stops
-    at the first one that is zero or has the wrong sign.
+    leading principal minor, so the pass reads the minors in order and
+    stops at the first one that breaks the rule.
     """
     if not m.is_square:
         raise ValueError("definiteness requires a square matrix")
     if not m.is_symmetric():
         raise ValueError("definiteness requires a symmetric matrix")
-    negative = True  # the sign minor_k must have
+    prev = 1  # minor_0
     for step in _bareiss(m.entries, pivoting=False):
-        if step[0] == 0 or (step[0] < 0) != negative:
+        if step[0] * prev >= 0:
             return False
-        negative = not negative
+        prev = step[0]
     return True
 
 

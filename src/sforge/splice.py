@@ -6,17 +6,12 @@ carries one weight per incident edge e: the absolute determinant of the
 intersection matrix of the component of the graph minus v in the
 direction of e, a branch determinant.
 
-All of these come from the graph's TreeForm (see sforge.graph), one
-exact integer pass with no dense elimination. Rooted at the first
-vertex, the subtree determinants satisfy
-
-    D(v) = w_v * prod_i D(c_i)
-           - sum_i (prod_{g child of c_i} D(g)) * prod_{j != i} D(c_j)
-
-over the children c_i of v; the graph is negative definite iff every
-D(v) is nonzero with the sign (-1)^|subtree(v)|. A branch toward a
-child c is the subtree of c; the branch toward the parent comes from a
-second pass from the root.
+All of these come from the graph's TreeForm, one exact integer pass
+with no dense elimination, rooted at the first vertex; sforge.graph
+gives its recurrence for the subtree determinants D(v) and the
+negative-pivot rule for definiteness. A branch toward a child c is the
+subtree of c; the branch toward the parent comes from a second pass
+from the root.
 
 The rest of the paper's weight calculus is read off one walk per node,
 built for every node on first use and kept by the diagram. The node

@@ -72,6 +72,10 @@ def test_parse_errors_carry_line_numbers():
         ("vertex a weight=-2\nedge a a\n", 2, "self-loop"),
         ("frob a\n", 1, "directive"),
         ("vertex a weight=-2 genus=-1\n", 1, "genus"),
+        # each field at most once, not the last value winning
+        ("vertex a weight=-2 weight=-3\n", 1, "duplicate field 'weight'"),
+        ("vertex a weight=-2\nvertex b weight=-2 genus=0 genus=1\nedge a b\n",
+         2, "duplicate field 'genus'"),
     ]
     for text, line, needle in cases:
         with pytest.raises(ParseError) as err:

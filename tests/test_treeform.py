@@ -102,6 +102,30 @@ def test_tree_pass_matches_dense_oracles_on_random_trees():
     assert zero_subtrees >= 10, zero_subtrees
 
 
+def test_negative_pivot_rule_near_the_boundary_on_larger_trees():
+    """Negative definite trees of up to 60 vertices, and on two draws
+    of three the same tree with one weight raised by 1, which often
+    leaves the definite cone: the tree pass's determinant and verdict
+    agree with Bareiss and with the leading minors one by one."""
+    rng = Random(32)
+    verdicts = {True: 0, False: 0}
+    for trial in range(36):
+        g = random_negative_definite_tree(rng, max_vertices=60)
+        if trial % 3:
+            i = rng.randrange(g.n)
+            vertices = list(g.vertices)
+            vertices[i] = vertices[i]._replace(weight=vertices[i].weight + 1)
+            g = ResolutionGraph._from_parts(vertices, g.edges)
+        form = g.tree_form()
+        m = intersection_matrix(g)
+        assert form.determinant == determinant(m), trial
+        definite = form.negative_definite
+        assert definite == is_negative_definite(m), trial
+        assert definite == is_negative_definite_minors(m), trial
+        verdicts[definite] += 1
+    assert min(verdicts.values()) >= 10, verdicts
+
+
 def test_solve_several_columns_and_rejects_zero_pivot():
     g = random_negative_definite_tree(Random(7), max_vertices=12)
     m = intersection_matrix(g)
